@@ -29,18 +29,13 @@ from .committee import (
 from .datagen import BlobSpec, gaussian_1d_pair, gaussian_blobs
 from .model import (
     Dataset,
-    LabeledPoint,
     ModelFamily,
     ParameterGrid,
-    accuracy,
     decode_all,
     decode_theta,
-    encode_theta,
     grid_accuracies,
     mlp_two_hidden,
-    negate_params,
     perceptron,
-    predict,
     predict_many,
     threshold1d,
 )
@@ -56,7 +51,6 @@ from .simulator import (
     apply_accuracy_rotation_sequential,
     apply_classifier,
     expectation_sigma_z,
-    grover_accurate_filter,
     grover_amplify_counts,
     measure_label_distribution,
     postselect_accuracy_zero,
@@ -73,7 +67,6 @@ from .weighting import (
     ensemble_decide,
     tree_sum,
     vote,
-    weight,
     weights_for,
 )
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import analytic, committee, simulator, weighting
 from .datagen import BlobSpec, gaussian_1d_pair, gaussian_blobs
-from .model import Dataset, ModelFamily, ParameterGrid, correct_counts, predict_many
+from .model import Dataset, ModelFamily, ParameterGrid, correct_counts, decode_all
+from .model import grid_accuracies, grid_correct_counts, predict_many
 from .svgplot import render_curves
 
 _CHUNK = 256
@@ -120,35 +121,46 @@ def grid_from_config(d: dict) -> ParameterGrid:
         raise ConfigError(str(exc)) from exc
 
 
+def _fields(spec: dict, **converters) -> dict:
+    """spec[key] passed through each keyword's converter; a missing key or a
+    value the converter rejects is a ConfigError."""
+    try:
+        return {key: convert(spec[key]) for key, convert in converters.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad dataset config: {exc!r}") from exc
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _float_array(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
+
+
 def dataset_from_config(d: dict) -> Dataset:
     if not isinstance(d, dict) or len(d) != 1:
         raise ConfigError("dataset config needs exactly one of path/points/blobs/pair")
     if "path" in d:
-        return Dataset.read_csv(d["path"])
+        return Dataset.read_csv(_fields(d, path=Path)["path"])
     if "points" in d:
-        spec = d["points"]
-        return Dataset(np.asarray(spec["x"], dtype=np.float64), np.asarray(spec["y"]))
+        return Dataset(**_fields(d["points"], x=_float_array, y=_float_array))
     if "blobs" in d:
-        spec = d["blobs"]
-        return gaussian_blobs(
-            BlobSpec(
-                tuple(spec["mean_minus"]),
-                tuple(spec["mean_plus"]),
-                float(spec["sigma"]),
-                int(spec["per_class"]),
-                int(spec["seed"]),
-            )
+        spec = _fields(
+            d["blobs"], mean_minus=_floats, mean_plus=_floats, sigma=float, per_class=int, seed=int
         )
+        return gaussian_blobs(BlobSpec(**spec))
     if "pair" in d:
-        spec = d["pair"]
-        return gaussian_1d_pair(
-            float(spec["mu_minus"]),
-            float(spec["sigma_minus"]),
-            float(spec["mu_plus"]),
-            float(spec["sigma_plus"]),
-            int(spec["per_class"]),
-            int(spec["seed"]),
+        spec = _fields(
+            d["pair"],
+            mu_minus=float,
+            sigma_minus=float,
+            mu_plus=float,
+            sigma_plus=float,
+            per_class=int,
+            seed=int,
         )
+        return gaussian_1d_pair(**spec)
     raise ConfigError("dataset config needs one of path/points/blobs/pair")
 
 
@@ -231,14 +243,14 @@ def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
     write_curve_csv(out / "fig2_oddsratio.csv", "accuracy", odds_series)
     render_curves(
         out / "fig2_condorcet.svg",
-        [(lbl, list(xs), list(ys)) for lbl, xs, ys in series],
+        series,
         title="majority error vs committee size",
         x_label="committee size",
         y_label="error",
     )
     render_curves(
         out / "fig2_oddsratio.svg",
-        [(lbl, list(xs), list(ys)) for lbl, xs, ys in odds_series],
+        odds_series,
         title="odds-ratio signal of one member vs a pair",
         x_label="accuracy",
         y_label="odds",
@@ -278,7 +290,7 @@ def run_fig4(cfg: dict, out: Path, threads: int = 1) -> dict:
     write_curve_csv(out / "fig4_weights.csv", "accuracy", series)
     render_curves(
         out / "fig4_weights.svg",
-        [(lbl, list(xs), list(ys)) for lbl, xs, ys in series],
+        series,
         title="vote weight vs model accuracy",
         x_label="accuracy",
         y_label="weight",
@@ -325,7 +337,7 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
     write_curve_csv(out / "fig5_expectation.csv", "x", series)
     render_curves(
         out / "fig5_expectation.svg",
-        [(lbl, list(vx), list(vy)) for lbl, vx, vy in series],
+        series,
         title="committee score vs query point",
         x_label="x",
         y_label="score",
@@ -362,6 +374,9 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
         int(cfg["per_class"]),
         int(cfg["seed"]),
     )
+    lo, hi, step = float(cfg["raster_lo"]), float(cfg["raster_hi"]), float(cfg["raster_step"])
+    if not step > 0.0:
+        raise ConfigError("raster_step must be positive")
     dataset = gaussian_blobs(spec)
     family = ModelFamily("perceptron", 2)
     thetas = _lattice_thetas(
@@ -378,7 +393,6 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
 
         return np.concatenate(_chunk_map(chunk, points.shape[0], threads))
 
-    lo, hi, step = float(cfg["raster_lo"]), float(cfg["raster_hi"]), float(cfg["raster_step"])
     ticks = lo + step * np.arange(round((hi - lo) / step) + 1)
     g1, g2 = np.meshgrid(ticks, ticks, indexing="ij")
     raster_points = np.stack([g1.ravel(), g2.ravel()], axis=1)
@@ -537,8 +551,6 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
     if rotation not in ("exact", "sequential"):
         raise ConfigError("rotation must be 'exact' or 'sequential'")
 
-    from .model import grid_accuracies, grid_correct_counts
-
     # cap check before enumerating the grid
     layout = simulator.RegisterLayout(grid.total_bits)
     acc = grid_accuracies(family, grid, dataset)
@@ -550,10 +562,13 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         simulator.apply_accuracy_rotation_exact(state, acc)
     else:
         delta = math.pi / (4.0 * m) if delta is None else float(delta)
-        simulator.apply_accuracy_rotation_sequential(state, dataset, family, grid, delta)
+        correct = predict_many(family, decode_all(grid), dataset.x) == dataset.y.astype(np.int8)
+        simulator.apply_accuracy_rotation_sequential(state, correct, delta)
+        del correct  # E x M flags, freed before the classical vote walks the grid
     rotation_p0 = state.accuracy_zero_probabilities()
     state, post = simulator.postselect_accuracy_zero(state)
-    simulator.apply_classifier(state, family, grid, query)
+    # labels passed inline: an (E,) array kept alive here pins the heap through the vote below
+    simulator.apply_classifier(state, predict_many(family, decode_all(grid), query[None, :])[:, 0])
     p_minus, p_plus = simulator.measure_label_distribution(state)
     sigma_z = simulator.expectation_sigma_z(state)
     shots = int(cfg["shots"])
@@ -630,8 +645,9 @@ def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
     grid = grid_from_config(cfg["grid"])
     dataset = dataset_from_config(cfg["dataset"])
     iterations = cfg.get("iterations")
-    state, report = simulator.grover_accurate_filter(
-        family, grid, dataset, None if iterations is None else int(iterations)
+    counts = grid_correct_counts(family, grid, dataset)
+    state, report = simulator.grover_amplify_counts(
+        counts, len(dataset), None if iterations is None else int(iterations)
     )
     metrics = {
         "models": report.model_count,

@@ -130,16 +130,6 @@ def predict_many(family: ModelFamily, thetas: np.ndarray, xs: np.ndarray) -> np.
     return _sign(margins)
 
 
-def predict(family: ModelFamily, theta: np.ndarray, x: np.ndarray) -> int:
-    """Label of a single point under a single model."""
-    return int(predict_many(family, theta, np.atleast_1d(x))[0, 0])
-
-
-def negate_params(theta: np.ndarray) -> np.ndarray:
-    """Componentwise negation; IEEE negation is exact, no rounding occurs."""
-    return -np.asarray(theta, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class ParameterGrid:
     """Per-parameter intervals discretized into 2**bits inclusive endpoints."""
@@ -211,27 +201,6 @@ def decode_all(grid: ParameterGrid) -> np.ndarray:
     return out
 
 
-def encode_theta(theta: np.ndarray, grid: ParameterGrid) -> int:
-    """Inverse of decode_theta for lattice points (nearest tick per parameter)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (grid.parameter_count,):
-        raise ValueError("theta shape does not match the grid")
-    k = (1 << grid.bits) - 1
-    index = 0
-    for j, (lo, hi) in enumerate(grid.intervals):
-        tick = int(round((theta[j] - lo) / (hi - lo) * k))
-        if not 0 <= tick <= k:
-            raise ValueError(f"parameter {j} outside its interval")
-        index = (index << grid.bits) | tick
-    return index
-
-
-@dataclass(frozen=True)
-class LabeledPoint:
-    x: np.ndarray
-    y: int
-
-
 class Dataset:
     """Immutable training set: float64 points and labels in {-1, +1}."""
 
@@ -263,16 +232,6 @@ class Dataset:
     @property
     def dimension(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def points(self) -> list[LabeledPoint]:
-        return [LabeledPoint(self.x[i].copy(), int(self.y[i])) for i in range(len(self))]
-
-    @classmethod
-    def from_points(cls, points) -> "Dataset":
-        xs = [np.atleast_1d(np.asarray(p.x, dtype=np.float64)) for p in points]
-        ys = [p.y for p in points]
-        return cls(np.stack(xs), np.asarray(ys))
 
     def to_csv(self, path: str | Path) -> None:
         """Write header x1..xN,y then one row per point; floats use repr
@@ -316,11 +275,6 @@ def correct_counts(family: ModelFamily, thetas: np.ndarray, dataset: Dataset) ->
     return np.count_nonzero(preds == dataset.y[None, :].astype(np.int8), axis=1).astype(
         np.int64
     )
-
-
-def accuracy(family: ModelFamily, theta: np.ndarray, dataset: Dataset) -> float:
-    """Fraction of the dataset classified correctly, in [0, 1]."""
-    return float(correct_counts(family, theta, dataset)[0]) / len(dataset)
 
 
 def grid_accuracies(family: ModelFamily, grid: ParameterGrid, dataset: Dataset) -> np.ndarray:

@@ -33,14 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prng
-from .model import (
-    Dataset,
-    ModelFamily,
-    ParameterGrid,
-    decode_all,
-    grid_correct_counts,
-    predict_many,
-)
 
 DEFAULT_QUBIT_CAP = 26
 _ATOL = 1e-12
@@ -129,17 +121,6 @@ class EnsembleState:
         out[populated] = zero_branch[populated] / per_model[populated]
         return out
 
-    def dump_csv(self, path) -> None:
-        """Write basis,re,im rows; basis is the binary index string with
-        the register order documented above, floats carry 17 significant
-        digits."""
-        n = self.layout.total_qubits
-        lines = ["basis,re,im"]
-        for i, amp in enumerate(self.amplitudes):
-            lines.append(f"{i:0{n}b},{amp.real:.17g},{amp.imag:.17g}")
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def prepare_uniform(layout: RegisterLayout) -> EnsembleState:
     """Uniform superposition over the parameter register, work qubits |0>."""
@@ -178,26 +159,22 @@ def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) 
 
 
 def apply_accuracy_rotation_sequential(
-    state: EnsembleState,
-    dataset: Dataset,
-    family: ModelFamily,
-    grid: ParameterGrid,
-    delta: float,
+    state: EnsembleState, correct: np.ndarray, delta: float
 ) -> EnsembleState:
     """Hadamard the accuracy qubit, then for each training point rotate it
     by delta toward |0> (correctly classified) or |1> (misclassified),
-    conditioned on the parameter basis state.
+    conditioned on the parameter basis state.  `correct` is the (E, M)
+    boolean matrix of correct classifications, one row per basis state.
 
     The rotations share one axis, so the conditional probability lands at
     cos^2(pi/4 - (2 c_theta - M) delta), monotone in the correct count
     c_theta whenever 0 < delta <= pi/(4M)."""
-    m = len(dataset)
+    correct = np.asarray(correct, dtype=bool)
+    if correct.ndim != 2 or correct.shape[0] != state.layout.model_count:
+        raise ValueError("one row of correct flags per parameter basis state is required")
+    m = correct.shape[1]
     if not 0.0 < delta <= math.pi / (4.0 * m):
         raise ValueError(f"delta must lie in (0, pi/(4*{m})]")
-    if grid.total_bits != state.layout.parameter_bits:
-        raise ValueError("grid size does not match the parameter register")
-    preds = predict_many(family, decode_all(grid), dataset.x)
-    correct = preds == dataset.y[None, :].astype(np.int8)
     _require_accuracy_clear(state)
     view = state.view()
     inv = 1.0 / math.sqrt(2.0)
@@ -232,15 +209,14 @@ def postselect_accuracy_zero(state: EnsembleState) -> tuple[EnsembleState, Posts
     return state, PostselectionReport(p_acc, 1.0 / p_acc)
 
 
-def apply_classifier(
-    state: EnsembleState, family: ModelFamily, grid: ParameterGrid, x: np.ndarray
-) -> EnsembleState:
-    """Flip the output qubit on every branch whose model labels x as +1."""
-    if grid.total_bits != state.layout.parameter_bits:
-        raise ValueError("grid size does not match the parameter register")
+def apply_classifier(state: EnsembleState, labels: np.ndarray) -> EnsembleState:
+    """Flip the output qubit on every branch whose model labels the query
+    +1; `labels` holds each parameter basis state's prediction in {-1, +1}."""
+    labels = np.asarray(labels)
+    if labels.shape != (state.layout.model_count,):
+        raise ValueError("one label per parameter basis state is required")
     _require_output_clear(state)
-    preds = predict_many(family, decode_all(grid), np.atleast_1d(x))[:, 0]
-    flip = preds == 1
+    flip = labels == 1
     view = state.view()
     view[flip, 1, :, :] = view[flip, 0, :, :]
     view[flip, 0, :, :] = 0.0
@@ -332,15 +308,3 @@ def grover_amplify_counts(
     closed = math.sin((2 * iterations + 1) * math.asin(math.sqrt(k / e))) ** 2
     report = GroverReport(k, e, iterations, math.sqrt(e / k), amplified, closed)
     return state, report
-
-
-def grover_accurate_filter(
-    family: ModelFamily,
-    grid: ParameterGrid,
-    dataset: Dataset,
-    iterations: int | None = None,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-) -> tuple[EnsembleState, GroverReport]:
-    """grover_amplify_counts driven by a grid's actual correct counts."""
-    counts = grid_correct_counts(family, grid, dataset)
-    return grover_amplify_counts(counts, len(dataset), iterations, qubit_cap)

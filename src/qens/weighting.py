@@ -91,30 +91,10 @@ class EnsembleDecision:
     p_minus: float
 
 
-def weight(scheme: WeightScheme | str, a: float, clamp_log_odds: bool = False) -> float:
-    """Vote weight of a single model with training accuracy `a`."""
-    scheme = WeightScheme(scheme)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"accuracy {a} outside [0, 1]")
-    if scheme is WeightScheme.UNIFORM:
-        return 1.0
-    if scheme is WeightScheme.ACCURACY:
-        return float(a)
-    if scheme is WeightScheme.EFFECTIVE_CENTERED:
-        return float(a) - 0.5
-    if a in (0.0, 1.0) and not clamp_log_odds:
-        raise UnboundedWeightError(
-            "log_odds diverges at accuracy 0 or 1; pass clamp_log_odds=True "
-            "or exclude the model"
-        )
-    a = min(max(float(a), LOG_ODDS_CLAMP), 1.0 - LOG_ODDS_CLAMP)
-    return math.log(a / (1.0 - a))
-
-
 def weights_for(
     scheme: WeightScheme | str, accuracies: np.ndarray, clamp_log_odds: bool = False
 ) -> np.ndarray:
-    """Vectorized `weight` over a full grid."""
+    """Vote weight of every model, given its training accuracy."""
     scheme = WeightScheme(scheme)
     a = np.asarray(accuracies, dtype=np.float64)
     if a.size and (a.min() < 0.0 or a.max() > 1.0):

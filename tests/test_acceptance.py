@@ -6,6 +6,7 @@ Each test covers one numbered criterion, prints a single
 Tolerances and runtime budgets are pinned in the assertions.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -62,7 +63,7 @@ def quantum_pipeline(family, grid, dataset, query):
     state = prepare_uniform(RegisterLayout(grid.total_bits))
     apply_accuracy_rotation_exact(state, acc)
     state, post = postselect_accuracy_zero(state)
-    apply_classifier(state, family, grid, query)
+    apply_classifier(state, predict_many(family, decode_all(grid), query[None, :])[:, 0])
     p_minus, p_plus = measure_label_distribution(state)
     return state.parameter_distribution(), (p_minus, p_plus), post.acceptance_probability, acc
 
@@ -343,7 +344,8 @@ def test_criterion_9_sequential_rotation_fidelity():
         assert len(ds) == m
         counts = grid_correct_counts(family, grid, ds)
         state = prepare_uniform(RegisterLayout(grid.total_bits))
-        apply_accuracy_rotation_sequential(state, ds, family, grid, delta)
+        correct = predict_many(family, decode_all(grid), ds.x) == ds.y[None, :]
+        apply_accuracy_rotation_sequential(state, correct, delta)
         p0 = state.accuracy_zero_probabilities()
         want = np.cos(math.pi / 4 - (2 * counts - m) * delta) ** 2
         worst = max(worst, float(np.max(np.abs(p0 - want))))
@@ -364,36 +366,87 @@ def test_criterion_9_sequential_rotation_fidelity():
     )
 
 
+# sha256 of every artifact each case writes.  A change that moves any output
+# byte fails here and has to update the table and say why.
+GOLDEN_SHA256 = {
+    "fig2": {
+        "fig2_condorcet.csv": "2210fc3d7d4ff23102b12a7e86666253ee1461322daa163ba0c53a05deac84cb",
+        "fig2_condorcet.svg": "37f2268c45d2ccbd82342d5cec1b3e936f5c735246bc54958b61e146c52df136",
+        "fig2_oddsratio.csv": "681b6803ad2382fa2fed559b843fd8a9eef18c62191d96a2323830b9739c8183",
+        "fig2_oddsratio.svg": "148da07ce1ca4f4e1eeb066be25143e5010d6294f8fd9bcd4af0fe719419842b",
+        "fig2_summary.json": "48c049686512be8a7430f720d69de7487ad22912baf968400da6e118c2fc290a",
+    },
+    "fig4": {
+        "fig4_summary.json": "d1e60131e725952fd9364dbb361d9c54b0e4b39cf9f7c8b701003c0436ad8519",
+        "fig4_weights.csv": "6b4ef6743e96f2509aa7e4b219406e2064ea4edecfa7b0d3a6d36add3a4b4183",
+        "fig4_weights.svg": "065ca8f60b4df7f0faa5589361e024cd2e3736bee494fae4fb7ee387fa772d35",
+    },
+    "fig5": {
+        "fig5_expectation.csv": "37e1bb97a13a7cd83f6a77178b800bdefaa3fc7e72ac0208a504ba6d07cb6e4b",
+        "fig5_expectation.svg": "fcd11afdf396b23d03b04a24fa68b786c8a826edb13bc97a88df0523e00cceaf",
+        "fig5_summary.json": "df1de1fbef61763f7032bbfad8336df8b588c9684c1a697484b09983c3e5a8f6",
+    },
+    "fig6": {
+        "fig6_dataset.csv": "dc85a23a26f42fac8b52af84602d2ce5f9125c036508772f7f1b6e440409c1e5",
+        "fig6_raster.csv": "7cd734b59c7e923b7a7e599f1ec4e164fda90cdf06ee1a59cbd81ec6942908e2",
+        "fig6_summary.json": "b730aa2d54d5e4532132680ce979af230d6de0719b30d87fac36e015ed6f558b",
+    },
+    "fig7": {
+        "fig7_ex1_accuracy.csv": "7aec7e486f6cd0311c31d1ba6c80f72943570bafb0bdade64fb872e7261a32d6",
+        "fig7_ex1_classification.csv": "63db14ffd8952c373d42e5c0640f81b15bed7dc5c3bad3c5e5517da6d96e09bb",
+        "fig7_ex1_densities.csv": "49386ee90d42eceff6865b64ee3677f4c2283f0be164afa6230f549194aeb4a1",
+        "fig7_ex1_product.csv": "7364127cd508b88677b2a1dc5482aee7bdbe1e8a261be6dd31d0cefe5f42a5ae",
+        "fig7_summary.json": "602fca5e645787f2e24c11836dae228ca0c31eb35063d20ed9af92702bab6455",
+    },
+    "classify": {
+        "classify_report.json": "42eb85c34901858dc4b318b82b5c13b81e34291cba3fa1b1f65168783ae491c2",
+        "classify_summary.json": "42eb85c34901858dc4b318b82b5c13b81e34291cba3fa1b1f65168783ae491c2",
+    },
+    "classify_sequential": {
+        "classify_report.json": "44ac34c342b217941abd101d27aaf8c430c74da35286be531f0608a38e8ce467",
+        "classify_summary.json": "44ac34c342b217941abd101d27aaf8c430c74da35286be531f0608a38e8ce467",
+    },
+    "grover": {
+        "grover_report.json": "f87ad3520fdf2eae52b56d07c1c4f0fc9875c5f0c74b75a5d69fc708b5fcc06a",
+        "grover_summary.json": "f87ad3520fdf2eae52b56d07c1c4f0fc9875c5f0c74b75a5d69fc708b5fcc06a",
+    },
+}
+
+
 def test_criterion_10_byte_determinism(tmp_path):
-    commands = {
-        "fig2": {"max_size": 151},
-        "fig4": None,
-        "fig5": None,
-        "fig6": None,
-        "fig7": None,
-        "classify": None,
-        "grover": None,
+    cases = {
+        "fig2": ("fig2", {"max_size": 151}),
+        "fig4": ("fig4", None),
+        "fig5": ("fig5", None),
+        "fig6": ("fig6", None),
+        "fig7": ("fig7", None),
+        "classify": ("classify", None),
+        "classify_sequential": ("classify", {"rotation": "sequential"}),
+        "grover": ("grover", None),
     }
     identical = True
-    for command, overrides in commands.items():
+    golden = True
+    for name, (command, overrides) in cases.items():
         argv_extra = []
         if overrides is not None:
-            cfg = tmp_path / f"{command}_cfg.json"
+            cfg = tmp_path / f"{name}_cfg.json"
             cfg.write_text(json.dumps(overrides))
             argv_extra = ["--config", str(cfg)]
         dirs = []
         for tag, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-            out = tmp_path / f"{command}_{tag}"
+            out = tmp_path / f"{name}_{tag}"
             code = cli.main([command, "--out", str(out), "--threads", threads, *argv_extra])
-            assert code == 0, command
+            assert code == 0, name
             dirs.append(out)
         blobs = [
             {p.name: p.read_bytes() for p in sorted(d.iterdir()) if p.is_file()} for d in dirs
         ]
         identical &= blobs[0] == blobs[1] == blobs[2]
+        hashes = {f: hashlib.sha256(b).hexdigest() for f, b in blobs[0].items()}
+        golden &= hashes == GOLDEN_SHA256[name]
     report(
         10,
-        "every command reproduces byte-identical artifacts across runs and thread counts",
-        identical,
-        f"{len(commands)} commands x 3 runs",
+        "every command reproduces its recorded artifacts byte for byte across runs and threads",
+        identical and golden,
+        f"{len(cases)} cases x 3 runs, identical: {identical}, match recorded sha256: {golden}",
     )

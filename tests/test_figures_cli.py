@@ -147,6 +147,12 @@ def test_failed_consistency_check_exit_code(tmp_path):
     assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CHECK_FAILED
 
 
+@pytest.mark.parametrize("step", [0, -0.1])
+def test_nonpositive_raster_step_is_usage_error(tmp_path, step):
+    cfg = write_config(tmp_path, {"raster_step": step})
+    assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
+
+
 def test_query_dimension_mismatch_is_usage_error(tmp_path):
     cfg = write_config(tmp_path, {"query": [0.1, 0.2]})
     assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
@@ -227,8 +233,25 @@ def test_dataset_from_config_variants(tmp_path):
                    "per_class": 4, "seed": 1}}
     )
     assert ds3.x.shape == (8, 2)
-    with pytest.raises(ConfigError):
-        dataset_from_config({"points": {}, "path": "x"})
+    bad_specs = [
+        {"points": {}, "path": "x"},
+        {"path": 5},
+        {"points": {"x": [[0.5], [-0.5]]}},
+        {"points": {"x": [[0.5], [-0.5, 1.0]], "y": [1, -1]}},
+        {"points": {"x": [[0.5]], "y": ["a"]}},
+        {"points": [[0.5]]},
+        {"blobs": {"mean_plus": [1, -1], "sigma": 0.5, "per_class": 4, "seed": 1}},
+        {"blobs": {"mean_minus": [[-1, 1]], "mean_plus": [1, -1], "sigma": 0.5,
+                   "per_class": 4, "seed": 1}},
+        {"pair": {"mu_minus": -1, "mu_plus": 1, "sigma_plus": 0.5, "per_class": 4, "seed": 1}},
+        {"pair": {"mu_minus": -1, "sigma_minus": "wide", "mu_plus": 1, "sigma_plus": 0.5,
+                  "per_class": 4, "seed": 1}},
+        {"pair": {"mu_minus": -1, "sigma_minus": 0.5, "mu_plus": 1, "sigma_plus": 0.5,
+                  "per_class": None, "seed": 1}},
+    ]
+    for spec in bad_specs:
+        with pytest.raises(ConfigError):
+            dataset_from_config(spec)
 
 
 def test_run_command_writes_summary(tmp_path):

@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from qens.model import Dataset, ParameterGrid, grid_accuracies, perceptron, threshold1d
+from qens.model import (
+    Dataset,
+    ParameterGrid,
+    decode_all,
+    grid_accuracies,
+    grid_correct_counts,
+    perceptron,
+    predict_many,
+    threshold1d,
+)
 from qens.simulator import (
     EnsembleState,
     GroverReport,
@@ -19,7 +28,6 @@ from qens.simulator import (
     apply_classifier,
     count_bits_for,
     expectation_sigma_z,
-    grover_accurate_filter,
     grover_amplify_counts,
     measure_label_distribution,
     postselect_accuracy_zero,
@@ -27,6 +35,16 @@ from qens.simulator import (
     sample_measurements,
 )
 from qens.weighting import WeightScheme, ensemble_decide
+
+
+def query_labels(family, grid, x):
+    """Prediction of every grid model at query x, shape (E,)."""
+    return predict_many(family, decode_all(grid), x[None, :])[:, 0]
+
+
+def correct_flags(family, grid, ds):
+    """(E, M) matrix of the grid models' correct classifications."""
+    return predict_many(family, decode_all(grid), ds.x) == ds.y[None, :]
 
 
 def two_model_state(amp0=math.sqrt(0.84), amp1=math.sqrt(0.16)):
@@ -129,7 +147,7 @@ def test_classifier_moves_plus_models_to_output_one(region_dataset, sym_grid_1d)
     state = prepare_uniform(layout)
     apply_accuracy_rotation_exact(state, acc)
     state, _ = postselect_accuracy_zero(state)
-    apply_classifier(state, fam, sym_grid_1d, np.array([2.0]))
+    apply_classifier(state, query_labels(fam, sym_grid_1d, np.array([2.0])))
     p_minus, p_plus = measure_label_distribution(state)
     dec = ensemble_decide(fam, sym_grid_1d, region_dataset, WeightScheme.ACCURACY, np.array([2.0]))
     assert p_plus == pytest.approx(dec.p_plus, abs=1e-12)
@@ -139,9 +157,16 @@ def test_classifier_moves_plus_models_to_output_one(region_dataset, sym_grid_1d)
 def test_classifier_requires_clear_output(region_dataset, sym_grid_1d):
     fam = perceptron(1)
     state = prepare_uniform(RegisterLayout(sym_grid_1d.total_bits))
-    apply_classifier(state, fam, sym_grid_1d, np.array([2.0]))
+    labels = query_labels(fam, sym_grid_1d, np.array([2.0]))
+    apply_classifier(state, labels)
     with pytest.raises(StateError):
-        apply_classifier(state, fam, sym_grid_1d, np.array([2.0]))
+        apply_classifier(state, labels)
+
+
+def test_classifier_layout_mismatch(sym_grid_1d):
+    state = prepare_uniform(RegisterLayout(4))
+    with pytest.raises(ValueError):
+        apply_classifier(state, query_labels(perceptron(1), sym_grid_1d, np.array([2.0])))
 
 
 def test_measurement_of_two_model_state():
@@ -180,23 +205,6 @@ def test_sampling_validates_shots():
 
 # --- state inspection ----------------------------------------------------------
 
-def test_dump_csv_golden_bytes(tmp_path):
-    state = two_model_state(math.sqrt(0.84), -math.sqrt(0.16))
-    p = tmp_path / "state.csv"
-    state.dump_csv(p)
-    assert p.read_bytes() == (
-        b"basis,re,im\n"
-        b"000,0,0\n"
-        b"001,0,0\n"
-        b"010,0.91651513899116799,0\n"
-        b"011,0,0\n"
-        b"100,-0.40000000000000002,0\n"
-        b"101,0,0\n"
-        b"110,0,0\n"
-        b"111,0,0\n"
-    )
-
-
 def test_accuracy_zero_probabilities_nan_for_unpopulated():
     state = two_model_state(1.0, 0.0)  # model 1 carries no amplitude
     p0 = state.accuracy_zero_probabilities()
@@ -218,9 +226,7 @@ def test_sequential_rotation_matches_cosine_formula():
     m = len(ds)
     delta = math.pi / (4 * m)
     state = prepare_uniform(RegisterLayout(grid.total_bits))
-    apply_accuracy_rotation_sequential(state, ds, fam, grid, delta)
-    from qens.model import grid_correct_counts
-
+    apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), delta)
     counts = grid_correct_counts(fam, grid, ds)
     want = np.cos(math.pi / 4 - (2 * counts - m) * delta) ** 2
     assert np.allclose(state.accuracy_zero_probabilities(), want, atol=1e-12)
@@ -229,19 +235,17 @@ def test_sequential_rotation_matches_cosine_formula():
 def test_sequential_rotation_exact_at_extreme_and_half_counts():
     # dataset with both labels -1: every grid model gets exactly one right
     fam, grid, ds = seq_fixture([-1, -1])
-    from qens.model import grid_correct_counts
-
     counts = grid_correct_counts(fam, grid, ds)
     assert set(counts.tolist()) == {1}
     state = prepare_uniform(RegisterLayout(grid.total_bits))
-    apply_accuracy_rotation_sequential(state, ds, fam, grid, math.pi / 8)
+    apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), math.pi / 8)
     assert np.allclose(state.accuracy_zero_probabilities(), 0.5, atol=1e-15)
 
     # mixed labels: counts 0 and 2 map to probabilities 0 and 1 at max delta
     fam, grid, ds = seq_fixture([-1, 1])
     counts = grid_correct_counts(fam, grid, ds)
     state = prepare_uniform(RegisterLayout(grid.total_bits))
-    apply_accuracy_rotation_sequential(state, ds, fam, grid, math.pi / 8)
+    apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), math.pi / 8)
     assert np.allclose(state.accuracy_zero_probabilities(), counts / 2.0, atol=1e-12)
 
 
@@ -249,16 +253,16 @@ def test_sequential_delta_validation():
     fam, grid, ds = seq_fixture([-1, 1])
     state = prepare_uniform(RegisterLayout(grid.total_bits))
     with pytest.raises(ValueError):
-        apply_accuracy_rotation_sequential(state, ds, fam, grid, 0.0)
+        apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), 0.0)
     with pytest.raises(ValueError):
-        apply_accuracy_rotation_sequential(state, ds, fam, grid, math.pi / 4)
+        apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), math.pi / 4)
 
 
 def test_sequential_layout_mismatch():
     fam, grid, ds = seq_fixture([-1, 1])
     state = prepare_uniform(RegisterLayout(4))
     with pytest.raises(ValueError):
-        apply_accuracy_rotation_sequential(state, ds, fam, grid, math.pi / 8)
+        apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), math.pi / 8)
 
 
 # --- amplitude amplification --------------------------------------------------------
@@ -267,7 +271,7 @@ def test_grover_quarter_fraction_reaches_certainty():
     fam = perceptron(1)
     grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 2)
     ds = Dataset(np.array([[-2.0], [0.5]]), np.array([-1, 1]))
-    state, report = grover_accurate_filter(fam, grid, ds)
+    state, report = grover_amplify_counts(grid_correct_counts(fam, grid, ds), len(ds))
     assert report.model_count == 16
     assert report.marked_count == 4
     assert report.iterations == 1

@@ -18,7 +18,6 @@ from qens.weighting import (
     ensemble_decide,
     tree_sum,
     vote,
-    weight,
     weights_for,
 )
 
@@ -56,35 +55,43 @@ def test_tree_sum_close_to_fsum(vals):
 
 # --- weight functions ---------------------------------------------------------
 
+def one_weight(scheme, a, clamp_log_odds=False):
+    """weights_for on a one-element array."""
+    (w,) = weights_for(scheme, np.array([a]), clamp_log_odds)
+    return w
+
+
 def test_weight_values():
-    assert weight(WeightScheme.UNIFORM, 0.3) == 1.0
-    assert weight(WeightScheme.ACCURACY, 0.3) == 0.3
-    assert weight(WeightScheme.EFFECTIVE_CENTERED, 0.84) == pytest.approx(0.34, abs=1e-15)
-    assert weight(WeightScheme.LOG_ODDS, 0.84) == pytest.approx(math.log(5.25), abs=5e-16)
+    assert one_weight(WeightScheme.UNIFORM, 0.3) == 1.0
+    assert one_weight(WeightScheme.ACCURACY, 0.3) == 0.3
+    assert one_weight(WeightScheme.EFFECTIVE_CENTERED, 0.84) == pytest.approx(0.34, abs=1e-15)
+    assert one_weight(WeightScheme.LOG_ODDS, 0.84) == pytest.approx(math.log(5.25), abs=5e-16)
 
 
 def test_weight_accepts_scheme_string():
-    assert weight("uniform", 0.9) == 1.0
+    assert one_weight("uniform", 0.9) == 1.0
 
 
 def test_log_odds_unbounded_at_extremes():
     for a in (0.0, 1.0):
         with pytest.raises(UnboundedWeightError):
-            weight(WeightScheme.LOG_ODDS, a)
+            one_weight(WeightScheme.LOG_ODDS, a)
 
 
 def test_log_odds_clamp():
-    w = weight(WeightScheme.LOG_ODDS, 1.0, clamp_log_odds=True)
+    w = one_weight(WeightScheme.LOG_ODDS, 1.0, clamp_log_odds=True)
     c = 1.0 - 1e-6
     assert w == pytest.approx(math.log(c / (1.0 - c)), rel=1e-12)
     # 1-(1-1e-6) is not exactly 1e-6 in floats, so the two clamped
     # endpoints are negatives only to ~3e-11
-    assert weight(WeightScheme.LOG_ODDS, 0.0, clamp_log_odds=True) == pytest.approx(-w, abs=1e-10)
+    assert one_weight(WeightScheme.LOG_ODDS, 0.0, clamp_log_odds=True) == pytest.approx(
+        -w, abs=1e-10
+    )
 
 
 def test_weight_rejects_out_of_range():
     with pytest.raises(ValueError):
-        weight(WeightScheme.ACCURACY, 1.5)
+        one_weight(WeightScheme.ACCURACY, 1.5)
 
 
 def test_weights_for_vectorized():
