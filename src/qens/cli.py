@@ -62,20 +62,12 @@ def _load_overrides(path: Path | None) -> dict:
     if path is None:
         return {}
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise _FileError(str(exc)) from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(path.read_bytes())
+    except ValueError as exc:  # a JSONDecodeError, or bytes in no UTF encoding
         raise figures.ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise figures.ConfigError("config must be a JSON object")
     return data
-
-
-class _FileError(RuntimeError):
-    pass
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,9 +92,6 @@ def main(argv: list[str] | None = None) -> int:
     except (EnumerationCapError, QubitCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except _FileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE

@@ -27,6 +27,8 @@ from .model import grid_accuracies, grid_correct_counts, predict_many
 from .svgplot import render_curves
 
 _CHUNK = 256
+# fig6 raster points: the default raster has 81^2, a 0.025 step 161^2
+RASTER_POINT_CAP = 1 << 20
 
 DEFAULTS: dict[str, dict] = {
     "fig2": {"p_list": [0.45, 0.5, 0.55, 0.6, 0.7], "max_size": 1001},
@@ -96,46 +98,45 @@ def merged_config(command: str, overrides: dict | None) -> dict:
     return cfg
 
 
-def family_from_config(d: dict) -> ModelFamily:
-    try:
-        kind = d["kind"]
-        input_dim = int(d["input_dim"])
-        hidden = tuple(int(h) for h in d.get("hidden", ()))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad family config: {exc}") from exc
-    try:
-        return ModelFamily(kind, input_dim, hidden)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def grid_from_config(d: dict) -> ParameterGrid:
-    try:
-        intervals = tuple((float(lo), float(hi)) for lo, hi in d["intervals"])
-        bits = int(d["bits"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid config: {exc}") from exc
-    try:
-        return ParameterGrid(intervals, bits)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _fields(spec: dict, **converters) -> dict:
-    """spec[key] passed through each keyword's converter; a missing key or a
-    value the converter rejects is a ConfigError."""
-    try:
-        return {key: convert(spec[key]) for key, convert in converters.items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad dataset config: {exc!r}") from exc
+    """spec[key] passed through each keyword's converter, in keyword order; a
+    missing key or a value the converter rejects is a ConfigError."""
+    values = {}
+    for key, convert in converters.items():
+        try:
+            values[key] = convert(spec[key])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad config value for {key!r}: {exc!r}") from exc
+    return values
 
 
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _interval(values) -> tuple[float, float]:
+    lo, hi = values
+    return float(lo), float(hi)
+
+
 def _float_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _family(d: dict) -> ModelFamily:
+    hidden = tuple(int(h) for h in d["hidden"]) if "hidden" in d else ()  # mlp2 only
+    return ModelFamily(d["kind"], int(d["input_dim"]), hidden)
+
+
+def _grid(d: dict) -> ParameterGrid:
+    return ParameterGrid(tuple(_interval(iv) for iv in d["intervals"]), int(d["bits"]))
+
+
+_BLOB_FIELDS = dict(mean_minus=_floats, mean_plus=_floats, sigma=float, per_class=int, seed=int)
 
 
 def dataset_from_config(d: dict) -> Dataset:
@@ -146,10 +147,7 @@ def dataset_from_config(d: dict) -> Dataset:
     if "points" in d:
         return Dataset(**_fields(d["points"], x=_float_array, y=_float_array))
     if "blobs" in d:
-        spec = _fields(
-            d["blobs"], mean_minus=_floats, mean_plus=_floats, sigma=float, per_class=int, seed=int
-        )
-        return gaussian_blobs(BlobSpec(**spec))
+        return gaussian_blobs(BlobSpec(**_fields(d["blobs"], **_BLOB_FIELDS)))
     if "pair" in d:
         spec = _fields(
             d["pair"],
@@ -170,6 +168,13 @@ def write_curve_csv(path: Path, x_name: str, series: list[tuple[str, np.ndarray,
         for x, v in zip(xs, ys):
             lines.append(f"{float(x):.12g},{float(v):.12g},{label}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def _write_curves(out: Path, stem: str, x_name: str, series: list, title: str, y_label: str):
+    """stem.csv, then stem.svg drawn from the same series."""
+    write_curve_csv(out / f"{stem}.csv", x_name, series)
+    x_label = x_name.replace("_", " ")
+    render_curves(out / f"{stem}.svg", series, title=title, x_label=x_label, y_label=y_label)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -220,16 +225,10 @@ def _summary(command: str, cfg: dict, outputs: list[str], metrics: dict, checks:
 
 def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Majority-error curves over committee size plus the odds-ratio gain."""
-    p_list = [float(p) for p in cfg["p_list"]]
-    max_size = int(cfg["max_size"])
-    curves = _chunk_map(
-        lambda a, b: [committee.condorcet_curve(p, max_size) for p in p_list[a:b]],
-        len(p_list),
-        threads,
-    )
-    flat = [c for chunk in curves for c in chunk]
+    p_list, max_size = _fields(cfg, p_list=_floats, max_size=int).values()
+    curves = [committee.condorcet_curve(p, max_size) for p in p_list]
     series = []
-    for p, curve in zip(p_list, flat):
+    for p, curve in zip(p_list, curves):
         sizes = np.array([e for e, _ in curve], dtype=np.float64)
         errs = np.array([v for _, v in curve])
         series.append((f"p={p:g}", sizes, errs))
@@ -239,23 +238,12 @@ def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
         ("odds_ratio", a_grid, odds),
         ("odds_ratio_squared", a_grid, odds**2),
     ]
-    write_curve_csv(out / "fig2_condorcet.csv", "committee_size", series)
-    write_curve_csv(out / "fig2_oddsratio.csv", "accuracy", odds_series)
-    render_curves(
-        out / "fig2_condorcet.svg",
-        series,
-        title="majority error vs committee size",
-        x_label="committee size",
-        y_label="error",
+    _write_curves(
+        out, "fig2_condorcet", "committee_size", series, "majority error vs committee size", "error"
     )
-    render_curves(
-        out / "fig2_oddsratio.svg",
-        odds_series,
-        title="odds-ratio signal of one member vs a pair",
-        x_label="accuracy",
-        y_label="odds",
-    )
-    by_p = dict(zip(p_list, flat))
+    odds_title = "odds-ratio signal of one member vs a pair"
+    _write_curves(out, "fig2_oddsratio", "accuracy", odds_series, odds_title, "odds")
+    by_p = dict(zip(p_list, curves))
     checks = {}
     if 0.6 in by_p and max_size >= 1001:
         checks["p06_converges"] = by_p[0.6][-1][1] < 1e-6
@@ -282,19 +270,11 @@ def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
 
 def run_fig4(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Centered versus log-odds weights as functions of model accuracy."""
-    n = int(cfg["points"])
-    a_grid = np.linspace(0.005, 0.995, n)
+    a_grid = np.linspace(0.005, 0.995, _fields(cfg, points=int)["points"])
     centered = weighting.weights_for(weighting.WeightScheme.EFFECTIVE_CENTERED, a_grid)
     log_odds = weighting.weights_for(weighting.WeightScheme.LOG_ODDS, a_grid)
     series = [("effective_centered", a_grid, centered), ("log_odds", a_grid, log_odds)]
-    write_curve_csv(out / "fig4_weights.csv", "accuracy", series)
-    render_curves(
-        out / "fig4_weights.svg",
-        series,
-        title="vote weight vs model accuracy",
-        x_label="accuracy",
-        y_label="weight",
-    )
+    _write_curves(out, "fig4_weights", "accuracy", series, "vote weight vs model accuracy", "weight")
     off_half = a_grid != 0.5
     checks = {
         "zero_at_half": bool(
@@ -320,11 +300,14 @@ def run_fig4(cfg: dict, out: Path, threads: int = 1) -> dict:
 def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Committee score curve for equal-variance Gaussian classes: closed
     form against quadrature, plus the located decision boundary."""
+    mu_minus, mu_plus, sigma, x_min, x_max, points = _fields(
+        cfg, mu_minus=float, mu_plus=float, sigma=float, x_min=float, x_max=float, points=int
+    ).values()
     problem = analytic.DecisionProblem1D(
-        analytic.ClassDensity.gaussian(float(cfg["mu_minus"]), float(cfg["sigma"])),
-        analytic.ClassDensity.gaussian(float(cfg["mu_plus"]), float(cfg["sigma"])),
+        analytic.ClassDensity.gaussian(mu_minus, sigma),
+        analytic.ClassDensity.gaussian(mu_plus, sigma),
     )
-    xs = np.linspace(float(cfg["x_min"]), float(cfg["x_max"]), int(cfg["points"]))
+    xs = np.linspace(x_min, x_max, points)
     closed = np.array([analytic.expectation_closed_equal_sigma(problem, x) for x in xs])
     quad_chunks = _chunk_map(
         lambda a, b: [analytic.expectation_quadrature(problem, x) for x in xs[a:b]],
@@ -334,20 +317,13 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
     quadrature = np.array([v for chunk in quad_chunks for v in chunk])
     boundary = analytic.decision_boundary(problem)
     series = [("closed_form", xs, closed), ("quadrature", xs, quadrature)]
-    write_curve_csv(out / "fig5_expectation.csv", "x", series)
-    render_curves(
-        out / "fig5_expectation.svg",
-        series,
-        title="committee score vs query point",
-        x_label="x",
-        y_label="score",
-    )
+    _write_curves(out, "fig5_expectation", "x", series, "committee score vs query point", "score")
     max_gap = float(np.max(np.abs(closed - quadrature)))
     checks = {
         "boundary_at_mean_midpoint": abs(boundary - problem.mean_midpoint) < 1e-6,
         "closed_matches_quadrature": max_gap < 1e-6,
-        "negative_left": analytic.expectation_closed_equal_sigma(problem, float(cfg["mu_minus"])) < 0,
-        "positive_right": analytic.expectation_closed_equal_sigma(problem, float(cfg["mu_plus"])) > 0,
+        "negative_left": analytic.expectation_closed_equal_sigma(problem, mu_minus) < 0,
+        "positive_right": analytic.expectation_closed_equal_sigma(problem, mu_plus) > 0,
     }
     return _summary(
         "fig5",
@@ -358,32 +334,36 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
     )
 
 
-def _lattice_thetas(values_per_parameter: int, interval: tuple[float, float], params: int) -> np.ndarray:
-    ticks = np.linspace(interval[0], interval[1], values_per_parameter)
-    grids = np.meshgrid(*([ticks] * params), indexing="ij")
+def _lattice(ticks: np.ndarray, dims: int) -> np.ndarray:
+    """Every point of ticks^dims as rows, the last coordinate varying fastest."""
+    grids = np.meshgrid(*([ticks] * dims), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Accuracy-weighted committee of 2D linear separators on two blobs,
     rasterized over the plane."""
-    spec = BlobSpec(
-        tuple(cfg["mean_minus"]),
-        tuple(cfg["mean_plus"]),
-        float(cfg["sigma"]),
-        int(cfg["per_class"]),
-        int(cfg["seed"]),
+    values = _fields(
+        cfg,
+        **_BLOB_FIELDS,
+        values_per_parameter=int,
+        parameter_interval=_interval,
+        raster_lo=float,
+        raster_hi=float,
+        raster_step=float,
     )
-    lo, hi, step = float(cfg["raster_lo"]), float(cfg["raster_hi"]), float(cfg["raster_step"])
-    if not step > 0.0:
-        raise ConfigError("raster_step must be positive")
+    spec = BlobSpec(**{key: values[key] for key in _BLOB_FIELDS})
+    lo, hi, step = values["raster_lo"], values["raster_hi"], values["raster_step"]
+    if not (step > 0.0 and 0.0 <= hi - lo < math.inf):
+        raise ConfigError("raster needs raster_step > 0 and finite raster_lo <= raster_hi")
+    # counted before the meshgrid is allocated; min() keeps round() finite
+    ticks_per_axis = round(min((hi - lo) / step, RASTER_POINT_CAP)) + 1
+    if ticks_per_axis**2 > RASTER_POINT_CAP:
+        raise weighting.EnumerationCapError(f"raster has over {RASTER_POINT_CAP} points")
     dataset = gaussian_blobs(spec)
     family = ModelFamily("perceptron", 2)
-    thetas = _lattice_thetas(
-        int(cfg["values_per_parameter"]),
-        (float(cfg["parameter_interval"][0]), float(cfg["parameter_interval"][1])),
-        family.parameter_count,
-    )
+    ticks = np.linspace(*values["parameter_interval"], values["values_per_parameter"])
+    thetas = _lattice(ticks, family.parameter_count)
     acc = correct_counts(family, thetas, dataset) / float(len(dataset))
 
     def scores_at(points: np.ndarray) -> np.ndarray:
@@ -393,9 +373,7 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
 
         return np.concatenate(_chunk_map(chunk, points.shape[0], threads))
 
-    ticks = lo + step * np.arange(round((hi - lo) / step) + 1)
-    g1, g2 = np.meshgrid(ticks, ticks, indexing="ij")
-    raster_points = np.stack([g1.ravel(), g2.ravel()], axis=1)
+    raster_points = _lattice(lo + step * np.arange(ticks_per_axis), 2)
     raster_scores = scores_at(raster_points)
     raster_labels = np.where(raster_scores >= 0, 1, -1)
 
@@ -457,14 +435,13 @@ _FIG7_EXAMPLES = {
 def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Per-threshold decomposition of the committee score for the two
     worked Gaussian examples (equal and unequal class spreads)."""
-    example = int(cfg["example"])
+    example, query = _fields(cfg, example=int, query=float).values()
     if example not in _FIG7_EXAMPLES:
         raise ConfigError("example must be 1 or 2")
     (mu_m, s_m), (mu_p, s_p) = _FIG7_EXAMPLES[example]
     problem = analytic.DecisionProblem1D(
         analytic.ClassDensity.gaussian(mu_m, s_m), analytic.ClassDensity.gaussian(mu_p, s_p)
     )
-    query = float(cfg["query"])
     dec = analytic.boundary_decomposition(problem, query)
     prefix = f"fig7_ex{example}"
 
@@ -541,13 +518,20 @@ def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
 def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Quantum-circuit path and exhaustive classical vote on one grid,
     compared model by model."""
-    family = family_from_config(cfg["family"])
-    grid = grid_from_config(cfg["grid"])
+    family, grid, query, rotation, delta, shots, seed, scheme = _fields(
+        cfg,
+        family=_family,
+        grid=_grid,
+        query=_float_array,
+        rotation=str,
+        delta=_optional(float),
+        shots=int,
+        seed=int,
+        scheme=weighting.WeightScheme,
+    ).values()
     dataset = dataset_from_config(cfg["dataset"])
-    query = np.asarray(cfg["query"], dtype=np.float64)
     if query.shape != (family.input_dim,):
         raise ConfigError("query dimension does not match the family")
-    rotation = cfg["rotation"]
     if rotation not in ("exact", "sequential"):
         raise ConfigError("rotation must be 'exact' or 'sequential'")
 
@@ -557,11 +541,10 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
     counts = grid_correct_counts(family, grid, dataset)
     m = len(dataset)
     state = simulator.prepare_uniform(layout)
-    delta = cfg.get("delta")
     if rotation == "exact":
         simulator.apply_accuracy_rotation_exact(state, acc)
     else:
-        delta = math.pi / (4.0 * m) if delta is None else float(delta)
+        delta = math.pi / (4.0 * m) if delta is None else delta
         correct = predict_many(family, decode_all(grid), dataset.x) == dataset.y.astype(np.int8)
         simulator.apply_accuracy_rotation_sequential(state, correct, delta)
         del correct  # E x M flags, freed before the classical vote walks the grid
@@ -571,8 +554,7 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
     simulator.apply_classifier(state, predict_many(family, decode_all(grid), query[None, :])[:, 0])
     p_minus, p_plus = simulator.measure_label_distribution(state)
     sigma_z = simulator.expectation_sigma_z(state)
-    shots = int(cfg["shots"])
-    sample = simulator.sample_measurements(state, shots, int(cfg["seed"]))
+    sample = simulator.sample_measurements(state, shots, seed)
 
     classical = weighting.ensemble_decide(
         family, grid, dataset, weighting.WeightScheme.ACCURACY, query
@@ -621,13 +603,10 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         metrics["rotation_accuracy_deviation"] = dev_accuracy
         checks["rotation_matches_formula"] = dev_formula < 1e-12
 
-    scheme = cfg.get("scheme", "accuracy")
-    if scheme != "accuracy":
-        alt = weighting.ensemble_decide(
-            family, grid, dataset, weighting.WeightScheme(scheme), query
-        )
+    if scheme is not weighting.WeightScheme.ACCURACY:
+        alt = weighting.ensemble_decide(family, grid, dataset, scheme, query)
         metrics["scheme_decision"] = {
-            "scheme": scheme,
+            "scheme": scheme.value,
             "raw_score": alt.raw_score,
             "label": alt.label,
             "p_plus": alt.p_plus,
@@ -641,14 +620,12 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
 
 def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Amplitude amplification of the better-than-chance grid models."""
-    family = family_from_config(cfg["family"])
-    grid = grid_from_config(cfg["grid"])
+    family, grid, iterations = _fields(
+        cfg, family=_family, grid=_grid, iterations=_optional(int)
+    ).values()
     dataset = dataset_from_config(cfg["dataset"])
-    iterations = cfg.get("iterations")
     counts = grid_correct_counts(family, grid, dataset)
-    state, report = simulator.grover_amplify_counts(
-        counts, len(dataset), None if iterations is None else int(iterations)
-    )
+    state, report = simulator.grover_amplify_counts(counts, len(dataset), iterations)
     metrics = {
         "models": report.model_count,
         "marked_models": report.marked_count,

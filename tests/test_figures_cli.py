@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qens import cli
-from qens.figures import ConfigError, dataset_from_config, merged_config, run_command
+from qens.figures import DEFAULTS, ConfigError, dataset_from_config, merged_config, run_command
 
 
 def run_cli(*argv):
@@ -116,6 +116,12 @@ def test_malformed_json_is_usage_error(tmp_path):
     assert run_cli("fig4", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
 
 
+def test_undecodable_config_is_usage_error(tmp_path):
+    cfg = tmp_path / "binary.json"
+    cfg.write_bytes(b"\x80\x81")
+    assert run_cli("fig4", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
+
+
 def test_missing_config_file_is_file_error(tmp_path):
     assert (
         run_cli("fig4", "--out", str(tmp_path), "--config", str(tmp_path / "absent.json"))
@@ -151,6 +157,50 @@ def test_failed_consistency_check_exit_code(tmp_path):
 def test_nonpositive_raster_step_is_usage_error(tmp_path, step):
     cfg = write_config(tmp_path, {"raster_step": step})
     assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"raster_step": 1e-4}, {"raster_lo": -1e300, "raster_hi": 1e300}],
+    ids=["tiny_step", "huge_span"],
+)
+def test_raster_over_point_cap_is_cap_error(tmp_path, override):
+    cfg = write_config(tmp_path, override)
+    assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"raster_lo": 1.0, "raster_hi": -1.0}, {"raster_hi": float("inf")}],
+    ids=["inverted", "infinite"],
+)
+def test_inverted_or_infinite_raster_is_usage_error(tmp_path, override):
+    cfg = write_config(tmp_path, override)
+    assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
+
+
+# every top-level key set to a string and to null (where null is not the
+# default), plus a wrong type nested in family and in grid
+WRONGLY_TYPED = [
+    pytest.param(command, {key: value}, id=f"{command}-{key}-{value}")
+    for command, defaults in DEFAULTS.items()
+    for key, default in defaults.items()
+    for value in ("x", None)
+    if not (value is None and default is None)
+] + [
+    pytest.param(command, override, id=f"{command}-{name}")
+    for command in ("classify", "grover")
+    for name, override in (
+        ("family.hidden", {"family": {"kind": "mlp2", "input_dim": 1, "hidden": [2, "a"]}}),
+        ("grid.intervals", {"grid": {"intervals": [[-1, "a"], [-1, 1]], "bits": 2}}),
+    )
+]
+
+
+@pytest.mark.parametrize("command,override", WRONGLY_TYPED)
+def test_wrongly_typed_config_value_is_usage_error(tmp_path, command, override):
+    cfg = write_config(tmp_path, override)
+    assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
 
 
 def test_query_dimension_mismatch_is_usage_error(tmp_path):
