@@ -20,7 +20,6 @@ from .analytic import (
     gamma_antiderivative,
 )
 from .committee import (
-    CommitteeSpec,
     condorcet_curve,
     condorcet_error,
     lam_suen_improves,

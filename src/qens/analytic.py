@@ -259,8 +259,8 @@ def expectation_closed_equal_sigma(problem: DecisionProblem1D, x_query: float) -
     )
 
 
-def decision_boundary(problem: DecisionProblem1D, tol: float = 1e-8) -> float:
-    """Zero of the committee score, located by bisection to width < tol."""
+def decision_boundary(problem: DecisionProblem1D) -> float:
+    """Zero of the committee score, located by bisection to width < 1e-8."""
     s = problem.max_scale
     lo = min(problem.minus.loc, problem.plus.loc) - 10.0 * s
     hi = max(problem.minus.loc, problem.plus.loc) + 10.0 * s
@@ -274,7 +274,7 @@ def decision_boundary(problem: DecisionProblem1D, tol: float = 1e-8) -> float:
         return hi
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise NoBoundaryError("committee score has no sign change on the bracket")
-    while hi - lo >= tol:
+    while hi - lo >= 1e-8:
         mid = 0.5 * (lo + hi)
         f_mid = expectation_quadrature(problem, mid)
         if f_mid == 0.0:
@@ -318,13 +318,9 @@ def default_decomposition_grid(problem: DecisionProblem1D, x_query: float) -> np
     return x_query + h * np.arange(k_lo, k_hi + 1, dtype=np.float64)
 
 
-def boundary_decomposition(
-    problem: DecisionProblem1D, x_query: float, w0_grid: np.ndarray | None = None
-) -> BoundaryDecomposition:
+def boundary_decomposition(problem: DecisionProblem1D, x_query: float) -> BoundaryDecomposition:
     x = float(x_query)
-    w0 = default_decomposition_grid(problem, x) if w0_grid is None else (
-        np.asarray(w0_grid, dtype=np.float64)
-    )
+    w0 = default_decomposition_grid(problem, x)
     a_pos = np.asarray(accuracy_continuous(problem, w0, 1), dtype=np.float64)
     a_neg = 1.0 - a_pos
     f_pos = np.where(x - w0 >= 0.0, 1.0, -1.0)

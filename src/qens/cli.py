@@ -26,7 +26,7 @@ from pathlib import Path
 from . import figures
 from .analytic import NoBoundaryError, QuadratureError
 from .simulator import PostselectionImpossibleError, QubitCapError, StateError
-from .weighting import DegenerateEnsembleError, EnumerationCapError, UnboundedWeightError
+from .weighting import EnumerationCapError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,8 +96,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except (
-        DegenerateEnsembleError,
-        UnboundedWeightError,
         NoBoundaryError,
         QuadratureError,
         PostselectionImpossibleError,

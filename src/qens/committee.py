@@ -12,30 +12,8 @@ ties are undefined and deliberately rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln, logsumexp
-
-
-@dataclass(frozen=True)
-class CommitteeSpec:
-    """Committee size plus one accuracy per member."""
-
-    size: int
-    accuracies: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.size < 1 or self.size % 2 == 0:
-            raise ValueError("size must be odd and positive")
-        if len(self.accuracies) != self.size:
-            raise ValueError("one accuracy per member is required")
-        if any(not 0.0 <= a <= 1.0 for a in self.accuracies):
-            raise ValueError("accuracies must lie in [0, 1]")
-
-    @classmethod
-    def homogeneous(cls, size: int, p: float) -> "CommitteeSpec":
-        return cls(size, (float(p),) * size)
 
 
 def condorcet_error(size: int, p: float) -> float:

@@ -309,12 +309,7 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
     )
     xs = np.linspace(x_min, x_max, points)
     closed = np.array([analytic.expectation_closed_equal_sigma(problem, x) for x in xs])
-    quad_chunks = _chunk_map(
-        lambda a, b: [analytic.expectation_quadrature(problem, x) for x in xs[a:b]],
-        len(xs),
-        threads,
-    )
-    quadrature = np.array([v for chunk in quad_chunks for v in chunk])
+    quadrature = np.array([analytic.expectation_quadrature(problem, x) for x in xs])
     boundary = analytic.decision_boundary(problem)
     series = [("closed_form", xs, closed), ("quadrature", xs, quadrature)]
     _write_curves(out, "fig5_expectation", "x", series, "committee score vs query point", "score")
@@ -624,6 +619,8 @@ def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
         cfg, family=_family, grid=_grid, iterations=_optional(int)
     ).values()
     dataset = dataset_from_config(cfg["dataset"])
+    # cap check before enumerating the grid
+    simulator.RegisterLayout(grid.total_bits, simulator.count_bits_for(len(dataset)))
     counts = grid_correct_counts(family, grid, dataset)
     state, report = simulator.grover_amplify_counts(counts, len(dataset), iterations)
     metrics = {

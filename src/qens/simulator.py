@@ -12,7 +12,7 @@ so a basis index is ((i_param * 2 + output) * 2 + accuracy) * 2**c + count.
 The data register that a hardware run would carry is deliberately not
 simulated: classifier outputs enter as classical basis-state-conditional
 bit flips, which leaves the statevector at 2**(tau*P + 2 + c) amplitudes
-and a 26-qubit default cap instead of being dominated by training data.
+and a 26-qubit cap instead of being dominated by training data.
 
 The weighting routine brings the accuracy qubit, conditioned on the
 parameter basis state, to sqrt(a)|0> + sqrt(1-a)|1>, either exactly or
@@ -54,14 +54,13 @@ class PostselectionImpossibleError(RuntimeError):
 class RegisterLayout:
     parameter_bits: int
     count_bits: int = 0
-    qubit_cap: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self) -> None:
         if self.parameter_bits < 0 or self.count_bits < 0:
             raise ValueError("register widths must be non-negative")
-        if self.total_qubits > self.qubit_cap:
+        if self.total_qubits > DEFAULT_QUBIT_CAP:
             raise QubitCapError(
-                f"{self.total_qubits} qubits requested, cap is {self.qubit_cap}"
+                f"{self.total_qubits} qubits requested, cap is {DEFAULT_QUBIT_CAP}"
             )
 
     @property
@@ -265,7 +264,6 @@ def grover_amplify_counts(
     correct_counts: np.ndarray,
     dataset_size: int,
     iterations: int | None = None,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
 ) -> tuple[EnsembleState, GroverReport]:
     """Amplitude amplification of the better-than-chance models.
 
@@ -282,7 +280,7 @@ def grover_amplify_counts(
     if counts.min() < 0 or counts.max() > m:
         raise ValueError("counts outside 0..dataset_size")
     param_bits = int(np.log2(counts.size))
-    layout = RegisterLayout(param_bits, count_bits_for(m), qubit_cap)
+    layout = RegisterLayout(param_bits, count_bits_for(m))
     state = EnsembleState(layout)
     view = state.view()
     e = layout.model_count

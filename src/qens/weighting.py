@@ -39,7 +39,6 @@ from .model import (
 )
 
 DEFAULT_MODEL_CAP = 1 << 24
-LOG_ODDS_CLAMP = 1e-6
 
 
 class EnumerationCapError(RuntimeError):
@@ -51,7 +50,7 @@ class DegenerateEnsembleError(ValueError):
 
 
 class UnboundedWeightError(ValueError):
-    """log_odds requested at a in {0, 1} without opting into clamping."""
+    """log_odds requested for a model of accuracy 0 or 1."""
 
 
 class WeightScheme(Enum):
@@ -91,9 +90,7 @@ class EnsembleDecision:
     p_minus: float
 
 
-def weights_for(
-    scheme: WeightScheme | str, accuracies: np.ndarray, clamp_log_odds: bool = False
-) -> np.ndarray:
+def weights_for(scheme: WeightScheme | str, accuracies: np.ndarray) -> np.ndarray:
     """Vote weight of every model, given its training accuracy."""
     scheme = WeightScheme(scheme)
     a = np.asarray(accuracies, dtype=np.float64)
@@ -105,12 +102,8 @@ def weights_for(
         return a.copy()
     if scheme is WeightScheme.EFFECTIVE_CENTERED:
         return a - 0.5
-    if not clamp_log_odds and np.any((a == 0.0) | (a == 1.0)):
-        raise UnboundedWeightError(
-            "log_odds diverges at accuracy 0 or 1; pass clamp_log_odds=True "
-            "or exclude the model"
-        )
-    a = np.clip(a, LOG_ODDS_CLAMP, 1.0 - LOG_ODDS_CLAMP)
+    if np.any((a == 0.0) | (a == 1.0)):
+        raise UnboundedWeightError("log_odds diverges at accuracy 0 or 1")
     return np.log(a / (1.0 - a))
 
 
@@ -140,16 +133,12 @@ def ensemble_decide(
     dataset: Dataset,
     scheme: WeightScheme | str,
     x: np.ndarray,
-    clamp_log_odds: bool = False,
-    max_models: int = DEFAULT_MODEL_CAP,
 ) -> EnsembleDecision:
     """Exhaustive vote of every grid model, weighted by `scheme`."""
-    if grid.size > max_models:
-        raise EnumerationCapError(
-            f"grid has {grid.size} models, cap is {max_models}"
-        )
+    if grid.size > DEFAULT_MODEL_CAP:
+        raise EnumerationCapError(f"grid has {grid.size} models, cap is {DEFAULT_MODEL_CAP}")
     acc = grid_correct_counts(family, grid, dataset) / float(len(dataset))
-    w = weights_for(scheme, acc, clamp_log_odds)
+    w = weights_for(scheme, acc)
     return vote(family, decode_all(grid), w, x)
 
 

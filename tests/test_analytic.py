@@ -1,6 +1,7 @@
 """Continuous threshold-committee analytics: accuracies, quadrature,
 closed form, boundary location, per-threshold decomposition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -277,8 +278,7 @@ def test_jump_handling_beats_naive_trapezoid():
 
 def test_integrate_requires_query_on_grid():
     prob = gaussian_pair()
-    grid = np.linspace(-7.0, 7.0, 561)
-    dec = boundary_decomposition(prob, 0.0123, w0_grid=grid)
+    dec = dataclasses.replace(boundary_decomposition(prob, 0.0), query=0.0123)
     with pytest.raises(ValueError):
         integrate_decomposition(dec)
 

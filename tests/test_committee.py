@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qens.committee import (
-    CommitteeSpec,
     condorcet_curve,
     condorcet_error,
     lam_suen_improves,
@@ -74,16 +73,6 @@ def test_monotone_decline_below_half():
 def test_curve_sizes_are_odd():
     curve = condorcet_curve(0.6, 10)
     assert [e for e, _ in curve] == [1, 3, 5, 7, 9]
-
-
-def test_committee_spec_validation():
-    CommitteeSpec(3, (0.5, 0.6, 0.7))
-    with pytest.raises(ValueError):
-        CommitteeSpec(2, (0.5, 0.6))
-    with pytest.raises(ValueError):
-        CommitteeSpec(3, (0.5, 0.6))
-    spec = CommitteeSpec.homogeneous(5, 0.6)
-    assert spec.accuracies == (0.6,) * 5
 
 
 def test_odds_ratio_values():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qens import cli
+from qens import cli, figures
 from qens.figures import DEFAULTS, ConfigError, dataset_from_config, merged_config, run_command
 
 
@@ -141,9 +141,28 @@ def test_bad_label_in_dataset_is_domain_error(tmp_path):
     assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_DOMAIN
 
 
-def test_oversized_grid_is_cap_error(tmp_path):
+def test_oversized_grid_is_cap_error(tmp_path, monkeypatch):
+    # 2^26 models: enumerating them would take gigabytes, so the cap must come first
+    def refuse(*args):
+        raise AssertionError("grid enumerated before the cap check")
+
+    monkeypatch.setattr(figures, "grid_accuracies", refuse)
+    monkeypatch.setattr(figures, "grid_correct_counts", refuse)
     cfg = write_config(tmp_path, {"grid": {"intervals": [[-1, 1], [-1, 1]], "bits": 13}})
-    assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+    for command in ("classify", "grover"):
+        assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+
+
+@pytest.mark.parametrize(
+    ("scheme", "x"),
+    [("log_odds", [[-2.0], [0.5]]), ("effective_centered", [[0.0], [0.0]])],
+    ids=["log_odds_unbounded", "all_weights_zero"],
+)
+def test_unusable_scheme_weights_are_domain_error(tmp_path, scheme, x):
+    # a model of accuracy 1 has infinite log-odds; with both points at
+    # one place every model has accuracy 1/2 and centered weight 0
+    cfg = write_config(tmp_path, {"scheme": scheme, "dataset": {"points": {"x": x, "y": [-1, 1]}}})
+    assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_DOMAIN
 
 
 def test_failed_consistency_check_exit_code(tmp_path):

@@ -55,9 +55,9 @@ def test_tree_sum_close_to_fsum(vals):
 
 # --- weight functions ---------------------------------------------------------
 
-def one_weight(scheme, a, clamp_log_odds=False):
+def one_weight(scheme, a):
     """weights_for on a one-element array."""
-    (w,) = weights_for(scheme, np.array([a]), clamp_log_odds)
+    (w,) = weights_for(scheme, np.array([a]))
     return w
 
 
@@ -76,17 +76,6 @@ def test_log_odds_unbounded_at_extremes():
     for a in (0.0, 1.0):
         with pytest.raises(UnboundedWeightError):
             one_weight(WeightScheme.LOG_ODDS, a)
-
-
-def test_log_odds_clamp():
-    w = one_weight(WeightScheme.LOG_ODDS, 1.0, clamp_log_odds=True)
-    c = 1.0 - 1e-6
-    assert w == pytest.approx(math.log(c / (1.0 - c)), rel=1e-12)
-    # 1-(1-1e-6) is not exactly 1e-6 in floats, so the two clamped
-    # endpoints are negatives only to ~3e-11
-    assert one_weight(WeightScheme.LOG_ODDS, 0.0, clamp_log_odds=True) == pytest.approx(
-        -w, abs=1e-10
-    )
 
 
 def test_weight_rejects_out_of_range():
@@ -149,21 +138,18 @@ def test_ensemble_decide_accuracy_scheme(region_dataset, sym_grid_1d):
 
 def test_ensemble_decide_log_odds_nan_on_symmetric_grid(region_dataset, sym_grid_1d):
     fam = perceptron(1)
-    dec = ensemble_decide(
-        fam, sym_grid_1d, region_dataset, WeightScheme.LOG_ODDS, np.array([2.0]),
-        clamp_log_odds=False,
-    )
+    dec = ensemble_decide(fam, sym_grid_1d, region_dataset, WeightScheme.LOG_ODDS, np.array([2.0]))
     # complement pairs cancel the total weight exactly
     assert math.isnan(dec.p_plus)
 
 
 def test_ensemble_decide_cap(region_dataset):
     fam = perceptron(1)
-    grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 4)
+    # 2^26 models: the cap is checked before the grid is enumerated
+    grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 13)
+    assert grid.size > DEFAULT_MODEL_CAP
     with pytest.raises(EnumerationCapError):
-        ensemble_decide(
-            fam, grid, region_dataset, WeightScheme.UNIFORM, np.array([0.0]), max_models=255
-        )
+        ensemble_decide(fam, grid, region_dataset, WeightScheme.UNIFORM, np.array([0.0]))
 
 
 def test_uniform_equals_unweighted_majority(region_dataset, sym_grid_1d):
