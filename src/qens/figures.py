@@ -29,6 +29,7 @@ from .svgplot import render_curves
 _CHUNK = 256
 # fig6 raster points: the default raster has 81^2, a 0.025 step 161^2
 RASTER_POINT_CAP = 1 << 20
+FIG6_MODEL_CAP = 1 << 18  # fig6 lattice models: 64 values per parameter, cubed
 
 DEFAULTS: dict[str, dict] = {
     "fig2": {"p_list": [0.45, 0.5, 0.55, 0.6, 0.7], "max_size": 1001},
@@ -355,6 +356,8 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     ticks_per_axis = round(min((hi - lo) / step, RASTER_POINT_CAP)) + 1
     if ticks_per_axis**2 > RASTER_POINT_CAP:
         raise weighting.EnumerationCapError(f"raster has over {RASTER_POINT_CAP} points")
+    if values["values_per_parameter"] ** 3 > FIG6_MODEL_CAP:
+        raise weighting.EnumerationCapError(f"fig6 lattice has over {FIG6_MODEL_CAP} models")
     dataset = gaussian_blobs(spec)
     family = ModelFamily("perceptron", 2)
     ticks = np.linspace(*values["parameter_interval"], values["values_per_parameter"])

@@ -10,6 +10,8 @@ Three families share one functional interface f(x; theta) -> {-1, +1}:
                 negating every weight negates the output
 
 sgn(0) is +1 throughout, so predictions are total and deterministic.
+predict_many scores 2**14 models at a time into its (E, M) int8 result, so
+it peaks at E*M bytes plus one block's float64 margins (and mlp2 activations).
 Parameter vectors are flat float64 arrays; mlp2 packs W1 row-major, then
 W2 row-major, then the output weights.
 
@@ -37,6 +39,7 @@ PERCEPTRON = "perceptron"
 MLP_TWO_HIDDEN = "mlp2"
 
 _KINDS = (THRESHOLD1D, PERCEPTRON, MLP_TWO_HIDDEN)
+_BLOCK_ROWS = 1 << 14  # models per predict_many block; bounds the float64 margins
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,6 @@ def mlp_two_hidden(input_dim: int, h1: int = 2, h2: int = 2) -> ModelFamily:
     return ModelFamily(MLP_TWO_HIDDEN, input_dim, (h1, h2))
 
 
-def _sign(margins: np.ndarray) -> np.ndarray:
-    # sgn(0) = +1; the >= comparison also catches -0.0
-    return np.where(margins >= 0.0, 1, -1).astype(np.int8)
-
-
 def _as_theta_matrix(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     if thetas.shape[1] != family.parameter_count:
@@ -113,21 +111,31 @@ def predict_many(family: ModelFamily, thetas: np.ndarray, xs: np.ndarray) -> np.
     """Predictions for every (model, point) pair, shape (E, M), int8 in {-1, +1}."""
     thetas = _as_theta_matrix(family, thetas)
     xs = _as_points(family, xs)
-    if family.kind == THRESHOLD1D:
-        margins = thetas[:, 0:1] * (xs[:, 0][None, :] - thetas[:, 1:2])
-    elif family.kind == PERCEPTRON:
-        n = family.input_dim
-        margins = thetas[:, :n] @ xs.T + thetas[:, n : n + 1]
-    else:
-        n = family.input_dim
-        h1, h2 = family.hidden
-        w1 = thetas[:, : h1 * n].reshape(-1, h1, n)
-        w2 = thetas[:, h1 * n : h1 * n + h2 * h1].reshape(-1, h2, h1)
-        w3 = thetas[:, h1 * n + h2 * h1 :]
-        a1 = np.tanh(np.einsum("ehn,mn->ehm", w1, xs))
-        a2 = np.tanh(np.einsum("ekh,ehm->ekm", w2, a1))
-        margins = np.einsum("ek,ekm->em", w3, a2)
-    return _sign(margins)
+    n = family.input_dim
+    out = np.empty((thetas.shape[0], xs.shape[0]), dtype=np.int8)
+    for start in range(0, thetas.shape[0], _BLOCK_ROWS):
+        block = thetas[start : start + _BLOCK_ROWS]
+        if family.kind == THRESHOLD1D:
+            margins = xs[:, 0][None, :] - block[:, 1:2]
+            margins *= block[:, 0:1]
+        elif family.kind == PERCEPTRON:
+            margins = block[:, :n] @ xs.T
+            margins += block[:, n : n + 1]
+        else:
+            h1, h2 = family.hidden
+            w1 = block[:, : h1 * n].reshape(-1, h1, n)
+            w2 = block[:, h1 * n : h1 * n + h2 * h1].reshape(-1, h2, h1)
+            w3 = block[:, h1 * n + h2 * h1 :]
+            a1 = np.tanh(np.einsum("ehn,mn->ehm", w1, xs))
+            a2 = np.tanh(np.einsum("ekh,ehm->ekm", w2, a1))
+            margins = np.einsum("ek,ekm->em", w3, a2)
+        signs = out[start : start + _BLOCK_ROWS]
+        # sgn(0) = sgn(-0.0) = +1 and NaN -> -1: margin >= 0 as 0/1, then 2b - 1
+        np.greater_equal(margins, 0.0, out=signs.view(np.bool_))
+        del margins  # freed before the next block's margins exist
+        signs *= 2
+        signs -= 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,9 +280,8 @@ def correct_counts(family: ModelFamily, thetas: np.ndarray, dataset: Dataset) ->
     if len(dataset) < 1:
         raise ValueError("dataset is empty")
     preds = predict_many(family, thetas, dataset.x)
-    return np.count_nonzero(preds == dataset.y[None, :].astype(np.int8), axis=1).astype(
-        np.int64
-    )
+    preds *= dataset.y.astype(np.int8)  # +1 where correct, -1 where wrong
+    return (len(dataset) + preds.sum(axis=1, dtype=np.int64)) // 2
 
 
 def grid_accuracies(family: ModelFamily, grid: ParameterGrid, dataset: Dataset) -> np.ndarray:

@@ -152,7 +152,7 @@ def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) 
     view = state.view()
     c = np.sqrt(a)[:, None, None]
     s = np.sqrt(1.0 - a)[:, None, None]
-    view[:, :, 1, :] = view[:, :, 0, :] * s
+    np.multiply(view[:, :, 0, :], s, out=view[:, :, 1, :])  # no E x 2 temporary
     view[:, :, 0, :] *= c
     return state
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,20 @@ def region_dataset() -> Dataset:
     x = np.concatenate([np.full(8, -2.0), np.zeros(17), np.full(25, 2.0)])[:, None]
     y = np.concatenate([np.ones(8), -np.ones(17), np.ones(25)]).astype(int)
     return Dataset(x, y)
+
+
+@pytest.fixture
+def peak_bytes():
+    """peak_bytes(fn, *args) calls fn and returns the traced peak of the heap
+    bytes it allocated, including any result it returns; what was allocated
+    before the call is not counted."""
+
+    def measure(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure

@@ -410,6 +410,15 @@ GOLDEN_SHA256 = {
         "grover_report.json": "f87ad3520fdf2eae52b56d07c1c4f0fc9875c5f0c74b75a5d69fc708b5fcc06a",
         "grover_summary.json": "f87ad3520fdf2eae52b56d07c1c4f0fc9875c5f0c74b75a5d69fc708b5fcc06a",
     },
+    "classify_blocks": {
+        "classify_report.json": "b85ef594302a3d08915cc4bd42a6a3bbb2bd7e435cfb0eed1419b47b0eba148a",
+        "classify_summary.json": "b85ef594302a3d08915cc4bd42a6a3bbb2bd7e435cfb0eed1419b47b0eba148a",
+    },
+    "fig6_blocks": {
+        "fig6_dataset.csv": "dc85a23a26f42fac8b52af84602d2ce5f9125c036508772f7f1b6e440409c1e5",
+        "fig6_raster.csv": "3e2446c153f70de61f2bf50fd47bdcfac689e08dfba58e1fcb192f53bfc2050a",
+        "fig6_summary.json": "5510709b8153a58852282919f0afe0970732f2e68c706bc1570bb52533e47402",
+    },
 }
 
 
@@ -423,6 +432,12 @@ def test_criterion_10_byte_determinism(tmp_path):
         "classify": ("classify", None),
         "classify_sequential": ("classify", {"rotation": "sequential"}),
         "grover": ("grover", None),
+        # 65,536 and 17,576 models: several predict_many row blocks each
+        "classify_blocks": (
+            "classify",
+            {"grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 8}},
+        ),
+        "fig6_blocks": ("fig6", {"values_per_parameter": 26, "raster_step": 0.5}),
     }
     identical = True
     golden = True

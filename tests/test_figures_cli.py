@@ -188,6 +188,16 @@ def test_raster_over_point_cap_is_cap_error(tmp_path, override):
     assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
 
 
+def test_fig6_lattice_over_model_cap_is_cap_error(tmp_path, monkeypatch):
+    # 65^3 models: the count must come before the lattice is scored
+    def refuse(*args):
+        raise AssertionError("lattice enumerated before the cap check")
+
+    monkeypatch.setattr(figures, "correct_counts", refuse)
+    cfg = write_config(tmp_path, {"values_per_parameter": 65})
+    assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+
+
 @pytest.mark.parametrize(
     "override",
     [{"raster_lo": 1.0, "raster_hi": -1.0}, {"raster_hi": float("inf")}],

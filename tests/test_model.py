@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qens import model
 from qens.model import (
     Dataset,
     ModelFamily,
@@ -254,3 +255,81 @@ def test_dataset_dimension_mismatch_rejected(region_dataset):
     thetas = np.zeros((1, 3))
     with pytest.raises(ValueError):
         correct_counts(fam, thetas, region_dataset)
+
+
+# --- block evaluation -----------------------------------------------------
+
+B = model._BLOCK_ROWS
+
+
+def unblocked_predictions(fam, thetas, xs):
+    """Unblocked reference: all margins as one float64 array, then the signs."""
+    n = fam.input_dim
+    if fam.kind == "threshold1d":
+        margins = thetas[:, 0:1] * (xs[:, 0][None, :] - thetas[:, 1:2])
+    elif fam.kind == "perceptron":
+        margins = thetas[:, :n] @ xs.T + thetas[:, n : n + 1]
+    else:
+        h1, h2 = fam.hidden
+        w1 = thetas[:, : h1 * n].reshape(-1, h1, n)
+        w2 = thetas[:, h1 * n : h1 * n + h2 * h1].reshape(-1, h2, h1)
+        w3 = thetas[:, h1 * n + h2 * h1 :]
+        a1 = np.tanh(np.einsum("ehn,mn->ehm", w1, xs))
+        a2 = np.tanh(np.einsum("ekh,ehm->ekm", w2, a1))
+        margins = np.einsum("ek,ekm->em", w3, a2)
+    return np.where(margins >= 0.0, 1, -1).astype(np.int8)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [threshold1d(), perceptron(1), perceptron(2), perceptron(3), mlp_two_hidden(2)],
+    ids=["threshold1d", "perceptron1", "perceptron2", "perceptron3", "mlp2"],
+)
+@pytest.mark.parametrize("e", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_blocked_predictions_match_unblocked(fam, e):
+    rng = np.random.default_rng(e)
+    # quarter-step values make many margins exactly zero
+    thetas = rng.integers(-4, 5, size=(e, fam.parameter_count)) / 4.0
+    xs = rng.integers(-4, 5, size=(7, fam.input_dim)) / 4.0
+    xs[0] = 0.25
+    edges = [i for i in (0, B - 1, B, B + 1, 2 * B - 1, 2 * B, e - 1) if i < e]
+    zero, negative_zero = np.zeros(fam.parameter_count), np.zeros(fam.parameter_count)
+    if fam.kind == "threshold1d":
+        zero[:] = 1.0, 0.25  # x = w0: margin 1 * 0.0
+        negative_zero[:] = -1.0, 0.25  # margin -1 * 0.0 = -0.0
+    else:
+        negative_zero[:] = -0.0  # -0.0 * 0.25 + -0.0 = -0.0
+    for k, i in enumerate(edges):
+        thetas[i] = zero if k % 2 else negative_zero
+    preds = predict_many(fam, thetas, xs)
+    expected = unblocked_predictions(fam, thetas, xs)
+    assert preds.dtype == np.int8
+    assert preds.shape == (e, 7)
+    assert np.array_equal(preds, expected)
+    assert np.all(preds[edges, 0] == 1)
+
+    ds = Dataset(xs, rng.choice([-1, 1], size=7))
+    counts = correct_counts(fam, thetas, ds)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.count_nonzero(expected == ds.y, axis=1))
+
+
+def test_nan_margin_predicts_minus_one():
+    thetas = np.array([[np.nan, 0.0], [np.inf, -np.inf]])
+    with np.errstate(invalid="ignore"):
+        assert predict_many(perceptron(1), thetas, np.array([[1.0]])).tolist() == [[-1], [-1]]
+
+
+@pytest.mark.parametrize(
+    "fam", [threshold1d(), perceptron(1), perceptron(3)], ids=["threshold1d", "perceptron1", "perceptron3"]
+)
+def test_block_evaluation_memory_bound(fam, peak_bytes):
+    # the (E, M) int8 result plus at most two blocks of float64 margins;
+    # the unblocked form held E x M float64 margins and an int64 copy
+    e, m = 1 << 16, 24
+    rng = np.random.default_rng(9)
+    thetas = rng.normal(size=(e, fam.parameter_count))
+    ds = Dataset(rng.normal(size=(m, fam.input_dim)), rng.choice([-1, 1], size=m))
+    bound = e * m + 2 * B * m * 8 + (1 << 16)
+    assert peak_bytes(predict_many, fam, thetas, ds.x) <= bound
+    assert peak_bytes(correct_counts, fam, thetas, ds) <= bound

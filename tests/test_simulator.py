@@ -101,6 +101,15 @@ def test_exact_rotation_sets_zero_branch_probabilities():
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_exact_rotation_writes_in_place(peak_bytes):
+    # cos and sin columns plus one transient: no E x 2 complex temporary
+    layout = RegisterLayout(16)
+    state = prepare_uniform(layout)
+    acc = np.linspace(0.0, 1.0, layout.model_count)
+    assert peak_bytes(apply_accuracy_rotation_exact, state, acc) <= 32 * layout.model_count
+    assert np.allclose(state.accuracy_zero_probabilities(), acc, atol=1e-12)
+
+
 def test_exact_rotation_validates_input():
     state = prepare_uniform(RegisterLayout(2))
     with pytest.raises(ValueError):
