@@ -10,7 +10,7 @@ one.  Exit codes:
     0  success, all internal consistency checks passed
     2  usage or configuration error
     3  domain error (invalid parameter values, degenerate ensembles)
-    4  resource cap exceeded (model enumeration or qubit count)
+    4  resource cap exceeded (model enumeration, qubit count or memory)
     5  file error (unreadable config, unwritable output)
     6  a consistency check reported by the summary failed
 """
@@ -91,6 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (EnumerationCapError, QubitCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

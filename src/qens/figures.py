@@ -551,8 +551,8 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
     # labels passed inline: an (E,) array kept alive here pins the heap through the vote below
     simulator.apply_classifier(state, predict_many(family, decode_all(grid), query[None, :])[:, 0])
     p_minus, p_plus = simulator.measure_label_distribution(state)
-    sigma_z = simulator.expectation_sigma_z(state)
-    sample = simulator.sample_measurements(state, shots, seed)
+    sigma_z = p_minus - p_plus  # expectation_sigma_z without a second read of the state
+    sample = simulator.sample_measurements(p_plus, shots, seed)
 
     classical = weighting.ensemble_decide(
         family, grid, dataset, weighting.WeightScheme.ACCURACY, query
@@ -626,6 +626,7 @@ def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
     simulator.RegisterLayout(grid.total_bits, simulator.count_bits_for(len(dataset)))
     counts = grid_correct_counts(family, grid, dataset)
     state, report = simulator.grover_amplify_counts(counts, len(dataset), iterations)
+    norm = state.norm()
     metrics = {
         "models": report.model_count,
         "marked_models": report.marked_count,
@@ -634,12 +635,12 @@ def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
         "iteration_scale": report.iteration_scale,
         "marked_probability": report.marked_probability,
         "closed_form_probability": report.closed_form_probability,
-        "state_norm": state.norm(),
+        "state_norm": norm,
     }
     checks = {
         "matches_closed_form": abs(report.marked_probability - report.closed_form_probability)
         < 1e-10,
-        "norm_preserved": abs(state.norm() - 1.0) < 1e-12,
+        "norm_preserved": abs(norm - 1.0) < 1e-12,
         "amplified": report.marked_probability
         >= report.marked_count / report.model_count - 1e-12,
     }

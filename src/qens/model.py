@@ -107,28 +107,34 @@ def _as_points(family: ModelFamily, xs: np.ndarray) -> np.ndarray:
     return xs
 
 
+def _block_margins(family: ModelFamily, block: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Float64 margins of one block of models at every point; mlp2's hidden
+    activations are locals here, freed on return."""
+    n = family.input_dim
+    if family.kind == THRESHOLD1D:
+        margins = xs[:, 0][None, :] - block[:, 1:2]
+        margins *= block[:, 0:1]
+        return margins
+    if family.kind == PERCEPTRON:
+        margins = block[:, :n] @ xs.T
+        margins += block[:, n : n + 1]
+        return margins
+    h1, h2 = family.hidden
+    w1 = block[:, : h1 * n].reshape(-1, h1, n)
+    w2 = block[:, h1 * n : h1 * n + h2 * h1].reshape(-1, h2, h1)
+    w3 = block[:, h1 * n + h2 * h1 :]
+    a1 = np.tanh(np.einsum("ehn,mn->ehm", w1, xs))
+    a2 = np.tanh(np.einsum("ekh,ehm->ekm", w2, a1))
+    return np.einsum("ek,ekm->em", w3, a2)
+
+
 def predict_many(family: ModelFamily, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Predictions for every (model, point) pair, shape (E, M), int8 in {-1, +1}."""
     thetas = _as_theta_matrix(family, thetas)
     xs = _as_points(family, xs)
-    n = family.input_dim
     out = np.empty((thetas.shape[0], xs.shape[0]), dtype=np.int8)
     for start in range(0, thetas.shape[0], _BLOCK_ROWS):
-        block = thetas[start : start + _BLOCK_ROWS]
-        if family.kind == THRESHOLD1D:
-            margins = xs[:, 0][None, :] - block[:, 1:2]
-            margins *= block[:, 0:1]
-        elif family.kind == PERCEPTRON:
-            margins = block[:, :n] @ xs.T
-            margins += block[:, n : n + 1]
-        else:
-            h1, h2 = family.hidden
-            w1 = block[:, : h1 * n].reshape(-1, h1, n)
-            w2 = block[:, h1 * n : h1 * n + h2 * h1].reshape(-1, h2, h1)
-            w3 = block[:, h1 * n + h2 * h1 :]
-            a1 = np.tanh(np.einsum("ehn,mn->ehm", w1, xs))
-            a2 = np.tanh(np.einsum("ekh,ehm->ekm", w2, a1))
-            margins = np.einsum("ek,ekm->em", w3, a2)
+        margins = _block_margins(family, thetas[start : start + _BLOCK_ROWS], xs)
         signs = out[start : start + _BLOCK_ROWS]
         # sgn(0) = sgn(-0.0) = +1 and NaN -> -1: margin >= 0 as 0/1, then 2b - 1
         np.greater_equal(margins, 0.0, out=signs.view(np.bool_))

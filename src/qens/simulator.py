@@ -14,6 +14,10 @@ simulated: classifier outputs enter as classical basis-state-conditional
 bit flips, which leaves the statevector at 2**(tau*P + 2 + c) amplitudes
 and a 26-qubit cap instead of being dominated by training data.
 
+Every operation of the circuit is real (Ry rotations, bit flips, phase
+flips and reflections about a real state), so the amplitudes are float64:
+the state takes 8 * 2**n bytes, 512 MiB at the 26-qubit cap.
+
 The weighting routine brings the accuracy qubit, conditioned on the
 parameter basis state, to sqrt(a)|0> + sqrt(1-a)|1>, either exactly or
 through the sequential per-training-point rotation approximation whose
@@ -82,7 +86,7 @@ def count_bits_for(dataset_size: int) -> int:
 
 
 class EnsembleState:
-    """Statevector over the ensemble register."""
+    """Real statevector over the ensemble register."""
 
     __slots__ = ("layout", "amplitudes")
 
@@ -90,9 +94,11 @@ class EnsembleState:
         self.layout = layout
         size = 1 << layout.total_qubits
         if amplitudes is None:
-            amplitudes = np.zeros(size, dtype=np.complex128)
+            amplitudes = np.zeros(size, dtype=np.float64)
         else:
-            amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+            if np.iscomplexobj(amplitudes):
+                raise ValueError("amplitudes must be real; this circuit has no complex phase")
+            amplitudes = np.asarray(amplitudes, dtype=np.float64)
             if amplitudes.shape != (size,):
                 raise ValueError(f"amplitude vector must have length {size}")
         self.amplitudes = amplitudes
@@ -103,16 +109,16 @@ class EnsembleState:
         return self.amplitudes.reshape(lay.model_count, 2, 2, lay.count_values)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return float(np.sqrt(np.sum(np.square(self.amplitudes))))
 
     def parameter_distribution(self) -> np.ndarray:
         """Probability of each parameter basis state, shape (E,)."""
-        probs = np.abs(self.view()) ** 2
+        probs = np.square(self.view())
         return probs.sum(axis=(1, 2, 3))
 
     def accuracy_zero_probabilities(self) -> np.ndarray:
         """P(accuracy qubit = |0> conditioned on each parameter state)."""
-        probs = np.abs(self.view()) ** 2
+        probs = np.square(self.view())
         per_model = probs.sum(axis=(1, 2, 3))
         zero_branch = probs[:, :, 0, :].sum(axis=(1, 2))
         out = np.full(self.layout.model_count, np.nan)
@@ -130,13 +136,13 @@ def prepare_uniform(layout: RegisterLayout) -> EnsembleState:
 
 
 def _require_accuracy_clear(state: EnsembleState) -> None:
-    mass = float(np.sum(np.abs(state.view()[:, :, 1, :]) ** 2))
+    mass = float(np.sum(np.square(state.view()[:, :, 1, :])))
     if mass > _ATOL:
         raise StateError("accuracy qubit is not |0>; rotation already applied?")
 
 
 def _require_output_clear(state: EnsembleState) -> None:
-    mass = float(np.sum(np.abs(state.view()[:, 1, :, :]) ** 2))
+    mass = float(np.sum(np.square(state.view()[:, 1, :, :])))
     if mass > _ATOL:
         raise StateError("output qubit is not |0>; classifier already applied?")
 
@@ -176,18 +182,23 @@ def apply_accuracy_rotation_sequential(
         raise ValueError(f"delta must lie in (0, pi/(4*{m})]")
     _require_accuracy_clear(state)
     view = state.view()
+    a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
+    # each update holds at most two half-state temporaries
     inv = 1.0 / math.sqrt(2.0)
-    a0 = view[:, :, 0, :].copy()
-    view[:, :, 0, :] = inv * (a0 + view[:, :, 1, :])
-    view[:, :, 1, :] = inv * (a0 - view[:, :, 1, :])
+    new0 = a0 + a1
+    new0 *= inv
+    np.subtract(a0, a1, out=a1)
+    a1 *= inv
+    a0[...] = new0
     for point in range(m):
         phi = np.where(correct[:, point], -delta, delta)
         c = np.cos(phi)[:, None, None]
         s = np.sin(phi)[:, None, None]
-        a0 = view[:, :, 0, :].copy()
-        a1 = view[:, :, 1, :]
-        view[:, :, 0, :] = c * a0 - s * a1
-        view[:, :, 1, :] = s * a0 + c * a1
+        new0 = c * a0
+        new0 -= s * a1
+        a1 *= c
+        a1 += s * a0
+        a0[...] = new0
     return state
 
 
@@ -200,11 +211,14 @@ class PostselectionReport:
 def postselect_accuracy_zero(state: EnsembleState) -> tuple[EnsembleState, PostselectionReport]:
     """Project onto accuracy = |0> and renormalize."""
     view = state.view()
-    p_acc = float(np.sum(np.abs(view[:, :, 0, :]) ** 2))
+    p_acc = float(np.sum(np.square(view[:, :, 0, :])))
     if p_acc <= _ATOL:
         raise PostselectionImpossibleError("accuracy-|0> branch has no mass")
     view[:, :, 1, :] = 0.0
-    view[:, :, 0, :] /= math.sqrt(p_acc)
+    # times the reciprocal, not /=: the recorded artifacts were computed on
+    # complex amplitudes, which numpy divides by a real scalar as x * (1/d);
+    # a real division rounds differently and moves the readout's last bits
+    view[:, :, 0, :] *= 1.0 / math.sqrt(p_acc)
     return state, PostselectionReport(p_acc, 1.0 / p_acc)
 
 
@@ -224,7 +238,7 @@ def apply_classifier(state: EnsembleState, labels: np.ndarray) -> EnsembleState:
 
 def measure_label_distribution(state: EnsembleState) -> tuple[float, float]:
     """(p_minus, p_plus): output-qubit Born probabilities for labels -1, +1."""
-    probs = np.abs(state.view()) ** 2
+    probs = np.square(state.view())
     total = float(probs.sum())
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise StateError("state is not normalized")
@@ -240,11 +254,11 @@ def expectation_sigma_z(state: EnsembleState) -> float:
     return p_minus - p_plus
 
 
-def sample_measurements(state: EnsembleState, shots: int, seed: int) -> dict[int, int]:
-    """Counts of simulated output-qubit measurements, keyed by label."""
+def sample_measurements(p_plus: float, shots: int, seed: int) -> dict[int, int]:
+    """Counts of simulated output-qubit measurements, keyed by label, for
+    the label +1 probability p_plus from measure_label_distribution."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    _, p_plus = measure_label_distribution(state)
     u = prng.uniforms(prng.derive_key(seed, 0), shots)
     plus = int(np.count_nonzero(u < p_plus))
     return {-1: shots - plus, 1: plus}
@@ -258,6 +272,14 @@ class GroverReport:
     iteration_scale: float
     marked_probability: float
     closed_form_probability: float
+
+
+def _marked_probability(view: np.ndarray, marked_values: np.ndarray) -> float:
+    # squared in place over the boolean-mask gather, whose layout fixes the
+    # summation order and so the last bit of the result
+    gathered = view[:, :, :, marked_values]
+    np.square(gathered, out=gathered)
+    return float(np.sum(gathered))
 
 
 def grover_amplify_counts(
@@ -284,11 +306,13 @@ def grover_amplify_counts(
     state = EnsembleState(layout)
     view = state.view()
     e = layout.model_count
-    view[np.arange(e), 0, 0, counts] = 1.0 / math.sqrt(e)
-    psi0 = state.amplitudes.copy()
+    # the prepared state psi0 is amp0 on the support (i, 0, 0, counts[i])
+    support = (np.arange(e), 0, 0, counts)
+    amp0 = 1.0 / math.sqrt(e)
+    view[support] = amp0
 
     marked_values = 2 * np.arange(layout.count_values) > m
-    marked_probability = float(np.sum(np.abs(view[:, :, :, marked_values]) ** 2))
+    marked_probability = _marked_probability(view, marked_values)
     k = int(round(e * marked_probability))
     if k == 0:
         raise ValueError("no model is better than chance; nothing to amplify")
@@ -297,12 +321,16 @@ def grover_amplify_counts(
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
 
+    # diffusion 2|psi0><psi0| - I in place: negate, then add the projection
+    # back on the support; the marked values v > M/2 are the tail of the count axis
+    marked = view[..., m // 2 + 1 :]
     for _ in range(iterations):
-        view[:, :, :, marked_values] *= -1.0
-        overlap = np.vdot(psi0, state.amplitudes)
-        state.amplitudes[:] = 2.0 * overlap * psi0 - state.amplitudes
+        marked *= -1.0
+        overlap = float(np.sum(view[support] * amp0))
+        np.negative(state.amplitudes, out=state.amplitudes)
+        view[support] += 2.0 * overlap * amp0
 
-    amplified = float(np.sum(np.abs(view[:, :, :, marked_values]) ** 2))
+    amplified = _marked_probability(view, marked_values)
     closed = math.sin((2 * iterations + 1) * math.asin(math.sqrt(k / e))) ** 2
     report = GroverReport(k, e, iterations, math.sqrt(e / k), amplified, closed)
     return state, report

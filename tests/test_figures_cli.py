@@ -2,11 +2,16 @@
 byte determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qens
 from qens import cli, figures
 from qens.figures import DEFAULTS, ConfigError, dataset_from_config, merged_config, run_command
 
@@ -151,6 +156,43 @@ def test_oversized_grid_is_cap_error(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"grid": {"intervals": [[-1, 1], [-1, 1]], "bits": 13}})
     for command in ("classify", "grover"):
         assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+
+
+def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
+    # 26 qubits: a 512 MiB real statevector.  2 GiB of address space is
+    # enough; under 1 GiB an allocation fails and must exit 4, not 1
+    pair = {"mu_minus": -1.0, "sigma_minus": 0.5, "mu_plus": 1.0, "sigma_plus": 0.5}
+    cfg = write_config(
+        tmp_path,
+        {
+            "grid": {"intervals": [[-1, 1], [-1, 1]], "bits": 10},
+            "dataset": {"pair": dict(pair, per_class=7, seed=0)},
+        },
+    )
+    src = str(Path(qens.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+
+    def grover(limit_bytes):
+        def limit():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+        argv = ["grover", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        return subprocess.run(
+            [sys.executable, "-m", "qens.cli", *argv],
+            env=env,
+            preexec_fn=limit,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    done = grover(2 << 30)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert json.loads((tmp_path / "out" / "grover_summary.json").read_text())["ok"]
+    refused = grover(1 << 30)
+    assert refused.returncode == cli.EXIT_CAP, refused.stderr
+    assert "Traceback" not in refused.stderr
+    assert "out of memory" in refused.stderr
 
 
 @pytest.mark.parametrize(

@@ -321,15 +321,21 @@ def test_nan_margin_predicts_minus_one():
 
 
 @pytest.mark.parametrize(
-    "fam", [threshold1d(), perceptron(1), perceptron(3)], ids=["threshold1d", "perceptron1", "perceptron3"]
+    "fam",
+    [threshold1d(), perceptron(1), perceptron(3), mlp_two_hidden(2, 2, 2)],
+    ids=["threshold1d", "perceptron1", "perceptron3", "mlp2"],
 )
 def test_block_evaluation_memory_bound(fam, peak_bytes):
     # the (E, M) int8 result plus at most two blocks of float64 margins;
-    # the unblocked form held E x M float64 margins and an int64 copy
+    # the unblocked form held E x M float64 margins and an int64 copy.
+    # mlp2 holds one block's activations a1 and a2 and the input of a2's
+    # tanh, h1 + 2*h2 margin-sized arrays; it used to keep the previous
+    # block's activations alive as well
     e, m = 1 << 16, 24
     rng = np.random.default_rng(9)
     thetas = rng.normal(size=(e, fam.parameter_count))
     ds = Dataset(rng.normal(size=(m, fam.input_dim)), rng.choice([-1, 1], size=m))
-    bound = e * m + 2 * B * m * 8 + (1 << 16)
+    blocks = 2 if fam.kind != model.MLP_TWO_HIDDEN else fam.hidden[0] + 2 * fam.hidden[1]
+    bound = e * m + blocks * B * m * 8 + (1 << 16)
     assert peak_bytes(predict_many, fam, thetas, ds.x) <= bound
     assert peak_bytes(correct_counts, fam, thetas, ds) <= bound

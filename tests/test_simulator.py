@@ -85,6 +85,14 @@ def test_count_bits_for():
 
 # --- preparation and rotation --------------------------------------------------
 
+def test_state_is_real_and_rejects_complex_amplitudes():
+    layout = RegisterLayout(1)
+    assert prepare_uniform(layout).amplitudes.dtype == np.float64
+    assert EnsembleState(layout, np.full(8, 0.5, dtype=np.float32)).amplitudes.dtype == np.float64
+    with pytest.raises(ValueError):
+        EnsembleState(layout, np.full(8, 0.5 + 0.0j))
+
+
 def test_prepare_uniform_distribution():
     layout = RegisterLayout(3)
     state = prepare_uniform(layout)
@@ -192,24 +200,28 @@ def test_measurement_rejects_unnormalized_state():
         measure_label_distribution(state)
 
 
+def p_plus_of(state):
+    return measure_label_distribution(state)[1]
+
+
 def test_sampling_frozen_counts():
     state = two_model_state(math.sqrt(0.5), math.sqrt(0.5))
-    counts = sample_measurements(state, 1_000_000, seed=7)
+    counts = sample_measurements(p_plus_of(state), 1_000_000, seed=7)
     assert counts == {-1: 500586, 1: 499414}
 
 
 def test_sampling_reproducible_and_plausible():
-    state = two_model_state()
-    a = sample_measurements(state, 40000, seed=9)
-    b = sample_measurements(state, 40000, seed=9)
+    p_plus = p_plus_of(two_model_state())
+    a = sample_measurements(p_plus, 40000, seed=9)
+    b = sample_measurements(p_plus, 40000, seed=9)
     assert a == b
     assert abs(a[1] / 40000 - 0.84) < 0.01
-    assert sample_measurements(state, 40000, seed=10) != a
+    assert sample_measurements(p_plus, 40000, seed=10) != a
 
 
 def test_sampling_validates_shots():
     with pytest.raises(ValueError):
-        sample_measurements(two_model_state(), 0, seed=1)
+        sample_measurements(0.84, 0, seed=1)
 
 
 # --- state inspection ----------------------------------------------------------
@@ -256,6 +268,18 @@ def test_sequential_rotation_exact_at_extreme_and_half_counts():
     state = prepare_uniform(RegisterLayout(grid.total_bits))
     apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), math.pi / 8)
     assert np.allclose(state.accuracy_zero_probabilities(), counts / 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("param_bits, count_bits", [(16, 0), (14, 4)])
+def test_sequential_rotation_memory_bound(param_bits, count_bits, peak_bytes):
+    # each per-point update holds at most two half-state temporaries plus
+    # the (E,) angle columns; a .copy() of the |0> branch made it three
+    layout = RegisterLayout(param_bits, count_bits)
+    state = prepare_uniform(layout)
+    e, m = layout.model_count, 24
+    correct = np.random.default_rng(3).random((e, m)) < 0.6
+    bound = state.amplitudes.nbytes + 48 * e
+    assert peak_bytes(apply_accuracy_rotation_sequential, state, correct, math.pi / (4 * m)) <= bound
 
 
 def test_sequential_delta_validation():
@@ -335,3 +359,53 @@ def test_grover_requires_power_of_two_models():
 def test_grover_count_range_validated():
     with pytest.raises(ValueError):
         grover_amplify_counts(np.array([3, 0, 0, 0]), 2)
+
+
+def dense_grover(counts, m, iterations):
+    """Reference amplitude amplification on a complex statevector with the
+    prepared state psi0 stored in full: (amplitudes, marked probability)."""
+    e = counts.size
+    layout = RegisterLayout(int(np.log2(e)), count_bits_for(m))
+    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    view = amps.reshape(e, 2, 2, layout.count_values)
+    view[np.arange(e), 0, 0, counts] = 1.0 / math.sqrt(e)
+    psi0 = amps.copy()
+    marked = 2 * np.arange(layout.count_values) > m
+    for _ in range(iterations):
+        view[:, :, :, marked] *= -1.0
+        overlap = np.vdot(psi0, amps)
+        amps[:] = 2.0 * overlap * psi0 - amps
+    return amps, float(np.sum(np.abs(view[:, :, :, marked]) ** 2))
+
+
+@pytest.mark.parametrize("param_bits", range(3, 14))
+def test_grover_matches_dense_reference(param_bits):
+    # with E = 4^k the amplitude 1/sqrt(E) is a power of two and every step
+    # stays exact at these sizes, so even widths agree bit for bit; odd
+    # widths round in the overlap sum, whose order differs from the dense
+    # dot product's
+    rng = np.random.default_rng(param_bits)
+    for m in (5, 7, 14, 20):
+        counts = rng.integers(0, m + 1, size=1 << param_bits)
+        counts[0] = m
+        for iterations in (0, 1, 2, 3, 5):
+            want_amps, want_p = dense_grover(counts, m, iterations)
+            state, report = grover_amplify_counts(counts, m, iterations)
+            assert not np.any(want_amps.imag)
+            if param_bits % 2 == 0:
+                assert np.array_equal(state.amplitudes, want_amps.real)
+                assert report.marked_probability == want_p
+            else:
+                assert np.allclose(state.amplitudes, want_amps.real, rtol=0.0, atol=1e-12)
+                assert report.marked_probability == pytest.approx(want_p, abs=1e-12)
+
+
+def test_grover_memory_bound(peak_bytes):
+    # the returned state plus the marked-probability gather (half the state
+    # at M = 14) and (E,) support vectors; psi0 and the diffusion
+    # temporaries used to add two complex copies of the state
+    e, m = 1 << 16, 14
+    counts = np.zeros(e, dtype=np.int64)
+    counts[: e // 64] = m  # K = E/64: six iterations
+    state_bytes = 8 << RegisterLayout(16, count_bits_for(m)).total_qubits
+    assert peak_bytes(grover_amplify_counts, counts, m) <= 2 * state_bytes + 64 * e
