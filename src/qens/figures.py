@@ -30,6 +30,7 @@ _CHUNK = 256
 # fig6 raster points: the default raster has 81^2, a 0.025 step 161^2
 RASTER_POINT_CAP = 1 << 20
 FIG6_MODEL_CAP = 1 << 18  # fig6 lattice models: 64 values per parameter, cubed
+FIG2_SIZE_CAP = 1 << 14  # fig2 committee size: each curve's cost grows with its square
 
 DEFAULTS: dict[str, dict] = {
     "fig2": {"p_list": [0.45, 0.5, 0.55, 0.6, 0.7], "max_size": 1001},
@@ -227,6 +228,8 @@ def _summary(command: str, cfg: dict, outputs: list[str], metrics: dict, checks:
 def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Majority-error curves over committee size plus the odds-ratio gain."""
     p_list, max_size = _fields(cfg, p_list=_floats, max_size=int).values()
+    if max_size > FIG2_SIZE_CAP:
+        raise weighting.EnumerationCapError(f"fig2 max_size is over {FIG2_SIZE_CAP}")
     curves = [committee.condorcet_curve(p, max_size) for p in p_list]
     series = []
     for p, curve in zip(p_list, curves):
@@ -363,11 +366,11 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     ticks = np.linspace(*values["parameter_interval"], values["values_per_parameter"])
     thetas = _lattice(ticks, family.parameter_count)
     acc = correct_counts(family, thetas, dataset) / float(len(dataset))
+    table = weighting.signed_sum_table(acc)
 
     def scores_at(points: np.ndarray) -> np.ndarray:
         def chunk(a: int, b: int) -> np.ndarray:
-            preds = predict_many(family, thetas, points[a:b]).astype(np.float64)
-            return weighting.tree_sum(acc[:, None] * preds, axis=0)
+            return weighting.signed_tree_sum(table, predict_many(family, thetas, points[a:b]))
 
         return np.concatenate(_chunk_map(chunk, points.shape[0], threads))
 
@@ -546,7 +549,7 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         correct = predict_many(family, decode_all(grid), dataset.x) == dataset.y.astype(np.int8)
         simulator.apply_accuracy_rotation_sequential(state, correct, delta)
         del correct  # E x M flags, freed before the classical vote walks the grid
-    rotation_p0 = state.accuracy_zero_probabilities()
+        rotation_p0 = state.accuracy_zero_probabilities()
     state, post = simulator.postselect_accuracy_zero(state)
     # labels passed inline: an (E,) array kept alive here pins the heap through the vote below
     simulator.apply_classifier(state, predict_many(family, decode_all(grid), query[None, :])[:, 0])

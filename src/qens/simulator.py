@@ -40,6 +40,7 @@ from . import prng
 
 DEFAULT_QUBIT_CAP = 26
 _ATOL = 1e-12
+_NORM_CHUNK = 1 << 16  # amplitudes squared at a time by EnsembleState.norm
 
 
 class QubitCapError(RuntimeError):
@@ -109,7 +110,19 @@ class EnsembleState:
         return self.amplitudes.reshape(lay.model_count, 2, 2, lay.count_values)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.square(self.amplitudes))))
+        """sqrt(sum(a^2)) with the bits of np.sum(np.square(a)), one chunk squared at a time.
+
+        numpy's pairwise sum splits a power-of-two length at exact halves,
+        so summing power-of-two chunks and pairing the chunk sums
+        reproduces it; adding the chunk sums in sequence would not.
+        """
+        a = self.amplitudes
+        buf = np.empty(min(a.size, _NORM_CHUNK))
+        starts = range(0, a.size, buf.size)
+        sums = np.array([np.sum(np.square(a[s : s + buf.size], out=buf)) for s in starts])
+        while sums.size > 1:
+            sums = sums[0::2] + sums[1::2]
+        return float(np.sqrt(sums[0]))
 
     def parameter_distribution(self) -> np.ndarray:
         """Probability of each parameter basis state, shape (E,)."""

@@ -19,6 +19,12 @@ grid, where the pair weights cancel exactly).
 All reductions over the grid go through tree_sum, a fixed-shape pairwise
 reduction.  Its result depends only on the operand array, never on chunk
 or thread boundaries, which is what makes repeated runs byte identical.
+signed_tree_sum is a bit-exact evaluation of tree_sum for the case where
+every term is +-w_theta, a weight times a classifier sign: tree_sum's
+first three levels pair only inside aligned groups of 8 models, so one
+table of the 256 signed sums per group, indexed by the group's packed
+sign bits, gives its level-3 array with the same additions in the same
+order, and tree_sum reduces the rest.
 """
 
 from __future__ import annotations
@@ -78,6 +84,52 @@ def tree_sum(values: np.ndarray, axis: int = 0):
         arr = head if m == arr.shape[0] else np.concatenate([head, arr[-1:]], axis=0)
     out = arr[0]
     return float(out) if out.ndim == 0 else out
+
+
+_GROUP = 8  # rows per packed sign byte: tree_sum's first three levels pair only inside them
+
+
+def signed_sum_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every signed sum of each aligned group of 8 weights, for signed_tree_sum.
+
+    Returns the (G, 256) table of the G = E // 8 full groups and the E % 8
+    tail weights.  Entry b of group g is tree_sum's level-3 value for
+    signs s_j = -1 where bit j of b is set: the terms +-w are paired in
+    the same order with the same additions, so each entry has its bits.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    full = w.shape[0] - w.shape[0] % _GROUP
+    # level 0 is (+w, -w) per row; each level adds neighbour pairs as tree_sum does,
+    # the second of a pair indexing the high half of the new entries
+    table = np.stack([w[:full], -w[:full]], axis=1).reshape(full // _GROUP, _GROUP, 2)
+    while table.shape[1] > 1:
+        g, rows, n = table.shape
+        table = (table[:, 0::2, None, :] + table[:, 1::2, :, None]).reshape(g, rows // 2, n * n)
+    return table[:, 0], w[full:]
+
+
+def signed_tree_sum(table: tuple[np.ndarray, np.ndarray], signs: np.ndarray) -> np.ndarray:
+    """tree_sum(w[:, None] * signs, axis=0) bit for bit, for (E, N) int8 signs in
+    {-1, +1}, from the packed sign bits and signed_sum_table(w)."""
+    groups, tail = table
+    signs = np.asarray(signs, dtype=np.int8)
+    full = groups.shape[0] * _GROUP
+    if signs.shape[0] != full + tail.size:
+        raise ValueError("one sign row per weight is required")
+    # a -1 is 0xff and a +1 is 0x01: bit j of a group's row j is set iff its sign is -1
+    neg = signs[:full].view(np.uint8).reshape(groups.shape[0], _GROUP, signs.shape[1])
+    packed = neg[:, 0] >> 7
+    for j in range(1, _GROUP):
+        packed |= neg[:, j] & np.uint8(1 << j)
+    index = packed.astype(np.intp)
+    index += np.arange(0, groups.size, groups.shape[1], dtype=np.intp)[:, None]
+    rows = np.empty((groups.shape[0] + (tail.size > 0), signs.shape[1]), dtype=np.float64)
+    # every index is in range; mode "raise" would copy through a buffer the size of out
+    np.take(groups.ravel(), index, out=rows[: groups.shape[0]], mode="clip")
+    del index  # freed before tree_sum's levels exist
+    if tail.size:
+        rows[-1] = tree_sum(tail[:, None] * signs[full:].astype(np.float64), axis=0)
+    return tree_sum(rows, axis=0)
 
 
 @dataclass(frozen=True)

@@ -419,6 +419,11 @@ GOLDEN_SHA256 = {
         "fig6_raster.csv": "3e2446c153f70de61f2bf50fd47bdcfac689e08dfba58e1fcb192f53bfc2050a",
         "fig6_summary.json": "5510709b8153a58852282919f0afe0970732f2e68c706bc1570bb52533e47402",
     },
+    "fig6_tail": {
+        "fig6_dataset.csv": "dc85a23a26f42fac8b52af84602d2ce5f9125c036508772f7f1b6e440409c1e5",
+        "fig6_raster.csv": "c0843b42f56989d98cd3540ed0d4a195c4eefcf06107c4b337b5a5dded509340",
+        "fig6_summary.json": "2c24206a5c684e2812921f4be7ae919455467bf8cd8365d627879222e4692be9",
+    },
 }
 
 
@@ -438,6 +443,8 @@ def test_criterion_10_byte_determinism(tmp_path):
             {"grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 8}},
         ),
         "fig6_blocks": ("fig6", {"values_per_parameter": 26, "raster_step": 0.5}),
+        # 9,261 models: 1,157 packed sign groups and a tail of 5
+        "fig6_tail": ("fig6", {"values_per_parameter": 21, "raster_step": 0.5}),
     }
     identical = True
     golden = True

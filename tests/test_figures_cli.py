@@ -160,7 +160,7 @@ def test_oversized_grid_is_cap_error(tmp_path, monkeypatch):
 
 def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
     # 26 qubits: a 512 MiB real statevector.  2 GiB of address space is
-    # enough; under 1 GiB an allocation fails and must exit 4, not 1
+    # enough; under 640 MiB the statevector allocation fails and must exit 4, not 1
     pair = {"mu_minus": -1.0, "sigma_minus": 0.5, "mu_plus": 1.0, "sigma_plus": 0.5}
     cfg = write_config(
         tmp_path,
@@ -189,7 +189,7 @@ def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
     done = grover(2 << 30)
     assert done.returncode == cli.EXIT_OK, done.stderr
     assert json.loads((tmp_path / "out" / "grover_summary.json").read_text())["ok"]
-    refused = grover(1 << 30)
+    refused = grover(640 << 20)
     assert refused.returncode == cli.EXIT_CAP, refused.stderr
     assert "Traceback" not in refused.stderr
     assert "out of memory" in refused.stderr
@@ -238,6 +238,16 @@ def test_fig6_lattice_over_model_cap_is_cap_error(tmp_path, monkeypatch):
     monkeypatch.setattr(figures, "correct_counts", refuse)
     cfg = write_config(tmp_path, {"values_per_parameter": 65})
     assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+
+
+def test_fig2_over_size_cap_is_cap_error(tmp_path, monkeypatch):
+    # the cap is checked before any curve: each is quadratic in max_size
+    def refuse(*args):
+        raise AssertionError("curve computed before the cap check")
+
+    monkeypatch.setattr(figures.committee, "condorcet_curve", refuse)
+    cfg = write_config(tmp_path, {"max_size": figures.FIG2_SIZE_CAP + 2})
+    assert run_cli("fig2", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
 
 
 @pytest.mark.parametrize(

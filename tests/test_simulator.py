@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qens import simulator
 from qens.model import (
     Dataset,
     ParameterGrid,
@@ -398,6 +399,21 @@ def test_grover_matches_dense_reference(param_bits):
             else:
                 assert np.allclose(state.amplitudes, want_amps.real, rtol=0.0, atol=1e-12)
                 assert report.marked_probability == pytest.approx(want_p, abs=1e-12)
+
+
+@pytest.mark.parametrize("qubits", range(1, 23))
+def test_norm_is_numpy_sum_bit_for_bit(qubits):
+    # chunk sums paired as numpy's pairwise sum pairs its halves; a state
+    # of one qubit has no register layout, only the length matters here
+    state = EnsembleState.__new__(EnsembleState)
+    state.amplitudes = np.random.default_rng(qubits).normal(size=1 << qubits)
+    assert state.norm() == float(np.sqrt(np.sum(np.square(state.amplitudes))))
+
+
+def test_norm_memory_bound(peak_bytes):
+    # one squared chunk, never a squared copy of the 32 MiB state
+    state = prepare_uniform(RegisterLayout(20, 2))
+    assert peak_bytes(state.norm) <= 8 * simulator._NORM_CHUNK + (64 << 10)
 
 
 def test_grover_memory_bound(peak_bytes):

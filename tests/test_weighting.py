@@ -16,6 +16,8 @@ from qens.weighting import (
     WeightScheme,
     effective_expectation,
     ensemble_decide,
+    signed_sum_table,
+    signed_tree_sum,
     tree_sum,
     vote,
     weights_for,
@@ -51,6 +53,57 @@ def test_tree_sum_close_to_fsum(vals):
     got = tree_sum(arr)
     want = math.fsum(vals)
     assert abs(got - want) <= 1e-12 * max(1.0, float(np.sum(np.abs(arr))))
+
+
+# --- signed_tree_sum ------------------------------------------------------------
+
+def random_signs(rng, e: int, n: int) -> np.ndarray:
+    return np.where(rng.random((e, n)) < 0.5, 1, -1).astype(np.int8)
+
+
+@pytest.mark.parametrize("n", [1, 17])
+@pytest.mark.parametrize("e", [*range(1, 81), 17_576, 1 << 18])
+def test_signed_tree_sum_is_tree_sum_bit_for_bit(e, n):
+    # accuracy-like weights with zeros, so the -1 signs give -0.0 terms
+    rng = np.random.default_rng(e * 31 + n)
+    w = rng.integers(0, 50, e) / 49.0
+    w[::7] = 0.0
+    s = random_signs(rng, e, n)
+    want = tree_sum(w[:, None] * s.astype(np.float64), axis=0)
+    assert signed_tree_sum(signed_sum_table(w), s).tobytes() == want.tobytes()
+
+
+def test_signed_tree_sum_keeps_negative_zero():
+    w = np.zeros(11)
+    got = signed_tree_sum(signed_sum_table(w), np.full((11, 3), -1, dtype=np.int8))
+    assert np.all(got == 0.0) and np.all(np.signbit(got))
+
+
+def test_signed_tree_sum_needs_one_sign_row_per_weight():
+    with pytest.raises(ValueError):
+        signed_tree_sum(signed_sum_table(np.ones(9)), np.ones((8, 2), dtype=np.int8))
+
+
+def test_signed_sum_table_memory_bound(peak_bytes):
+    # built level by level: the 256-entry level and the 16-entry level it
+    # comes from, never a (G, 8, 256) product
+    e = 1 << 18
+    w = np.random.default_rng(3).integers(0, 50, e) / 49.0
+    table_bytes = signed_sum_table(w)[0].nbytes
+    assert table_bytes == 256 * 8 * (e // 8)
+    assert peak_bytes(signed_sum_table, w) <= 2 * table_bytes + 64 * e
+
+
+def test_signed_tree_sum_chunk_memory_bound(peak_bytes):
+    # one 256-point chunk: the packed bytes, their gather index, the level-3
+    # rows and tree_sum's levels above them, at most half of the E x 256
+    # float64 product that tree_sum used to be given
+    e, n = 1 << 18, 256
+    rng = np.random.default_rng(4)
+    table = signed_sum_table(rng.integers(0, 50, e) / 49.0)
+    s = random_signs(rng, e, n)
+    level3_bytes = (e // 8) * n * 8
+    assert peak_bytes(signed_tree_sum, table, s) <= 4 * level3_bytes < e * n * 8
 
 
 # --- weight functions ---------------------------------------------------------
