@@ -45,24 +45,21 @@ class BlobSpec:
         return len(self.mean_minus)
 
 
-def _class_samples(
-    seed: int, lane: int, mean: tuple[float, ...], sigma: float, count: int
-) -> np.ndarray:
-    dim = len(mean)
-    key = prng.derive_key(seed, lane)
-    z = prng.normals(key, count * dim).reshape(count, dim)
-    return np.asarray(mean, dtype=np.float64)[None, :] + sigma * z
+def _two_classes(seed: int, per_class: int, minus: tuple, plus: tuple) -> Dataset:
+    """per_class samples of each class's (mean, sigma); class -1 rows first."""
+    parts = []
+    for lane, (mean, sigma) in ((_LANE_MINUS, minus), (_LANE_PLUS, plus)):
+        dim = len(mean)
+        z = prng.normals(prng.derive_key(seed, lane), per_class * dim).reshape(per_class, dim)
+        parts.append(np.asarray(mean, dtype=np.float64)[None, :] + sigma * z)
+    y = np.repeat(np.array([-1, 1], dtype=np.int64), per_class)
+    return Dataset(np.concatenate(parts, axis=0), y)
 
 
 def gaussian_blobs(spec: BlobSpec) -> Dataset:
     """Balanced two-class blob dataset; class -1 rows first."""
-    x_minus = _class_samples(spec.seed, _LANE_MINUS, spec.mean_minus, spec.sigma, spec.per_class)
-    x_plus = _class_samples(spec.seed, _LANE_PLUS, spec.mean_plus, spec.sigma, spec.per_class)
-    x = np.concatenate([x_minus, x_plus], axis=0)
-    y = np.concatenate(
-        [np.full(spec.per_class, -1, dtype=np.int64), np.full(spec.per_class, 1, dtype=np.int64)]
-    )
-    return Dataset(x, y)
+    minus, plus = (spec.mean_minus, spec.sigma), (spec.mean_plus, spec.sigma)
+    return _two_classes(spec.seed, spec.per_class, minus, plus)
 
 
 def gaussian_1d_pair(
@@ -78,10 +75,5 @@ def gaussian_1d_pair(
         raise ValueError("standard deviations must be positive")
     if per_class < 1:
         raise ValueError("per_class must be at least 1")
-    x_minus = _class_samples(seed, _LANE_MINUS, (float(mu_minus),), sigma_minus, per_class)
-    x_plus = _class_samples(seed, _LANE_PLUS, (float(mu_plus),), sigma_plus, per_class)
-    x = np.concatenate([x_minus, x_plus], axis=0)
-    y = np.concatenate(
-        [np.full(per_class, -1, dtype=np.int64), np.full(per_class, 1, dtype=np.int64)]
-    )
-    return Dataset(x, y)
+    minus, plus = ((float(mu_minus),), sigma_minus), ((float(mu_plus),), sigma_plus)
+    return _two_classes(seed, per_class, minus, plus)

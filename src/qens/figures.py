@@ -23,7 +23,7 @@ import numpy as np
 from . import analytic, committee, simulator, weighting
 from .datagen import BlobSpec, gaussian_1d_pair, gaussian_blobs
 from .model import Dataset, ModelFamily, ParameterGrid, correct_counts, decode_all
-from .model import grid_accuracies, grid_correct_counts, predict_many
+from .model import grid_accuracies, grid_correct_counts, lattice, predict_many
 from .svgplot import render_curves
 
 _CHUNK = 256
@@ -333,12 +333,6 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
     )
 
 
-def _lattice(ticks: np.ndarray, dims: int) -> np.ndarray:
-    """Every point of ticks^dims as rows, the last coordinate varying fastest."""
-    grids = np.meshgrid(*([ticks] * dims), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Accuracy-weighted committee of 2D linear separators on two blobs,
     rasterized over the plane."""
@@ -355,7 +349,7 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     lo, hi, step = values["raster_lo"], values["raster_hi"], values["raster_step"]
     if not (step > 0.0 and 0.0 <= hi - lo < math.inf):
         raise ConfigError("raster needs raster_step > 0 and finite raster_lo <= raster_hi")
-    # counted before the meshgrid is allocated; min() keeps round() finite
+    # counted before the raster is allocated; min() keeps round() finite
     ticks_per_axis = round(min((hi - lo) / step, RASTER_POINT_CAP)) + 1
     if ticks_per_axis**2 > RASTER_POINT_CAP:
         raise weighting.EnumerationCapError(f"raster has over {RASTER_POINT_CAP} points")
@@ -364,7 +358,7 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     dataset = gaussian_blobs(spec)
     family = ModelFamily("perceptron", 2)
     ticks = np.linspace(*values["parameter_interval"], values["values_per_parameter"])
-    thetas = _lattice(ticks, family.parameter_count)
+    thetas = lattice([ticks] * family.parameter_count)
     acc = correct_counts(family, thetas, dataset) / float(len(dataset))
     table = weighting.signed_sum_table(acc)
 
@@ -374,7 +368,7 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
 
         return np.concatenate(_chunk_map(chunk, points.shape[0], threads))
 
-    raster_points = _lattice(lo + step * np.arange(ticks_per_axis), 2)
+    raster_points = lattice([lo + step * np.arange(ticks_per_axis)] * 2)
     raster_scores = scores_at(raster_points)
     raster_labels = np.where(raster_scores >= 0, 1, -1)
 
@@ -402,7 +396,8 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
         if d < crossing_dist:
             crossing_dist, crossing_point = d, pt
 
-    near = np.linalg.norm(raster_points - midpoint[None, :], axis=1) <= 0.3
+    dist = np.linalg.norm(raster_points - midpoint[None, :], axis=1)
+    near = dist <= 0.3
     near_min_idx = int(np.argmin(np.abs(raster_scores[near])))
     near_min_point = raster_points[near][near_min_idx]
 
@@ -418,9 +413,7 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
         "score_at_mean_plus": float(mean_scores[1]),
         "crossing_distance_to_midpoint": crossing_dist,
         "crossing_point": None if crossing_point is None else [float(v) for v in crossing_point],
-        "abs_score_at_midpoint": float(
-            np.abs(raster_scores[np.argmin(np.linalg.norm(raster_points - midpoint[None, :], axis=1))])
-        ),
+        "abs_score_at_midpoint": float(np.abs(raster_scores[np.argmin(dist)])),
         "near_min_point": [float(v) for v in near_min_point],
         "near_min_distance_to_midpoint": float(np.linalg.norm(near_min_point - midpoint)),
     }
@@ -444,35 +437,28 @@ def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
         analytic.ClassDensity.gaussian(mu_m, s_m), analytic.ClassDensity.gaussian(mu_p, s_p)
     )
     dec = analytic.boundary_decomposition(problem, query)
-    prefix = f"fig7_ex{example}"
-
-    write_curve_csv(
-        out / f"{prefix}_densities.csv",
-        "x",
-        [
-            ("g_minus", dec.w0, np.asarray(problem.minus.pdf(dec.w0))),
-            ("g_plus", dec.w0, np.asarray(problem.plus.pdf(dec.w0))),
-        ],
-    )
-    write_curve_csv(
-        out / f"{prefix}_classification.csv",
-        "w0",
-        [("f_orient_pos", dec.w0, dec.output_pos), ("f_orient_neg", dec.w0, dec.output_neg)],
-    )
-    write_curve_csv(
-        out / f"{prefix}_accuracy.csv",
-        "w0",
-        [("a_orient_pos", dec.w0, dec.accuracy_pos), ("a_orient_neg", dec.w0, dec.accuracy_neg)],
-    )
-    write_curve_csv(
-        out / f"{prefix}_product.csv",
-        "w0",
-        [
-            ("product_orient_pos", dec.w0, dec.product_pos),
-            ("product_orient_neg", dec.w0, dec.product_neg),
-            ("integrand", dec.w0, dec.integrand),
-        ],
-    )
+    curves = [  # (file suffix, x name, [(series label, values at dec.w0)])
+        ("densities", "x", [
+            ("g_minus", problem.minus.pdf(dec.w0)),
+            ("g_plus", problem.plus.pdf(dec.w0)),
+        ]),
+        ("classification", "w0", [
+            ("f_orient_pos", dec.output_pos),
+            ("f_orient_neg", dec.output_neg),
+        ]),
+        ("accuracy", "w0", [
+            ("a_orient_pos", dec.accuracy_pos),
+            ("a_orient_neg", dec.accuracy_neg),
+        ]),
+        ("product", "w0", [
+            ("product_orient_pos", dec.product_pos),
+            ("product_orient_neg", dec.product_neg),
+            ("integrand", dec.integrand),
+        ]),
+    ]
+    outputs = [f"fig7_ex{example}_{suffix}.csv" for suffix, _, _ in curves]
+    for name, (_, x_name, series) in zip(outputs, curves):
+        write_curve_csv(out / name, x_name, [(label, dec.w0, ys) for label, ys in series])
 
     expectation = analytic.expectation_quadrature(problem, query)
     integral = analytic.integrate_decomposition(dec)
@@ -507,12 +493,6 @@ def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
         "accuracy_asymmetry": asym,
         "query": query,
     }
-    outputs = [
-        f"{prefix}_densities.csv",
-        f"{prefix}_classification.csv",
-        f"{prefix}_accuracy.csv",
-        f"{prefix}_product.csv",
-    ]
     return _summary("fig7", cfg, outputs, metrics, checks)
 
 

@@ -19,8 +19,9 @@ A ParameterGrid discretizes each parameter interval into 2**bits evenly
 spaced values (endpoints included) and identifies the grid with basis
 indices 0 .. 2**(bits * P) - 1, most significant parameter first.  That
 index space is what both the exhaustive committee vote and the simulated
-register use, so decode_theta is the single source of truth for the
-index -> parameter map.
+register use.  decode_theta defines the index -> parameter map by bit
+slicing; decode_all is its lattice form, the Cartesian product of the
+per-parameter ticks, and tests hold it to decode_theta row by row.
 
 Datasets are in-memory float64 matrices with labels in {-1, +1} and
 round-trip through a strict CSV format (header x1,...,xN,y, label
@@ -203,16 +204,20 @@ def decode_theta(index: int, grid: ParameterGrid) -> np.ndarray:
     return out
 
 
+def lattice(axes: list[np.ndarray]) -> np.ndarray:
+    """Every point of the Cartesian product of 1-D tick arrays as rows of one
+    (prod n_i, d) float64 array, the last axis varying fastest."""
+    d = len(axes)
+    out = np.empty([len(a) for a in axes] + [d], dtype=np.float64)
+    for j, ticks in enumerate(axes):
+        out[..., j] = np.reshape(ticks, [-1 if k == j else 1 for k in range(d)])
+    return out.reshape(-1, d)
+
+
 def decode_all(grid: ParameterGrid) -> np.ndarray:
     """All grid parameter vectors as an (E, P) matrix, row i = decode_theta(i)."""
-    indices = np.arange(grid.size, dtype=np.int64)
-    mask = (1 << grid.bits) - 1
-    p = grid.parameter_count
-    out = np.empty((grid.size, p), dtype=np.float64)
-    for j, (lo, hi) in enumerate(grid.intervals):
-        ticks = (indices >> (grid.bits * (p - 1 - j))) & mask
-        out[:, j] = _tick_values(lo, hi, grid.bits, ticks.astype(np.float64))
-    return out
+    ticks = np.arange(2**grid.bits)
+    return lattice([_tick_values(lo, hi, grid.bits, ticks) for lo, hi in grid.intervals])
 
 
 class Dataset:

@@ -424,6 +424,14 @@ GOLDEN_SHA256 = {
         "fig6_raster.csv": "c0843b42f56989d98cd3540ed0d4a195c4eefcf06107c4b337b5a5dded509340",
         "fig6_summary.json": "2c24206a5c684e2812921f4be7ae919455467bf8cd8365d627879222e4692be9",
     },
+    "classify_mlp2": {
+        "classify_report.json": "f9a263405504cc327c9e35e3d0e6927f300565c145793c98f9f7d35853060d06",
+        "classify_summary.json": "f9a263405504cc327c9e35e3d0e6927f300565c145793c98f9f7d35853060d06",
+    },
+    "classify_log_odds": {
+        "classify_report.json": "106070fdfb228bfbb7c595d2863ff6d321d6d20966551f4f8658180dfbd4d57b",
+        "classify_summary.json": "106070fdfb228bfbb7c595d2863ff6d321d6d20966551f4f8658180dfbd4d57b",
+    },
 }
 
 
@@ -445,6 +453,31 @@ def test_criterion_10_byte_determinism(tmp_path):
         "fig6_blocks": ("fig6", {"values_per_parameter": 26, "raster_step": 0.5}),
         # 9,261 models: 1,157 packed sign groups and a tail of 5
         "fig6_tail": ("fig6", {"values_per_parameter": 21, "raster_step": 0.5}),
+        # 2^16 models on an 8-parameter lattice: mlp2's tanh layers
+        "classify_mlp2": (
+            "classify",
+            {
+                "family": {"kind": "mlp2", "input_dim": 1, "hidden": [2, 2]},
+                "grid": {"intervals": [[-1.0, 1.0]] * 8, "bits": 2},
+            },
+        ),
+        # overlapping classes keep every accuracy below 1, so log-odds stay finite
+        "classify_log_odds": (
+            "classify",
+            {
+                "scheme": "log_odds",
+                "dataset": {
+                    "pair": {
+                        "mu_minus": -0.5,
+                        "sigma_minus": 1.0,
+                        "mu_plus": 0.5,
+                        "sigma_plus": 1.0,
+                        "per_class": 12,
+                        "seed": 5,
+                    }
+                },
+            },
+        ),
     }
     identical = True
     golden = True

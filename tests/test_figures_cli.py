@@ -195,6 +195,31 @@ def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
     assert "out of memory" in refused.stderr
 
 
+def test_classify_at_qubit_cap_under_address_space_limit(tmp_path):
+    # bits 12: 2^24 models and 26 qubits.  Under 640 MiB of address space the
+    # classical tables or the 512 MiB statevector cannot be allocated; that
+    # must exit 4 with a message, not 1 with a traceback or -9
+    cfg = write_config(tmp_path, {"grid": {"intervals": [[-1, 1], [-1, 1]], "bits": 12}})
+    src = str(Path(qens.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+
+    def limit():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (640 << 20, 640 << 20))
+
+    argv = ["classify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    refused = subprocess.run(
+        [sys.executable, "-m", "qens.cli", *argv],
+        env=env,
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert refused.returncode == cli.EXIT_CAP, refused.stderr
+    assert "Traceback" not in refused.stderr
+    assert "out of memory" in refused.stderr
+
+
 @pytest.mark.parametrize(
     ("scheme", "x"),
     [("log_odds", [[-2.0], [0.5]]), ("effective_centered", [[0.0], [0.0]])],

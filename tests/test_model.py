@@ -15,6 +15,7 @@ from qens.model import (
     decode_theta,
     grid_accuracies,
     grid_correct_counts,
+    lattice,
     mlp_two_hidden,
     perceptron,
     predict_many,
@@ -134,10 +135,46 @@ def test_decode_msb_first_parameter_packing():
 
 
 def test_decode_all_matches_decode_theta():
-    grid = ParameterGrid(((-1.0, 2.0), (0.5, 1.5)), 3)
-    table = decode_all(grid)
-    for i in range(grid.size):
-        assert np.array_equal(table[i], decode_theta(i, grid))
+    for grid in (
+        ParameterGrid(((-1.0, 2.0), (0.5, 1.5)), 3),
+        ParameterGrid(((-2.5, 7.25), (0.1, 0.3), (-3.0, -1.0 / 3.0)), 2),  # asymmetric
+    ):
+        table = decode_all(grid)
+        assert table.shape == (grid.size, grid.parameter_count)
+        for i in range(grid.size):
+            assert table[i].tobytes() == decode_theta(i, grid).tobytes()
+
+
+def _meshgrid_lattice(axes):
+    # the enumeration fig6 used before lattice(): meshgrid copies, then stack
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [np.linspace(-1.0, 1.0, 20)] * 3,
+        [np.linspace(-1.0, 1.0, 21)] * 3,
+        [np.linspace(-1.0, 1.0, 64)] * 3,
+        [-2.0 + 0.025 * np.arange(161)] * 2,
+        [np.array([0.5]), np.array([-0.0, 0.0, 3.0]), np.array([1.0, 2.0])],
+    ],
+    ids=["fig6_20", "fig6_21", "fig6_64", "raster_161", "uneven"],
+)
+def test_lattice_matches_meshgrid(axes):
+    rows = lattice(axes)
+    expected = _meshgrid_lattice(axes)
+    assert rows.dtype == np.float64 and rows.flags.c_contiguous
+    assert rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
+
+
+def test_decode_all_memory_bound(peak_bytes):
+    # one (E, P) float64 output filled column by column from the ticks; the
+    # index-arithmetic form held E-length int64 and float64 temporaries too
+    grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 10)
+    assert peak_bytes(decode_all, grid) <= grid.size * 2 * 8 + (64 << 10)
 
 
 def test_grid_validation():
