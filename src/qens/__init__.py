@@ -22,7 +22,6 @@ from .analytic import (
 from .committee import (
     condorcet_curve,
     condorcet_error,
-    lam_suen_improves,
     odds_ratio,
 )
 from .datagen import BlobSpec, gaussian_1d_pair, gaussian_blobs

@@ -20,8 +20,8 @@ classes, the closed form E(x) = 2*gamma_minus(x) - 2*gamma_plus(x) built
 from the erf antiderivative gamma (see gamma_antiderivative).  E is
 positive where the committee votes +1; its zero is the decision boundary.
 
-Class densities come in four families (gaussian, box, laplace, cauchy),
-each with exact closed-form pdf and cdf.  erf itself comes from the
+Class densities come in three families (gaussian, box, laplace), each
+with exact closed-form pdf and cdf.  erf itself comes from the
 platform's correctly rounded libm via numpy/scipy.
 """
 
@@ -38,11 +38,8 @@ from scipy.special import erf
 GAUSSIAN = "gaussian"
 BOX = "box"
 LAPLACE = "laplace"
-CAUCHY = "cauchy"
 
 _TAIL_SCALES = 12.0
-_CAUCHY_TAIL_TOL = 1e-10
-_CAUCHY_MAX_SCALES = float(1 << 34)
 DEFAULT_TAIL_TOL = 1e-5
 
 
@@ -63,7 +60,7 @@ class ClassDensity:
     scale: float
 
     def __post_init__(self) -> None:
-        if self.kind not in (GAUSSIAN, BOX, LAPLACE, CAUCHY):
+        if self.kind not in (GAUSSIAN, BOX, LAPLACE):
             raise ValueError(f"unknown density kind {self.kind!r}")
         if not (math.isfinite(self.loc) and math.isfinite(self.scale)):
             raise ValueError("loc and scale must be finite")
@@ -82,20 +79,14 @@ class ClassDensity:
     def laplace(cls, mu: float, b: float) -> "ClassDensity":
         return cls(LAPLACE, float(mu), float(b))
 
-    @classmethod
-    def cauchy(cls, mu: float, gamma: float) -> "ClassDensity":
-        return cls(CAUCHY, float(mu), float(gamma))
-
     def pdf(self, x):
         z = (np.asarray(x, dtype=np.float64) - self.loc) / self.scale
         if self.kind == GAUSSIAN:
             out = np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi))
         elif self.kind == BOX:
             out = np.where(np.abs(z) <= 0.5, 1.0 / self.scale, 0.0)
-        elif self.kind == LAPLACE:
-            out = np.exp(-np.abs(z)) / (2.0 * self.scale)
         else:
-            out = 1.0 / (math.pi * self.scale * (1.0 + z * z))
+            out = np.exp(-np.abs(z)) / (2.0 * self.scale)
         return out if out.ndim else float(out)
 
     def cdf(self, x):
@@ -104,10 +95,8 @@ class ClassDensity:
             out = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
         elif self.kind == BOX:
             out = np.clip(z + 0.5, 0.0, 1.0)
-        elif self.kind == LAPLACE:
-            out = np.where(z < 0, 0.5 * np.exp(-np.abs(z)), 1.0 - 0.5 * np.exp(-np.abs(z)))
         else:
-            out = 0.5 + np.arctan(z) / math.pi
+            out = np.where(z < 0, 0.5 * np.exp(-np.abs(z)), 1.0 - 0.5 * np.exp(-np.abs(z)))
         return out if out.ndim else float(out)
 
     def breakpoints(self) -> tuple[float, ...]:
@@ -132,10 +121,6 @@ class DecisionProblem1D:
     @property
     def mean_midpoint(self) -> float:
         return 0.5 * (self.minus.loc + self.plus.loc)
-
-    @property
-    def has_heavy_tail(self) -> bool:
-        return CAUCHY in (self.minus.kind, self.plus.kind)
 
 
 def accuracy_continuous(problem: DecisionProblem1D, w0, orientation: int):
@@ -164,32 +149,11 @@ def _signed_cdf_gap(problem: DecisionProblem1D, w):
 
 
 def _cut_points(problem: DecisionProblem1D) -> tuple[float, float]:
+    """The truncation window: _TAIL_SCALES of the wider class past each mean."""
     lo_loc = min(problem.minus.loc, problem.plus.loc)
     hi_loc = max(problem.minus.loc, problem.plus.loc)
-    s = problem.max_scale
-    k = _TAIL_SCALES
-    if problem.has_heavy_tail:
-        # arctan tails decay polynomially; widen until the first-order
-        # tail-integral estimate |gap| * distance is below tolerance.  A
-        # matched-scale pair decays like 1/w^2 so the estimate shrinks;
-        # mismatched scales leave a 1/w term whose tail integral diverges
-        # and the estimate plateaus, tripping the cap.
-        mid = problem.mean_midpoint
-        while True:
-            lo, hi = lo_loc - k * s, hi_loc + k * s
-            est = max(
-                abs(_signed_cdf_gap(problem, lo)) * (mid - lo),
-                abs(_signed_cdf_gap(problem, hi)) * (hi - mid),
-            )
-            if est < _CAUCHY_TAIL_TOL:
-                return lo, hi
-            if k > _CAUCHY_MAX_SCALES:
-                raise QuadratureError(
-                    "heavy-tail committee score integral does not converge "
-                    "(scale mismatch leaves a non-integrable 1/w tail)"
-                )
-            k *= 2.0
-    return lo_loc - k * s, hi_loc + k * s
+    k = _TAIL_SCALES * problem.max_scale
+    return lo_loc - k, hi_loc + k
 
 
 def _quad_piecewise(fn, lo: float, hi: float, inner: list[float]) -> float:
@@ -203,23 +167,6 @@ def _quad_piecewise(fn, lo: float, hi: float, inner: list[float]) -> float:
             val, _ = quad(fn, a, b, limit=200)
             total += val
     return total
-
-
-def _tail_ladder(problem: DecisionProblem1D, lo: float, hi: float) -> list[float]:
-    """Geometric split points for wide heavy-tail domains so no single
-    quadrature segment spans many decades."""
-    if not problem.has_heavy_tail:
-        return []
-    mid = problem.mean_midpoint
-    ladder = []
-    r = 2.0 * _TAIL_SCALES * problem.max_scale
-    while mid + r < hi or mid - r > lo:
-        if mid + r < hi:
-            ladder.append(mid + r)
-        if mid - r > lo:
-            ladder.append(mid - r)
-        r *= 2.0
-    return ladder
 
 
 def expectation_quadrature(
@@ -236,11 +183,7 @@ def expectation_quadrature(
             f"integrand at the truncation cutoffs is {max(gap_lo, gap_hi):.3g}, "
             f"above the tolerance {tail_tol:.3g}"
         )
-    inner = [
-        *problem.minus.breakpoints(),
-        *problem.plus.breakpoints(),
-        *_tail_ladder(problem, lo, hi),
-    ]
+    inner = [*problem.minus.breakpoints(), *problem.plus.breakpoints()]
     fn = lambda w: _signed_cdf_gap(problem, w)
     left = _quad_piecewise(fn, lo, x, inner) if x > lo else 0.0
     right = _quad_piecewise(fn, x, hi, inner) if x < hi else 0.0
@@ -310,11 +253,15 @@ def default_decomposition_grid(problem: DecisionProblem1D, x_query: float) -> np
     comfortable factor under 1e-4 for the worked examples; 0.025 would
     land just above it."""
     h = 0.0125
-    s = problem.max_scale
-    lo = min(problem.minus.loc, problem.plus.loc) - _TAIL_SCALES * s
-    hi = max(problem.minus.loc, problem.plus.loc) + _TAIL_SCALES * s
-    k_lo = math.floor((lo - x_query) / h)
-    k_hi = math.ceil((hi - x_query) / h)
+    lo, hi = _cut_points(problem)
+    # the query is the node k = 0, inside [floor(q_lo), ceil(q_hi)] exactly
+    # when q_lo < 1 and q_hi > -1, i.e. lo - h < x < hi + h.  NaN fails the
+    # test, and so does an infinite quotient, before floor or ceil can raise
+    q_lo, q_hi = (lo - x_query) / h, (hi - x_query) / h
+    if not (q_lo < 1.0 and q_hi > -1.0):
+        raise ValueError(f"query {x_query!r} is outside the truncation window [{lo}, {hi}]")
+    k_lo = math.floor(q_lo)
+    k_hi = math.ceil(q_hi)
     return x_query + h * np.arange(k_lo, k_hi + 1, dtype=np.float64)
 
 

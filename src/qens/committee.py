@@ -51,15 +51,3 @@ def odds_ratio(a: float) -> float:
         raise ValueError("odds ratio needs accuracy in [0, 1)")
     return a / (1.0 - a)
 
-
-def lam_suen_improves(a1: float, a2: float, ensemble_accuracies) -> bool:
-    """Whether adding two members of accuracies a1, a2 cannot hurt a
-    majority committee: their joint odds must reach the best member's odds."""
-    members = tuple(float(a) for a in ensemble_accuracies)
-    if not members:
-        raise ValueError("the committee must have at least one member")
-    for a in (a1, a2, *members):
-        if not 0.0 < a < 1.0:
-            raise ValueError("accuracies must lie strictly between 0 and 1")
-    joint = odds_ratio(a1) * odds_ratio(a2)
-    return joint >= max(odds_ratio(a) for a in members)

@@ -31,6 +31,8 @@ _CHUNK = 256
 RASTER_POINT_CAP = 1 << 20
 FIG6_MODEL_CAP = 1 << 18  # fig6 lattice models: 64 values per parameter, cubed
 FIG2_SIZE_CAP = 1 << 14  # fig2 committee size: each curve's cost grows with its square
+# grover iterations: the default floor(pi/4 sqrt(E/K)) is at most 2274 under the qubit cap
+GROVER_ITERATION_CAP = 1 << 12
 
 DEFAULTS: dict[str, dict] = {
     "fig2": {"p_list": [0.45, 0.5, 0.55, 0.6, 0.7], "max_size": 1001},
@@ -605,8 +607,10 @@ def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
         cfg, family=_family, grid=_grid, iterations=_optional(int)
     ).values()
     dataset = dataset_from_config(cfg["dataset"])
-    # cap check before enumerating the grid
+    # cap checks before enumerating the grid
     simulator.RegisterLayout(grid.total_bits, simulator.count_bits_for(len(dataset)))
+    if iterations is not None and iterations > GROVER_ITERATION_CAP:
+        raise weighting.EnumerationCapError(f"grover iterations are over {GROVER_ITERATION_CAP}")
     counts = grid_correct_counts(family, grid, dataset)
     state, report = simulator.grover_amplify_counts(counts, len(dataset), iterations)
     norm = state.norm()

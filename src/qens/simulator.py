@@ -130,14 +130,15 @@ class EnsembleState:
         return probs.sum(axis=(1, 2, 3))
 
     def accuracy_zero_probabilities(self) -> np.ndarray:
-        """P(accuracy qubit = |0> conditioned on each parameter state)."""
-        probs = np.square(self.view())
-        per_model = probs.sum(axis=(1, 2, 3))
-        zero_branch = probs[:, :, 0, :].sum(axis=(1, 2))
+        """P(accuracy qubit = |0> conditioned on each parameter state).
+
+        The two accuracy branches are squared one at a time, so at most a
+        half-state temporary is live."""
+        view = self.view()
+        zero_branch = np.square(view[:, :, 0, :]).sum(axis=(1, 2))
+        per_model = zero_branch + np.square(view[:, :, 1, :]).sum(axis=(1, 2))
         out = np.full(self.layout.model_count, np.nan)
-        populated = per_model > 0.0
-        out[populated] = zero_branch[populated] / per_model[populated]
-        return out
+        return np.divide(zero_branch, per_model, out=out, where=per_model > 0.0)
 
 
 def prepare_uniform(layout: RegisterLayout) -> EnsembleState:
@@ -287,14 +288,6 @@ class GroverReport:
     closed_form_probability: float
 
 
-def _marked_probability(view: np.ndarray, marked_values: np.ndarray) -> float:
-    # squared in place over the boolean-mask gather, whose layout fixes the
-    # summation order and so the last bit of the result
-    gathered = view[:, :, :, marked_values]
-    np.square(gathered, out=gathered)
-    return float(np.sum(gathered))
-
-
 def grover_amplify_counts(
     correct_counts: np.ndarray,
     dataset_size: int,
@@ -324,9 +317,7 @@ def grover_amplify_counts(
     amp0 = 1.0 / math.sqrt(e)
     view[support] = amp0
 
-    marked_values = 2 * np.arange(layout.count_values) > m
-    marked_probability = _marked_probability(view, marked_values)
-    k = int(round(e * marked_probability))
+    k = int(np.count_nonzero(2 * counts > m))
     if k == 0:
         raise ValueError("no model is better than chance; nothing to amplify")
     if iterations is None:
@@ -343,7 +334,11 @@ def grover_amplify_counts(
         np.negative(state.amplitudes, out=state.amplitudes)
         view[support] += 2.0 * overlap * amp0
 
-    amplified = _marked_probability(view, marked_values)
+    # squared in place over the boolean-mask gather, whose layout fixes the
+    # summation order and so the last bit of the result
+    gathered = view[:, :, :, 2 * np.arange(layout.count_values) > m]
+    np.square(gathered, out=gathered)
+    amplified = float(np.sum(gathered))
     closed = math.sin((2 * iterations + 1) * math.asin(math.sqrt(k / e))) ** 2
     report = GroverReport(k, e, iterations, math.sqrt(e / k), amplified, closed)
     return state, report

@@ -36,6 +36,8 @@ def render_curves(
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
     x_lo, x_hi = min(xs_all), max(xs_all)
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     y_lo, y_hi = min(ys_all), max(ys_all)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0

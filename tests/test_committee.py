@@ -1,4 +1,4 @@
-"""Majority-vote error and the pair-growth odds condition."""
+"""Majority-vote error and the odds ratio."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qens.committee import (
     condorcet_curve,
     condorcet_error,
-    lam_suen_improves,
     odds_ratio,
 )
 
@@ -81,22 +80,6 @@ def test_odds_ratio_values():
     assert odds_ratio(0.0) == 0.0
     with pytest.raises(ValueError):
         odds_ratio(1.0)
-
-
-def test_pair_growth_condition():
-    # two 0.6 members: joint odds 2.25 beats the best single odds 1.5
-    assert lam_suen_improves(0.6, 0.6, (0.6, 0.6))
-    # boundary case holds with equality
-    assert lam_suen_improves(0.9, 0.5, (0.9, 0.5))
-    # a weak partner drags the pair below the strong member
-    assert not lam_suen_improves(0.95, 0.4, (0.95, 0.4))
-
-
-def test_pair_growth_requires_open_interval():
-    with pytest.raises(ValueError):
-        lam_suen_improves(1.0, 0.6, (0.6,))
-    with pytest.raises(ValueError):
-        lam_suen_improves(0.6, 0.6, (0.0, 0.6))
 
 
 def test_log_space_stability_extreme_sizes():

@@ -2,17 +2,21 @@
 byte determinism."""
 
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qens
-from qens import cli, figures
+from qens import cli, figures, simulator
 from qens.figures import DEFAULTS, ConfigError, dataset_from_config, merged_config, run_command
 
 
@@ -220,6 +224,52 @@ def test_classify_at_qubit_cap_under_address_space_limit(tmp_path):
     assert "out of memory" in refused.stderr
 
 
+def test_grover_iteration_cap(tmp_path, monkeypatch):
+    # the default count floor(pi/4 sqrt(E/K)) is largest at K = 1 and the
+    # widest parameter register the qubit cap leaves beside a 1-qubit count
+    widest = simulator.DEFAULT_QUBIT_CAP - 3
+    assert math.floor(math.pi / 4 * math.sqrt(1 << widest)) <= figures.GROVER_ITERATION_CAP
+    cfg = write_config(tmp_path, {"iterations": figures.GROVER_ITERATION_CAP})
+    assert run_cli("grover", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("grid enumerated before the cap check")
+
+    monkeypatch.setattr(figures, "grid_correct_counts", refuse)
+    cfg = write_config(tmp_path, {"iterations": figures.GROVER_ITERATION_CAP + 1})
+    assert run_cli("grover", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+
+
+@pytest.mark.parametrize(
+    ("query", "code"),
+    [
+        (1e308, 3), (-1e308, 3), (math.inf, 3), (-math.inf, 3), (math.nan, 3),
+        (7.5, 3), (-50.0, 3), (6.9, 0),
+    ],
+)
+def test_fig7_query_outside_the_window_is_domain_error(tmp_path, query, code):
+    # example 1's grid spans [-7, 7] in steps of 0.0125 and must hold the
+    # query as a node; the step counts of the first four overflow floor and ceil
+    cfg = write_config(tmp_path, {"query": query})
+    assert run_cli("fig7", "--out", str(tmp_path), "--config", str(cfg)) == code
+
+
+@pytest.mark.parametrize(
+    ("command", "override"),
+    [("fig4", {"points": 1}), ("fig5", {"points": 1}), ("fig2", {"max_size": 2})],
+)
+def test_single_point_curves_draw_finite_svg(tmp_path, command, override):
+    # every x equal: the zero x span is widened, as a zero y span is, not divided by
+    cfg = write_config(tmp_path, override)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_OK
+    svgs = sorted(tmp_path.glob("*.svg"))
+    assert svgs
+    for svg in svgs:
+        assert "nan" not in svg.read_text()
+
+
 @pytest.mark.parametrize(
     ("scheme", "x"),
     [("log_odds", [[-2.0], [0.5]]), ("effective_centered", [[0.0], [0.0]])],
@@ -312,6 +362,38 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, command, override):
 def test_query_dimension_mismatch_is_usage_error(tmp_path):
     cfg = write_config(tmp_path, {"query": [0.1, 0.2]})
     assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
+
+
+# keys whose defaults make a run slow: always drawn, as small ints, to keep the fuzz fast
+_SIZE_KEYS = {
+    "fig2": ("max_size",),
+    "fig4": ("points",),
+    "fig5": ("points",),
+    "fig6": ("values_per_parameter", "per_class"),
+}
+_EDGE_FLOATS = st.sampled_from([0.0, -1.0, 1e308, math.inf, -math.inf, math.nan])
+_SCALARS = st.one_of(st.integers(-3, 8), _EDGE_FLOATS, st.text(max_size=3), st.none())
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+
+
+def _overrides(command):
+    """The command's size keys set to small ints, then up to three of its
+    keys (size keys included) set to any drawn value."""
+    sizes = st.fixed_dictionaries({key: st.integers(-3, 8) for key in _SIZE_KEYS.get(command, ())})
+    others = st.dictionaries(st.sampled_from(sorted(DEFAULTS[command])), _VALUES, max_size=3)
+    return st.tuples(sizes, others).map(lambda parts: {**parts[0], **parts[1]})
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_fuzzed_config_ends_in_documented_exit_code(tmp_path, command):
+    @settings(max_examples=100, deadline=None)
+    @given(_overrides(command))
+    def run(overrides):
+        cfg = write_config(tmp_path, overrides)
+        code = run_cli(command, "--out", str(tmp_path / "out"), "--config", str(cfg))
+        assert code in (0, 2, 3, 4, 5, 6)
+
+    run()
 
 
 # --- seeds and environment -------------------------------------------------------

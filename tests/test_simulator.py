@@ -234,6 +234,19 @@ def test_accuracy_zero_probabilities_nan_for_unpopulated():
     assert math.isnan(p0[1])
 
 
+def test_accuracy_zero_probabilities_memory_bound(peak_bytes):
+    # one accuracy branch squared at a time: a half-state temporary plus
+    # the per-model sums, never the squared state
+    layout = RegisterLayout(18)
+    state = prepare_uniform(layout)
+    acc = np.linspace(0.0, 1.0, layout.model_count)
+    apply_accuracy_rotation_exact(state, acc)
+    e = layout.model_count
+    bound = state.amplitudes.nbytes // 2 + 32 * e + (64 << 10)
+    assert peak_bytes(state.accuracy_zero_probabilities) <= bound
+    assert np.allclose(state.accuracy_zero_probabilities(), acc, atol=1e-12)
+
+
 # --- sequential rotation ----------------------------------------------------------
 
 def seq_fixture(labels):
