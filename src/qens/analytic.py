@@ -21,18 +21,26 @@ from the erf antiderivative gamma (see gamma_antiderivative).  E is
 positive where the committee votes +1; its zero is the decision boundary.
 
 Class densities come in three families (gaussian, box, laplace), each
-with exact closed-form pdf and cdf.  erf itself comes from the
-platform's correctly rounded libm via numpy/scipy.
+with exact closed-form pdf and cdf.  erf is scipy.special.erf, scipy's
+own implementation rather than the C library's: math.erf, which calls
+the latter, gives different bits on a tenth to a fifth of inputs, so
+every erf here is scipy's.
+
+The quadrature integrates the pieces between fixed cuts (the window ends
+and the class breakpoints) once per problem and keeps them in a bounded
+cache; only the pieces that touch the query are integrated per call.
+The sums are formed in the same order either way, so the result does not
+depend on which queries came before.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import erf
 
 GAUSSIAN = "gaussian"
@@ -41,6 +49,9 @@ LAPLACE = "laplace"
 
 _TAIL_SCALES = 12.0
 DEFAULT_TAIL_TOL = 1e-5
+# fixed quadrature segments kept: a problem has at most 7 (its window ends
+# and up to 6 breakpoints make 8 cuts), so this holds over 100 problems
+_SEGMENT_CACHE_SIZE = 1024
 
 
 class NoBoundaryError(RuntimeError):
@@ -143,9 +154,29 @@ def gamma_antiderivative(x, mu: float, sigma: float):
     return out if out.ndim else float(out)
 
 
-def _signed_cdf_gap(problem: DecisionProblem1D, w):
-    """The committee integrand before the sign factor: 2 (G- - G+)."""
-    return 2.0 * (problem.minus.cdf(w) - problem.plus.cdf(w))
+def _scalar_cdf(density: ClassDensity):
+    """density.cdf on one Python float, with the same bits: the same
+    operations in the same order, scalar calls of the same ufuncs."""
+    loc, scale = density.loc, density.scale
+    if density.kind == GAUSSIAN:
+        root2 = math.sqrt(2.0)
+        return lambda w: 0.5 * (1.0 + float(erf((w - loc) / scale / root2)))
+    if density.kind == BOX:
+        return lambda w: min(max((w - loc) / scale + 0.5, 0.0), 1.0)
+
+    def laplace(w: float) -> float:
+        z = (w - loc) / scale
+        tail = 0.5 * float(np.exp(-abs(z)))
+        return tail if z < 0 else 1.0 - tail
+
+    return laplace
+
+
+def _integrand(problem: DecisionProblem1D):
+    """The committee integrand before the sign factor, 2 (G- - G+), on
+    Python floats."""
+    g_minus, g_plus = _scalar_cdf(problem.minus), _scalar_cdf(problem.plus)
+    return lambda w: 2.0 * (g_minus(w) - g_plus(w))
 
 
 def _cut_points(problem: DecisionProblem1D) -> tuple[float, float]:
@@ -156,16 +187,31 @@ def _cut_points(problem: DecisionProblem1D) -> tuple[float, float]:
     return lo_loc - k, hi_loc + k
 
 
-def _quad_piecewise(fn, lo: float, hi: float, inner: list[float]) -> float:
-    cuts = sorted({lo, hi, *[c for c in inner if lo < c < hi]})
-    total = 0.0
+def _segment(fn, a: float, b: float) -> float:
+    # imported on first use: importing qens then loads no scipy.integrate,
+    # nor the scipy.optimize and scipy.sparse that it pulls in
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         # segment accuracy is guarded by the explicit tail checks; scipy's
         # roundoff heuristic misfires on near-zero cusp segments
         warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            val, _ = quad(fn, a, b, limit=200)
-            total += val
+        return quad(fn, a, b, limit=200)[0]
+
+
+@functools.lru_cache(maxsize=_SEGMENT_CACHE_SIZE)
+def _fixed_segment(problem: DecisionProblem1D, a: float, b: float) -> float:
+    return _segment(_integrand(problem), a, b)
+
+
+def _quad_piecewise(problem, fn, lo: float, hi: float, x: float) -> float:
+    """Integral of fn over [lo, hi], one segment between each pair of
+    cuts, summed from the left; segments without x as an end are cached."""
+    inner = [*problem.minus.breakpoints(), *problem.plus.breakpoints()]
+    cuts = sorted({lo, hi, *[c for c in inner if lo < c < hi]})
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        total += _segment(fn, a, b) if x in (a, b) else _fixed_segment(problem, a, b)
     return total
 
 
@@ -177,16 +223,15 @@ def expectation_quadrature(
     below tail_tol at the cutoffs."""
     x = float(x_query)
     lo, hi = _cut_points(problem)
-    gap_lo, gap_hi = abs(_signed_cdf_gap(problem, lo)), abs(_signed_cdf_gap(problem, hi))
+    fn = _integrand(problem)
+    gap_lo, gap_hi = abs(fn(lo)), abs(fn(hi))
     if max(gap_lo, gap_hi) > tail_tol:
         raise QuadratureError(
             f"integrand at the truncation cutoffs is {max(gap_lo, gap_hi):.3g}, "
             f"above the tolerance {tail_tol:.3g}"
         )
-    inner = [*problem.minus.breakpoints(), *problem.plus.breakpoints()]
-    fn = lambda w: _signed_cdf_gap(problem, w)
-    left = _quad_piecewise(fn, lo, x, inner) if x > lo else 0.0
-    right = _quad_piecewise(fn, x, hi, inner) if x < hi else 0.0
+    left = _quad_piecewise(problem, fn, lo, x, x) if x > lo else 0.0
+    right = _quad_piecewise(problem, fn, x, hi, x) if x < hi else 0.0
     return left - right
 
 

@@ -33,6 +33,8 @@ FIG6_MODEL_CAP = 1 << 18  # fig6 lattice models: 64 values per parameter, cubed
 FIG2_SIZE_CAP = 1 << 14  # fig2 committee size: each curve's cost grows with its square
 # grover iterations: the default floor(pi/4 sqrt(E/K)) is at most 2274 under the qubit cap
 GROVER_ITERATION_CAP = 1 << 12
+# fig4 and fig5 curve points: fig5 integrates once per point, about 6 s at the cap
+CURVE_POINT_CAP = 1 << 16
 
 DEFAULTS: dict[str, dict] = {
     "fig2": {"p_list": [0.45, 0.5, 0.55, 0.6, 0.7], "max_size": 1001},
@@ -125,6 +127,12 @@ def _interval(values) -> tuple[float, float]:
 
 def _float_array(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
+
+
+def _curve_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    if points > CURVE_POINT_CAP:
+        raise weighting.EnumerationCapError(f"curve has over {CURVE_POINT_CAP} points")
+    return np.linspace(lo, hi, points)
 
 
 def _optional(convert):
@@ -276,7 +284,7 @@ def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
 
 def run_fig4(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Centered versus log-odds weights as functions of model accuracy."""
-    a_grid = np.linspace(0.005, 0.995, _fields(cfg, points=int)["points"])
+    a_grid = _curve_grid(0.005, 0.995, _fields(cfg, points=int)["points"])
     centered = weighting.weights_for(weighting.WeightScheme.EFFECTIVE_CENTERED, a_grid)
     log_odds = weighting.weights_for(weighting.WeightScheme.LOG_ODDS, a_grid)
     series = [("effective_centered", a_grid, centered), ("log_odds", a_grid, log_odds)]
@@ -313,7 +321,7 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
         analytic.ClassDensity.gaussian(mu_minus, sigma),
         analytic.ClassDensity.gaussian(mu_plus, sigma),
     )
-    xs = np.linspace(x_min, x_max, points)
+    xs = _curve_grid(x_min, x_max, points)
     closed = np.array([analytic.expectation_closed_equal_sigma(problem, x) for x in xs])
     quadrature = np.array([analytic.expectation_quadrature(problem, x) for x in xs])
     boundary = analytic.decision_boundary(problem)

@@ -8,6 +8,7 @@ precision so identical inputs give identical bytes.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 _W, _H = 640, 440
@@ -17,6 +18,17 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """lo < hi: an empty span widens by 1 each way, or by one float step
+    each way where |value| >= 2^53 makes 1 vanish, within the finite range."""
+    if hi != lo:
+        return lo, hi
+    lo, hi = lo - 1.0, hi + 1.0
+    if hi == lo:
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -35,12 +47,8 @@ def render_curves(
 ) -> None:
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if math.isfinite(y)]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _span(min(xs_all), max(xs_all))
+    y_lo, y_hi = _span(min(ys_all), max(ys_all))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

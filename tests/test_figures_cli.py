@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qens
-from qens import cli, figures, simulator
+from qens import cli, figures, simulator, svgplot
 from qens.figures import DEFAULTS, ConfigError, dataset_from_config, merged_config, run_command
 
 
@@ -240,6 +240,37 @@ def test_grover_iteration_cap(tmp_path, monkeypatch):
     assert run_cli("grover", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
 
 
+@pytest.mark.parametrize("command", ["fig4", "fig5"])
+def test_curve_point_cap(tmp_path, monkeypatch, command):
+    if command == "fig4":  # fast at the cap; fig5 there takes seconds
+        cfg = write_config(tmp_path, {"points": figures.CURVE_POINT_CAP})
+        assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("curve evaluated before the cap check")
+
+    monkeypatch.setattr(figures.analytic, "expectation_quadrature", refuse)
+    monkeypatch.setattr(figures.weighting, "weights_for", refuse)
+    cfg = write_config(tmp_path, {"points": figures.CURVE_POINT_CAP + 1})
+    assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+
+
+def test_importing_the_cli_loads_no_scipy_integrate():
+    # the quadrature imports scipy.integrate on first use, and with it
+    # scipy.optimize and scipy.sparse; no other command needs them
+    src = str(Path(qens.__file__).resolve().parents[1])
+    probe = "import sys, qens.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     ("query", "code"),
     [
@@ -268,6 +299,31 @@ def test_single_point_curves_draw_finite_svg(tmp_path, command, override):
     assert svgs
     for svg in svgs:
         assert "nan" not in svg.read_text()
+
+
+def test_fig5_single_point_beyond_2_53_draws_finite_svg(tmp_path):
+    # x +- 1 rounds back to 1e17, so the empty x span must widen by more.
+    # The closed form cancels there and misses the quadrature: its check fails
+    cfg = write_config(tmp_path, {"x_min": 1e17, "x_max": 1e17, "points": 1})
+    assert run_cli("fig5", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CHECK_FAILED
+    assert "nan" not in (tmp_path / "fig5_expectation.svg").read_text()
+
+
+@settings(max_examples=200)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_empty_span_widens_to_a_finite_nonempty_one(v):
+    lo, hi = svgplot._span(v, v)
+    assert lo < hi and math.isfinite(lo) and math.isfinite(hi)
+    if v - 1.0 < v + 1.0:  # where +-1 widens, the bytes of earlier plots stay
+        assert (lo, hi) == (v - 1.0, v + 1.0)
+
+
+@pytest.mark.parametrize("v", [2.0**53, -(2.0**53), 1e17, 1.7976931348623157e308, -1.7976931348623157e308])
+def test_single_point_plot_at_huge_values_is_finite(tmp_path, v):
+    svg = tmp_path / "one.svg"
+    svgplot.render_curves(svg, [("one", [v], [v])])
+    text = svg.read_text()
+    assert "nan" not in text and "inf" not in text
 
 
 @pytest.mark.parametrize(

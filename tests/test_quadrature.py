@@ -1,0 +1,192 @@
+"""expectation_quadrature against the algorithm it replaced, bit for bit.
+
+The reference below integrates every segment afresh on each call, with
+the integrand evaluated through ClassDensity.cdf on numpy 0-d arrays.
+The module under test caches the segments between fixed cuts and
+evaluates the integrand on Python floats; neither may move a bit, in any
+call order."""
+
+import math
+import struct
+import warnings
+
+import numpy as np
+import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
+
+from qens import analytic
+from qens.analytic import BOX, GAUSSIAN, LAPLACE, ClassDensity, DecisionProblem1D
+from qens.analytic import QuadratureError, expectation_quadrature
+
+# --- the reference ------------------------------------------------------------
+
+
+def _signed_cdf_gap(problem, w):
+    """The committee integrand before the sign factor: 2 (G- - G+)."""
+    return 2.0 * (problem.minus.cdf(w) - problem.plus.cdf(w))
+
+
+def _window(problem):
+    lo_loc = min(problem.minus.loc, problem.plus.loc)
+    hi_loc = max(problem.minus.loc, problem.plus.loc)
+    k = 12.0 * problem.max_scale
+    return lo_loc - k, hi_loc + k
+
+
+def _quad_piecewise(fn, lo, hi, inner):
+    cuts = sorted({lo, hi, *[c for c in inner if lo < c < hi]})
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            val, _ = quad(fn, a, b, limit=200)
+            total += val
+    return total
+
+
+def reference_expectation(problem, x_query, tail_tol=analytic.DEFAULT_TAIL_TOL):
+    x = float(x_query)
+    lo, hi = _window(problem)
+    gap_lo, gap_hi = abs(_signed_cdf_gap(problem, lo)), abs(_signed_cdf_gap(problem, hi))
+    if max(gap_lo, gap_hi) > tail_tol:
+        raise QuadratureError("tail")
+    inner = [*problem.minus.breakpoints(), *problem.plus.breakpoints()]
+    fn = lambda w: _signed_cdf_gap(problem, w)
+    left = _quad_piecewise(fn, lo, x, inner) if x > lo else 0.0
+    right = _quad_piecewise(fn, x, hi, inner) if x < hi else 0.0
+    return left - right
+
+
+# --- helpers and strategies -----------------------------------------------------
+
+
+def bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def outcome(fn, *args):
+    """The bits fn returns, or the type of the error it raises."""
+    try:
+        return bits(fn(*args))
+    except QuadratureError as exc:
+        return type(exc)
+
+
+_LOCS = st.floats(-3.0, 3.0)
+_SCALES = st.floats(0.05, 3.0)
+
+
+def _densities(kinds):
+    return st.builds(ClassDensity, st.sampled_from(kinds), _LOCS, _SCALES)
+
+
+PROBLEMS = st.one_of(
+    st.tuples(_LOCS, _LOCS, _SCALES).map(
+        lambda t: DecisionProblem1D(ClassDensity.gaussian(t[0], t[2]), ClassDensity.gaussian(t[1], t[2]))
+    ),
+    st.builds(DecisionProblem1D, _densities([GAUSSIAN]), _densities([GAUSSIAN])),
+    st.builds(DecisionProblem1D, _densities([BOX]), _densities([BOX])),
+    st.builds(DecisionProblem1D, _densities([LAPLACE]), _densities([LAPLACE])),
+    st.builds(DecisionProblem1D, _densities([GAUSSIAN, BOX, LAPLACE]), _densities([GAUSSIAN, BOX, LAPLACE])),
+)
+
+
+def _nudged(v: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+def queries(problem):
+    """Cuts (window ends, breakpoints, ±0.0) and a few ulps either side of
+    each, points across and around the window, and far outside it."""
+    lo, hi = _window(problem)
+    anchors = [lo, hi, *problem.minus.breakpoints(), *problem.plus.breakpoints(), 0.0, -0.0]
+    near_cut = st.builds(_nudged, st.sampled_from(anchors), st.integers(-3, 3))
+    return st.one_of(
+        near_cut,
+        st.floats(lo - 5.0, hi + 5.0),
+        st.floats(1e3, 1e6).flatmap(lambda d: st.sampled_from([lo - d, hi + d])),
+    )
+
+
+# --- bit-for-bit tests ----------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integrand_matches_the_array_cdfs_bit_for_bit(data):
+    problem = data.draw(PROBLEMS)
+    w = data.draw(st.one_of(queries(problem), st.floats(-1e300, 1e300)))
+    assert bits(analytic._integrand(problem)(w)) == bits(_signed_cdf_gap(problem, w))
+
+
+def test_integrand_sweep_matches_bit_for_bit():
+    for problem in (
+        DecisionProblem1D(ClassDensity.gaussian(-1.0, 0.5), ClassDensity.gaussian(1.0, 0.5)),
+        DecisionProblem1D(ClassDensity.gaussian(-0.5, 0.3), ClassDensity.gaussian(0.5, 1.5)),
+        DecisionProblem1D(ClassDensity.box(-0.75, 1.5), ClassDensity.box(0.5, 0.4)),
+        DecisionProblem1D(ClassDensity.laplace(-1.0, 0.5), ClassDensity.laplace(1.0, 0.7)),
+    ):
+        lo, hi = _window(problem)
+        fn = analytic._integrand(problem)
+        for w in np.linspace(lo - 1.0, hi + 1.0, 20001).tolist():
+            assert bits(fn(w)) == bits(_signed_cdf_gap(problem, w)), (problem, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quadrature_matches_the_reference_cold_and_warm(data):
+    problem = data.draw(PROBLEMS)
+    xs = data.draw(st.lists(queries(problem), min_size=1, max_size=6))
+    expected = [outcome(reference_expectation, problem, x) for x in xs]
+    cold = []
+    for x in xs:
+        analytic._fixed_segment.cache_clear()
+        cold.append(outcome(expectation_quadrature, problem, x))
+    assert cold == expected
+    analytic._fixed_segment.cache_clear()
+    assert [outcome(expectation_quadrature, problem, x) for x in xs] == expected
+    assert [outcome(expectation_quadrature, problem, x) for x in reversed(xs)] == expected[::-1]
+
+
+def test_signed_zero_locations_share_cached_segments_bit_for_bit():
+    # 0.0 and -0.0 locations make equal problems and equal cache keys
+    def pair(zero):
+        return DecisionProblem1D(ClassDensity.box(zero, 1.0), ClassDensity.gaussian(1.0, 0.5))
+
+    analytic._fixed_segment.cache_clear()
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        for x in (-2.0, -0.0, 0.0, 0.25, 3.0):
+            expectation_quadrature(pair(first), x)
+            assert bits(expectation_quadrature(pair(second), x)) == bits(
+                reference_expectation(pair(second), x)
+            )
+        analytic._fixed_segment.cache_clear()
+
+
+def test_warm_problem_integrates_only_the_pieces_at_the_query(monkeypatch):
+    problem = DecisionProblem1D(ClassDensity.box(-0.75, 1.5), ClassDensity.gaussian(0.5, 0.4))
+    lo, hi = _window(problem)
+    cuts = sorted({lo, hi, *problem.minus.breakpoints(), *problem.plus.breakpoints()})
+    mids = [0.5 * (a + b) for a, b in zip(cuts[:-1], cuts[1:])]
+    analytic._fixed_segment.cache_clear()
+    for x in mids:  # every fixed segment lies off one of these queries
+        expectation_quadrature(problem, x)
+
+    calls = []
+
+    def counting_quad(fn, a, b, **kwargs):
+        calls.append((a, b))
+        return quad(fn, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    for x in [*mids, 0.1, lo - 1.0, hi + 1.0]:
+        calls.clear()
+        value = expectation_quadrature(problem, x)
+        assert len(calls) == (2 if lo < x < hi else 1), (x, calls)
+        assert all(x in segment for segment in calls), (x, calls)
+        # the reference holds its own binding of quad, so it is not counted
+        assert bits(value) == bits(reference_expectation(problem, x))
