@@ -130,6 +130,8 @@ def _float_array(values) -> np.ndarray:
 
 
 def _curve_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    if not math.isfinite(hi - lo):  # also an overflowing width, which linspace turns into nan
+        raise ConfigError("curve needs finite bounds with a finite width")
     if points > CURVE_POINT_CAP:
         raise weighting.EnumerationCapError(f"curve has over {CURVE_POINT_CAP} points")
     return np.linspace(lo, hi, points)

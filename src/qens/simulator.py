@@ -27,6 +27,25 @@ renormalized, and the report carries the acceptance probability and
 expected number of repetitions 1/p_acc rather than simulating retries.
 
 Operations mutate the passed state in place and return it.
+
+Memory: beside the statevector an operation holds O(E) values (angles,
+labels, per-model sums) and at most one chunk of _NORM_CHUNK = 2**16
+float64 values (512 KiB) of squares or temporaries; elementwise steps run
+over model rows one chunk at a time.  Every readout has the bits of np.sum
+over a squared copy of (part of) the state, because it adds the chunks in
+the order numpy 2.4 uses (tests/test_state_sums.py holds those numpy
+expressions as references):
+
+  contiguous operand  one pairwise sum over its whole length, which numpy
+                      splits at n/2 - (n/2 mod 8) down to blocks of 128;
+                      _pairwise splits the same way down to chunks and
+                      lets np.sum do the rest (the square of a strided
+                      view is such an operand, in C order)
+  strided operand     buffered blocks of max(8192, contiguous run) values
+                      (runs here are powers of two), each one pairwise
+                      sum, added one after another
+  per-model sums      each model's row is summed alone, so any number of
+                      rows at a time gives the same sums
 """
 
 from __future__ import annotations
@@ -40,7 +59,8 @@ from . import prng
 
 DEFAULT_QUBIT_CAP = 26
 _ATOL = 1e-12
-_NORM_CHUNK = 1 << 16  # amplitudes squared at a time by EnsembleState.norm
+_NORM_CHUNK = 1 << 16  # float64 values an operation holds beside the state
+_REDUCE_BLOCK = 8192  # numpy's default buffer: its block for a strided sum
 
 
 class QubitCapError(RuntimeError):
@@ -110,35 +130,77 @@ class EnsembleState:
         return self.amplitudes.reshape(lay.model_count, 2, 2, lay.count_values)
 
     def norm(self) -> float:
-        """sqrt(sum(a^2)) with the bits of np.sum(np.square(a)), one chunk squared at a time.
-
-        numpy's pairwise sum splits a power-of-two length at exact halves,
-        so summing power-of-two chunks and pairing the chunk sums
-        reproduces it; adding the chunk sums in sequence would not.
-        """
-        a = self.amplitudes
-        buf = np.empty(min(a.size, _NORM_CHUNK))
-        starts = range(0, a.size, buf.size)
-        sums = np.array([np.sum(np.square(a[s : s + buf.size], out=buf)) for s in starts])
-        while sums.size > 1:
-            sums = sums[0::2] + sums[1::2]
-        return float(np.sqrt(sums[0]))
+        """sqrt(sum(a^2)) with the bits of np.sqrt(np.sum(np.square(a)))."""
+        return float(np.sqrt(_sum_squares(self.amplitudes.reshape(1, -1))))
 
     def parameter_distribution(self) -> np.ndarray:
         """Probability of each parameter basis state, shape (E,)."""
-        probs = np.square(self.view())
-        return probs.sum(axis=(1, 2, 3))
+        return _model_sums(self.view())
 
     def accuracy_zero_probabilities(self) -> np.ndarray:
-        """P(accuracy qubit = |0> conditioned on each parameter state).
-
-        The two accuracy branches are squared one at a time, so at most a
-        half-state temporary is live."""
+        """P(accuracy qubit = |0> conditioned on each parameter state)."""
         view = self.view()
-        zero_branch = np.square(view[:, :, 0, :]).sum(axis=(1, 2))
-        per_model = zero_branch + np.square(view[:, :, 1, :]).sum(axis=(1, 2))
+        zero_branch = _model_sums(view[:, :, 0, :])
+        per_model = _model_sums(view[:, :, 1, :])
+        per_model += zero_branch
         out = np.full(self.layout.model_count, np.nan)
         return np.divide(zero_branch, per_model, out=out, where=per_model > 0.0)
+
+
+def _squares(seq: np.ndarray, start: int, n: int, buf: np.ndarray) -> np.ndarray:
+    """buf[:n] set to the squares of values start..start+n-1 of the 2-D
+    view seq taken in C order (a partial row, whole rows, a partial row)."""
+    width = seq.shape[1]
+    row, col = divmod(start, width)
+    out = buf[:n]
+    done = 0
+    if col:
+        done = min(n, width - col)
+        np.square(seq[row, col : col + done], out=out[:done])
+        row += 1
+    full = (n - done) // width
+    np.square(seq[row : row + full], out=out[done : done + full * width].reshape(full, width))
+    done += full * width
+    if done < n:
+        np.square(seq[row + full, : n - done], out=out[done:])
+    return out
+
+
+def _pairwise(n: int, leaf, limit: int = _NORM_CHUNK, start: int = 0) -> float:
+    """numpy's pairwise sum of n values, from leaf(start, count) = the
+    np.sum of values start..start+count-1 for each count <= limit
+    (limit >= 128), called left to right."""
+    if n <= limit:
+        return leaf(start, n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(half, leaf, limit, start) + _pairwise(n - half, leaf, limit, start + half)
+
+
+def _sum_squares(seq: np.ndarray) -> float:
+    """np.sum(np.square(seq)) bit for bit for a 2-D view seq, one chunk of
+    squares at a time: numpy squares into a contiguous C-order array and
+    sums that as one pairwise sum."""
+    buf = np.empty(min(seq.size, _NORM_CHUNK))
+    return _pairwise(seq.size, lambda s, n: float(np.sum(_squares(seq, s, n, buf))))
+
+
+def _model_sums(branch: np.ndarray) -> np.ndarray:
+    """np.square(branch).sum(axis=(1, ...)) bit for bit, shape (E,),
+    squaring as many model rows as fit in one chunk at a time."""
+    e = branch.shape[0]
+    rows = max(1, _NORM_CHUNK // branch[0].size)
+    buf = np.empty((min(rows, e),) + branch.shape[1:])
+    out = np.empty(e)
+    axes = tuple(range(1, branch.ndim))
+    for r in range(0, e, rows):
+        sq = np.square(branch[r : r + rows], out=buf[: min(rows, e - r)])
+        sq.sum(axis=axes, out=out[r : r + rows])
+    return out
+
+
+def _model_rows(layout: RegisterLayout) -> int:
+    """Models whose whole register fits in one chunk, at least one."""
+    return max(1, _NORM_CHUNK // (4 * layout.count_values))
 
 
 def prepare_uniform(layout: RegisterLayout) -> EnsembleState:
@@ -150,13 +212,15 @@ def prepare_uniform(layout: RegisterLayout) -> EnsembleState:
 
 
 def _require_accuracy_clear(state: EnsembleState) -> None:
-    mass = float(np.sum(np.square(state.view()[:, :, 1, :])))
+    c = state.layout.count_values
+    mass = _sum_squares(state.amplitudes.reshape(-1, 2, c)[:, 1, :])
     if mass > _ATOL:
         raise StateError("accuracy qubit is not |0>; rotation already applied?")
 
 
 def _require_output_clear(state: EnsembleState) -> None:
-    mass = float(np.sum(np.square(state.view()[:, 1, :, :])))
+    run = 2 * state.layout.count_values
+    mass = _sum_squares(state.amplitudes.reshape(-1, 2, run)[:, 1, :])
     if mass > _ATOL:
         raise StateError("output qubit is not |0>; classifier already applied?")
 
@@ -196,23 +260,30 @@ def apply_accuracy_rotation_sequential(
         raise ValueError(f"delta must lie in (0, pi/(4*{m})]")
     _require_accuracy_clear(state)
     view = state.view()
-    a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
-    # each update holds at most two half-state temporaries
+    e = state.layout.model_count
+    # one chunk of model rows at a time, through every point: the two
+    # temporaries hold half a chunk each
+    rows = _model_rows(state.layout)
+    new0 = np.empty((min(rows, e), 2, state.layout.count_values))
+    tmp = np.empty_like(new0)
     inv = 1.0 / math.sqrt(2.0)
-    new0 = a0 + a1
-    new0 *= inv
-    np.subtract(a0, a1, out=a1)
-    a1 *= inv
-    a0[...] = new0
-    for point in range(m):
-        phi = np.where(correct[:, point], -delta, delta)
-        c = np.cos(phi)[:, None, None]
-        s = np.sin(phi)[:, None, None]
-        new0 = c * a0
-        new0 -= s * a1
-        a1 *= c
-        a1 += s * a0
-        a0[...] = new0
+    for r in range(0, e, rows):
+        a0, a1 = view[r : r + rows, :, 0, :], view[r : r + rows, :, 1, :]
+        n0, t = new0[: a0.shape[0]], tmp[: a0.shape[0]]
+        np.add(a0, a1, out=n0)
+        n0 *= inv
+        np.subtract(a0, a1, out=a1)
+        a1 *= inv
+        a0[...] = n0
+        for point in range(m):
+            phi = np.where(correct[r : r + rows, point], -delta, delta)
+            c = np.cos(phi)[:, None, None]
+            s = np.sin(phi)[:, None, None]
+            np.multiply(c, a0, out=n0)
+            n0 -= np.multiply(s, a1, out=t)
+            a1 *= c
+            a1 += np.multiply(s, a0, out=t)
+            a0[...] = n0
     return state
 
 
@@ -225,7 +296,7 @@ class PostselectionReport:
 def postselect_accuracy_zero(state: EnsembleState) -> tuple[EnsembleState, PostselectionReport]:
     """Project onto accuracy = |0> and renormalize."""
     view = state.view()
-    p_acc = float(np.sum(np.square(view[:, :, 0, :])))
+    p_acc = _sum_squares(state.amplitudes.reshape(-1, 2, state.layout.count_values)[:, 0, :])
     if p_acc <= _ATOL:
         raise PostselectionImpossibleError("accuracy-|0> branch has no mass")
     view[:, :, 1, :] = 0.0
@@ -245,18 +316,37 @@ def apply_classifier(state: EnsembleState, labels: np.ndarray) -> EnsembleState:
     _require_output_clear(state)
     flip = labels == 1
     view = state.view()
-    view[flip, 1, :, :] = view[flip, 0, :, :]
-    view[flip, 0, :, :] = 0.0
+    rows = _model_rows(state.layout)  # the gather holds at most half a chunk
+    for r in range(0, state.layout.model_count, rows):
+        sub, f = view[r : r + rows], flip[r : r + rows]
+        sub[f, 1] = sub[f, 0]
+        sub[f, 0] = 0.0
     return state
 
 
 def measure_label_distribution(state: EnsembleState) -> tuple[float, float]:
-    """(p_minus, p_plus): output-qubit Born probabilities for labels -1, +1."""
-    probs = np.square(state.view())
-    total = float(probs.sum())
+    """(p_minus, p_plus): output-qubit Born probabilities for labels -1, +1.
+
+    Bit for bit p_minus = probs[:, 0].sum() / probs.sum() with probs the
+    squared state, in one pass: numpy sums the strided output-|0> values in
+    blocks of max(8192, run), run = one model's values at one output, and a
+    block with its output-|1> partners is an aligned power-of-two region of
+    the state, so a subtree of the pairwise total."""
+    a = state.amplitudes
+    run = 2 * state.layout.count_values
+    region = min(a.size, 2 * max(_REDUCE_BLOCK, run))
+    p_minus = 0.0
+
+    def leaf(start: int, n: int) -> float:
+        nonlocal p_minus
+        rows = a[start : start + n].reshape(-1, 2, run)
+        p_minus += _sum_squares(rows[:, 0, :])
+        return _sum_squares(rows.reshape(1, -1))
+
+    total = _pairwise(a.size, leaf, region)
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise StateError("state is not normalized")
-    p_minus = float(probs[:, 0, :, :].sum()) / total
+    p_minus /= total
     return p_minus, 1.0 - p_minus
 
 
@@ -334,11 +424,9 @@ def grover_amplify_counts(
         np.negative(state.amplitudes, out=state.amplitudes)
         view[support] += 2.0 * overlap * amp0
 
-    # squared in place over the boolean-mask gather, whose layout fixes the
-    # summation order and so the last bit of the result
-    gathered = view[:, :, :, 2 * np.arange(layout.count_values) > m]
-    np.square(gathered, out=gathered)
-    amplified = float(np.sum(gathered))
+    # the bits of np.sum over the squared boolean-mask gather of the marked
+    # values, which numpy lays out one count value's slab after another
+    amplified = _sum_squares(state.amplitudes.reshape(-1, layout.count_values)[:, m // 2 + 1 :].T)
     closed = math.sin((2 * iterations + 1) * math.asin(math.sqrt(k / e))) ** 2
     report = GroverReport(k, e, iterations, math.sqrt(e / k), amplified, closed)
     return state, report

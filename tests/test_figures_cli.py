@@ -163,8 +163,9 @@ def test_oversized_grid_is_cap_error(tmp_path, monkeypatch):
 
 
 def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
-    # 26 qubits: a 512 MiB real statevector.  2 GiB of address space is
-    # enough; under 640 MiB the statevector allocation fails and must exit 4, not 1
+    # 26 qubits: a 512 MiB real statevector.  800 MiB of address space is
+    # enough, since no step holds more than O(E) and one chunk beside the
+    # state; under 640 MiB the statevector allocation fails and must exit 4, not 1
     pair = {"mu_minus": -1.0, "sigma_minus": 0.5, "mu_plus": 1.0, "sigma_plus": 0.5}
     cfg = write_config(
         tmp_path,
@@ -190,7 +191,7 @@ def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
             timeout=300,
         )
 
-    done = grover(2 << 30)
+    done = grover(800 << 20)
     assert done.returncode == cli.EXIT_OK, done.stderr
     assert json.loads((tmp_path / "out" / "grover_summary.json").read_text())["ok"]
     refused = grover(640 << 20)
@@ -307,6 +308,18 @@ def test_fig5_single_point_beyond_2_53_draws_finite_svg(tmp_path):
     cfg = write_config(tmp_path, {"x_min": 1e17, "x_max": 1e17, "points": 1})
     assert run_cli("fig5", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CHECK_FAILED
     assert "nan" not in (tmp_path / "fig5_expectation.svg").read_text()
+
+
+@pytest.mark.parametrize(
+    ("x_min", "x_max"),
+    [(-1e308, 1e308), (1e308, -1e308), (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)],
+)
+def test_fig5_with_unbounded_width_is_config_error(tmp_path, x_min, x_max):
+    # 1e308 - (-1e308) overflows: linspace would write rows at x = nan and inf
+    cfg = write_config(tmp_path, {"x_min": x_min, "x_max": x_max, "points": 3})
+    out = tmp_path / "out"
+    assert run_cli("fig5", "--out", str(out), "--config", str(cfg)) == cli.EXIT_USAGE
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.svg"))
 
 
 @settings(max_examples=200)

@@ -234,17 +234,67 @@ def test_accuracy_zero_probabilities_nan_for_unpopulated():
     assert math.isnan(p0[1])
 
 
-def test_accuracy_zero_probabilities_memory_bound(peak_bytes):
-    # one accuracy branch squared at a time: a half-state temporary plus
-    # the per-model sums, never the squared state
-    layout = RegisterLayout(18)
+# beside the state an operation holds O(E) values and one chunk of squares
+# or temporaries, plus numpy's iterator buffers (64 KiB each) and a few
+# Python objects; the two layouts put 8 MiB states behind 2^18 models and
+# behind 2^14 models with a 4-qubit count register
+CHUNK = 8 * simulator._NORM_CHUNK
+SLACK = 128 << 10
+MEMORY_LAYOUTS = pytest.mark.parametrize("param_bits, count_bits", [(18, 0), (14, 4)])
+
+
+def rotated_state(param_bits, count_bits):
+    layout = RegisterLayout(param_bits, count_bits)
     state = prepare_uniform(layout)
-    acc = np.linspace(0.0, 1.0, layout.model_count)
-    apply_accuracy_rotation_exact(state, acc)
-    e = layout.model_count
-    bound = state.amplitudes.nbytes // 2 + 32 * e + (64 << 10)
-    assert peak_bytes(state.accuracy_zero_probabilities) <= bound
-    assert np.allclose(state.accuracy_zero_probabilities(), acc, atol=1e-12)
+    apply_accuracy_rotation_exact(state, np.linspace(0.0, 1.0, layout.model_count))
+    return state
+
+
+def test_accuracy_zero_probabilities_memory_bound(peak_bytes):
+    # per-model sums over one chunk of model rows at a time, never a
+    # squared branch of the state
+    state = rotated_state(18, 0)
+    e = state.layout.model_count
+    assert peak_bytes(state.accuracy_zero_probabilities) <= 32 * e + (64 << 10)
+    assert np.allclose(state.accuracy_zero_probabilities(), np.linspace(0.0, 1.0, e), atol=1e-12)
+
+
+def test_accuracy_zero_probabilities_memory_bound_with_count_register(peak_bytes):
+    # 16 count values per model: a squared branch would be 32 values per model
+    state = rotated_state(14, 4)
+    e = state.layout.model_count
+    assert peak_bytes(state.accuracy_zero_probabilities) <= 32 * e + CHUNK + SLACK
+
+
+@MEMORY_LAYOUTS
+def test_parameter_distribution_memory_bound(param_bits, count_bits, peak_bytes):
+    state = rotated_state(param_bits, count_bits)
+    e = state.layout.model_count
+    assert peak_bytes(state.parameter_distribution) <= 8 * e + CHUNK + SLACK
+
+
+@MEMORY_LAYOUTS
+def test_postselection_memory_bound(param_bits, count_bits, peak_bytes):
+    # no squared accuracy-|0> branch, and the renormalization is in place
+    state = rotated_state(param_bits, count_bits)
+    assert peak_bytes(postselect_accuracy_zero, state) <= CHUNK + SLACK
+
+
+@MEMORY_LAYOUTS
+def test_measurement_memory_bound(param_bits, count_bits, peak_bytes):
+    # no squared copy of the state for either sum
+    state = rotated_state(param_bits, count_bits)
+    postselect_accuracy_zero(state)
+    assert peak_bytes(measure_label_distribution, state) <= CHUNK + SLACK
+
+
+@MEMORY_LAYOUTS
+def test_classifier_memory_bound(param_bits, count_bits, peak_bytes):
+    # the (E,) flip mask and a gather of at most one chunk of model rows
+    state = rotated_state(param_bits, count_bits)
+    e = state.layout.model_count
+    labels = np.where(np.arange(e) % 3 == 0, 1, -1)
+    assert peak_bytes(apply_classifier, state, labels) <= e + CHUNK + SLACK
 
 
 # --- sequential rotation ----------------------------------------------------------
@@ -286,13 +336,13 @@ def test_sequential_rotation_exact_at_extreme_and_half_counts():
 
 @pytest.mark.parametrize("param_bits, count_bits", [(16, 0), (14, 4)])
 def test_sequential_rotation_memory_bound(param_bits, count_bits, peak_bytes):
-    # each per-point update holds at most two half-state temporaries plus
-    # the (E,) angle columns; a .copy() of the |0> branch made it three
+    # one chunk of model rows at a time through every point: two
+    # half-chunk temporaries and the rows' angle columns, no state-sized term
     layout = RegisterLayout(param_bits, count_bits)
     state = prepare_uniform(layout)
     e, m = layout.model_count, 24
     correct = np.random.default_rng(3).random((e, m)) < 0.6
-    bound = state.amplitudes.nbytes + 48 * e
+    bound = 48 * e
     assert peak_bytes(apply_accuracy_rotation_sequential, state, correct, math.pi / (4 * m)) <= bound
 
 
@@ -430,11 +480,10 @@ def test_norm_memory_bound(peak_bytes):
 
 
 def test_grover_memory_bound(peak_bytes):
-    # the returned state plus the marked-probability gather (half the state
-    # at M = 14) and (E,) support vectors; psi0 and the diffusion
-    # temporaries used to add two complex copies of the state
+    # the returned state plus (E,) support vectors and one chunk of marked
+    # squares, never a gather of the marked values (half the state at M = 14)
     e, m = 1 << 16, 14
     counts = np.zeros(e, dtype=np.int64)
     counts[: e // 64] = m  # K = E/64: six iterations
     state_bytes = 8 << RegisterLayout(16, count_bits_for(m)).total_qubits
-    assert peak_bytes(grover_amplify_counts, counts, m) <= 2 * state_bytes + 64 * e
+    assert peak_bytes(grover_amplify_counts, counts, m) <= state_bytes + 64 * e + CHUNK
