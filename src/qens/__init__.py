@@ -32,10 +32,7 @@ from .model import (
     decode_all,
     decode_theta,
     grid_accuracies,
-    mlp_two_hidden,
-    perceptron,
     predict_many,
-    threshold1d,
 )
 from .simulator import (
     EnsembleState,

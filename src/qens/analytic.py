@@ -28,7 +28,8 @@ every erf here is scipy's.
 
 The quadrature integrates the pieces between fixed cuts (the window ends
 and the class breakpoints) once per problem and keeps them in a bounded
-cache; only the pieces that touch the query are integrated per call.
+cache; only the pieces that touch the query are integrated per call, and
+a query outside the window touches none.
 The sums are formed in the same order either way, so the result does not
 depend on which queries came before.
 """
@@ -134,12 +135,10 @@ class DecisionProblem1D:
         return 0.5 * (self.minus.loc + self.plus.loc)
 
 
-def accuracy_continuous(problem: DecisionProblem1D, w0, orientation: int):
-    """Expected accuracy of the single threshold (orientation, w0)."""
-    if orientation not in (-1, 1):
-        raise ValueError("orientation must be -1 or +1")
-    a_plus = 0.5 * problem.minus.cdf(w0) + 0.5 * (1.0 - problem.plus.cdf(w0))
-    return a_plus if orientation == 1 else 1.0 - a_plus
+def accuracy_continuous(problem: DecisionProblem1D, w0):
+    """Expected accuracy a(w0, +1) of the threshold at w0 with orientation
+    +1; orientation -1 has accuracy 1 - a(w0, +1)."""
+    return 0.5 * problem.minus.cdf(w0) + 0.5 * (1.0 - problem.plus.cdf(w0))
 
 
 def gamma_antiderivative(x, mu: float, sigma: float):
@@ -219,8 +218,9 @@ def expectation_quadrature(
     problem: DecisionProblem1D, x_query: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> float:
     """Committee score E(x_query) by adaptive quadrature on a truncated
-    domain.  Raises QuadratureError when the integrand has not decayed
-    below tail_tol at the cutoffs."""
+    domain.  A query outside the window scores as the nearer window end,
+    the sum of the cached fixed segments.  Raises QuadratureError when the
+    integrand has not decayed below tail_tol at the cutoffs."""
     x = float(x_query)
     lo, hi = _cut_points(problem)
     fn = _integrand(problem)
@@ -230,8 +230,8 @@ def expectation_quadrature(
             f"integrand at the truncation cutoffs is {max(gap_lo, gap_hi):.3g}, "
             f"above the tolerance {tail_tol:.3g}"
         )
-    left = _quad_piecewise(problem, fn, lo, x, x) if x > lo else 0.0
-    right = _quad_piecewise(problem, fn, x, hi, x) if x < hi else 0.0
+    left = _quad_piecewise(problem, fn, lo, min(x, hi), x) if x > lo else 0.0
+    right = _quad_piecewise(problem, fn, max(x, lo), hi, x) if x < hi else 0.0
     return left - right
 
 
@@ -313,7 +313,7 @@ def default_decomposition_grid(problem: DecisionProblem1D, x_query: float) -> np
 def boundary_decomposition(problem: DecisionProblem1D, x_query: float) -> BoundaryDecomposition:
     x = float(x_query)
     w0 = default_decomposition_grid(problem, x)
-    a_pos = np.asarray(accuracy_continuous(problem, w0, 1), dtype=np.float64)
+    a_pos = np.asarray(accuracy_continuous(problem, w0), dtype=np.float64)
     a_neg = 1.0 - a_pos
     f_pos = np.where(x - w0 >= 0.0, 1.0, -1.0)
     f_neg = -f_pos

@@ -147,7 +147,10 @@ def _family(d: dict) -> ModelFamily:
 
 
 def _grid(d: dict) -> ParameterGrid:
-    return ParameterGrid(tuple(_interval(iv) for iv in d["intervals"]), int(d["bits"]))
+    intervals, bits = tuple(_interval(iv) for iv in d["intervals"]), int(d["bits"])
+    # the qubit cap first: a grid past it is a cap error, whatever its ticks
+    simulator.RegisterLayout(bits * len(intervals))
+    return ParameterGrid(intervals, bits)
 
 
 _BLOB_FIELDS = dict(mean_minus=_floats, mean_plus=_floats, sigma=float, per_class=int, seed=int)
@@ -359,8 +362,8 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     )
     spec = BlobSpec(**{key: values[key] for key in _BLOB_FIELDS})
     lo, hi, step = values["raster_lo"], values["raster_hi"], values["raster_step"]
-    if not (step > 0.0 and 0.0 <= hi - lo < math.inf):
-        raise ConfigError("raster needs raster_step > 0 and finite raster_lo <= raster_hi")
+    if not (0.0 < step < math.inf and 0.0 <= hi - lo < math.inf):
+        raise ConfigError("raster needs finite raster_step > 0 and raster_lo <= raster_hi")
     # counted before the raster is allocated; min() keeps round() finite
     ticks_per_axis = round(min((hi - lo) / step, RASTER_POINT_CAP)) + 1
     if ticks_per_axis**2 > RASTER_POINT_CAP:
@@ -477,14 +480,8 @@ def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
     boundary = analytic.decision_boundary(problem)
     mid = problem.mean_midpoint
     d = np.linspace(0.0, 3.0 * problem.max_scale, 401)
-    asym = float(
-        np.max(
-            np.abs(
-                np.asarray(analytic.accuracy_continuous(problem, mid + d, 1))
-                - np.asarray(analytic.accuracy_continuous(problem, mid - d, 1))
-            )
-        )
-    )
+    accuracy = analytic.accuracy_continuous
+    asym = float(np.max(np.abs(accuracy(problem, mid + d) - accuracy(problem, mid - d))))
     checks = {
         "integrand_integrates_to_expectation": abs(integral - expectation) < 1e-4,
         "accuracy_pair_sums_to_one": bool(
@@ -597,7 +594,8 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         checks["rotation_matches_formula"] = dev_formula < 1e-12
 
     if scheme is not weighting.WeightScheme.ACCURACY:
-        alt = weighting.ensemble_decide(family, grid, dataset, scheme, query)
+        labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
+        alt = weighting.vote(weighting.weights_for(scheme, acc), labels)
         metrics["scheme_decision"] = {
             "scheme": scheme.value,
             "raw_score": alt.raw_score,

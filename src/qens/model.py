@@ -30,6 +30,7 @@ literals -1 or 1, LF line endings).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,18 +78,6 @@ class ModelFamily:
     def is_point_symmetric(self) -> bool:
         """True when f(x; -theta) = -f(x; theta) for all x off the surface."""
         return self.kind in (PERCEPTRON, MLP_TWO_HIDDEN)
-
-
-def threshold1d() -> ModelFamily:
-    return ModelFamily(THRESHOLD1D, 1)
-
-
-def perceptron(input_dim: int) -> ModelFamily:
-    return ModelFamily(PERCEPTRON, input_dim)
-
-
-def mlp_two_hidden(input_dim: int, h1: int = 2, h2: int = 2) -> ModelFamily:
-    return ModelFamily(MLP_TWO_HIDDEN, input_dim, (h1, h2))
 
 
 def _as_theta_matrix(family: ModelFamily, thetas: np.ndarray) -> np.ndarray:
@@ -157,11 +146,13 @@ class ParameterGrid:
             raise ValueError("bits must be at least 1")
         if not self.intervals:
             raise ValueError("at least one parameter interval is required")
+        # _tick_values scales both ends by k = 2**bits - 1, which overflows past 1023 bits
+        k = float((1 << self.bits) - 1) if self.bits < 1024 else math.inf
         normalized = []
         for lo, hi in self.intervals:
             lo, hi = float(lo), float(hi)
-            if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
-                raise ValueError(f"invalid interval [{lo}, {hi}]")
+            if not (lo < hi and math.isfinite(max(-lo, hi) * k)):
+                raise ValueError(f"invalid interval [{lo}, {hi}] for {self.bits} bits")
             normalized.append((lo, hi))
         object.__setattr__(self, "intervals", tuple(normalized))
 

@@ -5,9 +5,7 @@ Draw i of a 64-bit stream key k is
     word(k, i) = mix64(k + (i + 1) * GOLDEN)   (mod 2**64)
 
 where GOLDEN is the 64-bit golden-ratio increment and mix64 is the
-splitmix64 output permutation.  There is no sequential state, so any
-slice of a stream can be produced independently and in parallel without
-changing the values.
+splitmix64 output permutation.
 
 Child streams are derived with an extra mix round (see derive_key), which
 keeps per-class lanes decorrelated from the counter chain of the parent.
@@ -49,11 +47,11 @@ def derive_key(seed: int, lane: int) -> int:
     return mix64(mix64((seed + (lane + 1) * _LANE) & _MASK))
 
 
-def words(key: int, count: int, start: int = 0) -> np.ndarray:
-    """`count` raw 64-bit words of the stream, beginning at draw `start`."""
+def words(key: int, count: int) -> np.ndarray:
+    """The first `count` raw 64-bit words of the stream."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    idx = np.arange(start, start + count, dtype=np.uint64)
+    idx = np.arange(count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(key & _MASK) + (idx + np.uint64(1)) * np.uint64(_GOLDEN)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
@@ -61,16 +59,16 @@ def words(key: int, count: int, start: int = 0) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def uniforms(key: int, count: int, start: int = 0) -> np.ndarray:
+def uniforms(key: int, count: int) -> np.ndarray:
     """Uniform float64 samples in the open interval (0, 1).
 
     The top 53 bits of each word are centered by half a step, so 0.0 and
     1.0 are never produced and ndtri stays finite.
     """
-    w = words(key, count, start)
+    w = words(key, count)
     return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def normals(key: int, count: int, start: int = 0) -> np.ndarray:
+def normals(key: int, count: int) -> np.ndarray:
     """Standard normal samples via the inverse-CDF transform."""
-    return ndtri(uniforms(key, count, start))
+    return ndtri(uniforms(key, count))

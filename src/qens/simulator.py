@@ -61,6 +61,8 @@ DEFAULT_QUBIT_CAP = 26
 _ATOL = 1e-12
 _NORM_CHUNK = 1 << 16  # float64 values an operation holds beside the state
 _REDUCE_BLOCK = 8192  # numpy's default buffer: its block for a strided sum
+_ACCURACY_NOT_CLEAR = "accuracy qubit is not |0>; rotation already applied?"
+_OUTPUT_NOT_CLEAR = "output qubit is not |0>; classifier already applied?"
 
 
 class QubitCapError(RuntimeError):
@@ -211,18 +213,11 @@ def prepare_uniform(layout: RegisterLayout) -> EnsembleState:
     return state
 
 
-def _require_accuracy_clear(state: EnsembleState) -> None:
-    c = state.layout.count_values
-    mass = _sum_squares(state.amplitudes.reshape(-1, 2, c)[:, 1, :])
-    if mass > _ATOL:
-        raise StateError("accuracy qubit is not |0>; rotation already applied?")
-
-
-def _require_output_clear(state: EnsembleState) -> None:
-    run = 2 * state.layout.count_values
-    mass = _sum_squares(state.amplitudes.reshape(-1, 2, run)[:, 1, :])
-    if mass > _ATOL:
-        raise StateError("output qubit is not |0>; classifier already applied?")
+def _require_clear(state: EnsembleState, run: int, message: str) -> None:
+    """StateError(message) unless the qubit of basis stride `run` is |0>: the
+    accuracy qubit has stride 2**c, the output qubit 2 * 2**c."""
+    if _sum_squares(state.amplitudes.reshape(-1, 2, run)[:, 1, :]) > _ATOL:
+        raise StateError(message)
 
 
 def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) -> EnsembleState:
@@ -232,7 +227,7 @@ def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) 
         raise ValueError("one accuracy per parameter basis state is required")
     if a.size and (a.min() < 0.0 or a.max() > 1.0):
         raise ValueError("accuracies outside [0, 1]")
-    _require_accuracy_clear(state)
+    _require_clear(state, state.layout.count_values, _ACCURACY_NOT_CLEAR)
     view = state.view()
     c = np.sqrt(a)[:, None, None]
     s = np.sqrt(1.0 - a)[:, None, None]
@@ -258,7 +253,7 @@ def apply_accuracy_rotation_sequential(
     m = correct.shape[1]
     if not 0.0 < delta <= math.pi / (4.0 * m):
         raise ValueError(f"delta must lie in (0, pi/(4*{m})]")
-    _require_accuracy_clear(state)
+    _require_clear(state, state.layout.count_values, _ACCURACY_NOT_CLEAR)
     view = state.view()
     e = state.layout.model_count
     # one chunk of model rows at a time, through every point: the two
@@ -313,7 +308,7 @@ def apply_classifier(state: EnsembleState, labels: np.ndarray) -> EnsembleState:
     labels = np.asarray(labels)
     if labels.shape != (state.layout.model_count,):
         raise ValueError("one label per parameter basis state is required")
-    _require_output_clear(state)
+    _require_clear(state, 2 * state.layout.count_values, _OUTPUT_NOT_CLEAR)
     flip = labels == 1
     view = state.view()
     rows = _model_rows(state.layout)  # the gather holds at most half a chunk

@@ -10,7 +10,10 @@ Four weight schemes map a model's training accuracy a to a vote weight:
                       point-symmetric ensemble is folded onto its
                       better-than-chance half
 
-The raw score is sum_theta w_theta * f(x; theta).  Per-label masses
+vote(weights, labels) is the decision at one query from each model's
+weight w_theta and int8 label f(x; theta) in {-1, +1}; ensemble_decide
+derives both from a grid, a dataset and a scheme.  The raw score is
+sum_theta w_theta * f(x; theta).  Per-label masses
 p(+-1) = sum_{f = +-1} w_theta / sum_theta w_theta are probabilities for
 the non-negative schemes; for signed schemes they are formal and become
 NaN when the total weight vanishes (for example log_odds on a symmetric
@@ -66,8 +69,9 @@ class WeightScheme(Enum):
     EFFECTIVE_CENTERED = "effective_centered"
 
 
-def tree_sum(values: np.ndarray, axis: int = 0):
-    """Pairwise (tree) sum with a shape that depends only on the length.
+def tree_sum(values: np.ndarray):
+    """Pairwise (tree) sum over the first axis, with a shape that depends
+    only on its length.
 
     Adjacent elements are paired level by level; an odd leftover is
     carried unchanged.  The same tree is used everywhere, so partial
@@ -75,9 +79,8 @@ def tree_sum(values: np.ndarray, axis: int = 0):
     a single bit of the result.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.shape[axis] == 0:
-        return np.zeros(arr.shape[:axis] + arr.shape[axis + 1 :], dtype=np.float64)
-    arr = np.moveaxis(arr, axis, 0)
+    if arr.shape[0] == 0:
+        return np.zeros(arr.shape[1:], dtype=np.float64)
     while arr.shape[0] > 1:
         m = arr.shape[0] - (arr.shape[0] % 2)
         head = arr[0:m:2] + arr[1:m:2]
@@ -109,7 +112,7 @@ def signed_sum_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def signed_tree_sum(table: tuple[np.ndarray, np.ndarray], signs: np.ndarray) -> np.ndarray:
-    """tree_sum(w[:, None] * signs, axis=0) bit for bit, for (E, N) int8 signs in
+    """tree_sum(w[:, None] * signs) bit for bit, for (E, N) int8 signs in
     {-1, +1}, from the packed sign bits and signed_sum_table(w)."""
     groups, tail = table
     signs = np.asarray(signs, dtype=np.int8)
@@ -128,8 +131,8 @@ def signed_tree_sum(table: tuple[np.ndarray, np.ndarray], signs: np.ndarray) -> 
     np.take(groups.ravel(), index, out=rows[: groups.shape[0]], mode="clip")
     del index  # freed before tree_sum's levels exist
     if tail.size:
-        rows[-1] = tree_sum(tail[:, None] * signs[full:].astype(np.float64), axis=0)
-    return tree_sum(rows, axis=0)
+        rows[-1] = tree_sum(tail[:, None] * signs[full:].astype(np.float64))
+    return tree_sum(rows)
 
 
 @dataclass(frozen=True)
@@ -159,12 +162,11 @@ def weights_for(scheme: WeightScheme | str, accuracies: np.ndarray) -> np.ndarra
     return np.log(a / (1.0 - a))
 
 
-def vote(
-    family: ModelFamily, thetas: np.ndarray, model_weights: np.ndarray, x: np.ndarray
-) -> EnsembleDecision:
-    """Weighted vote of an explicit model list at query point x."""
-    w = np.asarray(model_weights, dtype=np.float64)
-    preds = predict_many(family, thetas, np.atleast_1d(x))[:, 0].astype(np.float64)
+def vote(weights: np.ndarray, labels: np.ndarray) -> EnsembleDecision:
+    """Weighted vote of the models whose labels at the query are `labels`
+    (int8 in {-1, +1}), one weight per model."""
+    w = np.asarray(weights, dtype=np.float64)
+    preds = np.asarray(labels).astype(np.float64)
     if w.shape != preds.shape:
         raise ValueError("one weight per model is required")
     if not np.any(w != 0.0):
@@ -191,7 +193,7 @@ def ensemble_decide(
         raise EnumerationCapError(f"grid has {grid.size} models, cap is {DEFAULT_MODEL_CAP}")
     acc = grid_correct_counts(family, grid, dataset) / float(len(dataset))
     w = weights_for(scheme, acc)
-    return vote(family, decode_all(grid), w, x)
+    return vote(w, predict_many(family, decode_all(grid), np.atleast_1d(x))[:, 0])
 
 
 def effective_expectation(
@@ -214,6 +216,5 @@ def effective_expectation(
     mask = 2 * counts > m
     if not np.any(mask):
         return 0.0
-    acc = counts[mask] / float(m)
-    preds = predict_many(family, decode_all(grid)[mask], np.atleast_1d(x))[:, 0]
-    return tree_sum((acc - 0.5) * preds.astype(np.float64)) / float(grid.size)
+    labels = predict_many(family, decode_all(grid)[mask], np.atleast_1d(x))[:, 0]
+    return vote(counts[mask] / float(m) - 0.5, labels).raw_score / float(grid.size)

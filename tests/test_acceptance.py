@@ -33,10 +33,7 @@ from qens.model import (
     decode_all,
     grid_accuracies,
     grid_correct_counts,
-    mlp_two_hidden,
-    perceptron,
     predict_many,
-    threshold1d,
 )
 from qens.simulator import (
     RegisterLayout,
@@ -70,19 +67,19 @@ def quantum_pipeline(family, grid, dataset, query):
 
 FIXTURES = [
     (
-        perceptron(1),
+        ModelFamily("perceptron", 1),
         ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 5),
         gaussian_1d_pair(-1.0, 0.5, 1.0, 0.5, 10, seed=3),
         [np.array([-1.2]), np.array([0.3]), np.array([2.4])],
     ),
     (
-        threshold1d(),
+        ModelFamily("threshold1d", 1),
         ParameterGrid(((-1.0, 1.0), (-2.0, 2.0)), 6),
         gaussian_1d_pair(-1.0, 0.7, 1.0, 0.7, 8, seed=9),
         [np.array([-0.4]), np.array([1.1])],
     ),
     (
-        perceptron(2),
+        ModelFamily("perceptron", 2),
         ParameterGrid(((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), 4),
         gaussian_blobs(BlobSpec((-1.0, 1.0), (1.0, -1.0), 0.5, 6, seed=2)),
         [np.array([0.1, -0.2]), np.array([-1.0, 1.0])],
@@ -92,10 +89,10 @@ FIXTURES = [
 
 def random_problem(rng):
     choices = [
-        (perceptron(1), 2, 8),
-        (perceptron(2), 3, 5),
-        (threshold1d(), 2, 8),
-        (mlp_two_hidden(1, 2, 2), 8, 2),
+        (ModelFamily("perceptron", 1), 2, 8),
+        (ModelFamily("perceptron", 2), 3, 5),
+        (ModelFamily("threshold1d", 1), 2, 8),
+        (ModelFamily("mlp2", 1, (2, 2)), 8, 2),
     ]
     while True:
         family, params, max_bits = choices[rng.integers(0, len(choices))]
@@ -171,7 +168,7 @@ def test_criterion_3_accurate_half_reduction():
     rng = np.random.default_rng(777)
     setups = [
         (
-            perceptron(2),
+            ModelFamily("perceptron", 2),
             ParameterGrid(((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), 3),
             gaussian_blobs(BlobSpec((-1.0, 1.0), (1.0, -1.0), 0.6, 8, seed=4)),
         ),
@@ -179,7 +176,7 @@ def test_criterion_3_accurate_half_reduction():
             # distinct magnitudes per layer keep the discrete +-w +-w sums
             # of sign activations away from exact zeros, where the sgn(0)
             # tie-break would spoil the antisymmetry
-            mlp_two_hidden(1, 2, 2),
+            ModelFamily("mlp2", 1, (2, 2)),
             ParameterGrid(
                 (
                     (-1.0, 1.0),
@@ -320,7 +317,7 @@ def test_criterion_9_sequential_rotation_fidelity():
     m = 8
     setups = [
         (
-            threshold1d(),
+            ModelFamily("threshold1d", 1),
             ParameterGrid(((-1.0, 1.0), (-3.0, 3.0)), 3),
             Dataset(
                 np.array([[-2.8], [-2.1], [-1.4], [-0.7], [0.7], [1.4], [2.1], [2.8]]),
@@ -328,7 +325,7 @@ def test_criterion_9_sequential_rotation_fidelity():
             ),
         ),
         (
-            perceptron(1),
+            ModelFamily("perceptron", 1),
             ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 3),
             Dataset(
                 np.array([[-2.0], [-1.5], [-1.0], [-0.5], [0.5], [1.0], [1.5], [2.0]]),
@@ -435,6 +432,22 @@ GOLDEN_SHA256 = {
 }
 
 
+# overlapping classes keep every accuracy below 1, so log-odds stay finite
+LOG_ODDS_OVERRIDES = {
+    "scheme": "log_odds",
+    "dataset": {
+        "pair": {
+            "mu_minus": -0.5,
+            "sigma_minus": 1.0,
+            "mu_plus": 0.5,
+            "sigma_plus": 1.0,
+            "per_class": 12,
+            "seed": 5,
+        }
+    },
+}
+
+
 def test_criterion_10_byte_determinism(tmp_path):
     cases = {
         "fig2": ("fig2", {"max_size": 151}),
@@ -461,23 +474,7 @@ def test_criterion_10_byte_determinism(tmp_path):
                 "grid": {"intervals": [[-1.0, 1.0]] * 8, "bits": 2},
             },
         ),
-        # overlapping classes keep every accuracy below 1, so log-odds stay finite
-        "classify_log_odds": (
-            "classify",
-            {
-                "scheme": "log_odds",
-                "dataset": {
-                    "pair": {
-                        "mu_minus": -0.5,
-                        "sigma_minus": 1.0,
-                        "mu_plus": 0.5,
-                        "sigma_plus": 1.0,
-                        "per_class": 12,
-                        "seed": 5,
-                    }
-                },
-            },
-        ),
+        "classify_log_odds": ("classify", LOG_ODDS_OVERRIDES),
     }
     identical = True
     golden = True
@@ -505,3 +502,25 @@ def test_criterion_10_byte_determinism(tmp_path):
         identical and golden,
         f"{len(cases)} cases x 3 runs, identical: {identical}, match recorded sha256: {golden}",
     )
+
+
+def test_second_scheme_votes_on_the_accuracies_already_held(tmp_path, monkeypatch):
+    # classify's second scheme weights the accuracies of its first training
+    # walk; it used to call ensemble_decide, which walked the training set again
+    import qens.model
+
+    calls = []
+    original = qens.model.correct_counts
+
+    def counting(*args):
+        calls.append(args[1].shape)
+        return original(*args)
+
+    monkeypatch.setattr(qens.model, "correct_counts", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(LOG_ODDS_OVERRIDES))
+    out = tmp_path / "out"
+    assert cli.main(["classify", "--out", str(out), "--config", str(cfg)]) == 0
+    assert len(calls) == 3, calls
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert hashes == GOLDEN_SHA256["classify_log_odds"]

@@ -89,26 +89,13 @@ def test_scale_must_be_positive():
 
 def test_accuracy_midthreshold_frozen_value():
     prob = gaussian_pair()
-    assert accuracy_continuous(prob, 0.0, 1) == 0.9772498680518208
-
-
-def test_accuracy_orientation_complement():
-    prob = gaussian_pair(0.5, 2.0)
-    w0 = np.linspace(-4, 4, 33)
-    a_pos = accuracy_continuous(prob, w0, 1)
-    a_neg = accuracy_continuous(prob, w0, -1)
-    assert np.allclose(a_pos + a_neg, 1.0, atol=0)
-
-
-def test_accuracy_rejects_bad_orientation():
-    with pytest.raises(ValueError):
-        accuracy_continuous(gaussian_pair(), 0.0, 0)
+    assert accuracy_continuous(prob, 0.0) == 0.9772498680518208
 
 
 @settings(max_examples=40)
 @given(st.floats(-5, 5))
 def test_accuracy_bounded(w0):
-    a = accuracy_continuous(gaussian_pair(), w0, 1)
+    a = accuracy_continuous(gaussian_pair(), w0)
     assert 0.0 <= a <= 1.0
 
 
@@ -297,6 +284,6 @@ def test_integrate_requires_query_on_grid():
 def test_decomposition_accuracy_symmetric_for_equal_sigma():
     prob = gaussian_pair()
     d = np.linspace(0.0, 2.0, 101)
-    a_right = np.asarray(accuracy_continuous(prob, d, 1))
-    a_left = np.asarray(accuracy_continuous(prob, -d, 1))
+    a_right = np.asarray(accuracy_continuous(prob, d))
+    a_left = np.asarray(accuracy_continuous(prob, -d))
     assert np.max(np.abs(a_right - a_left)) < 1e-12

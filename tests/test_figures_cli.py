@@ -151,15 +151,29 @@ def test_bad_label_in_dataset_is_domain_error(tmp_path):
 
 
 def test_oversized_grid_is_cap_error(tmp_path, monkeypatch):
-    # 2^26 models: enumerating them would take gigabytes, so the cap must come first
+    # 2^26 models and up: enumerating them would take gigabytes, so the cap
+    # must come first, also where the ticks of so many bits would overflow
     def refuse(*args):
         raise AssertionError("grid enumerated before the cap check")
 
     monkeypatch.setattr(figures, "grid_accuracies", refuse)
     monkeypatch.setattr(figures, "grid_correct_counts", refuse)
-    cfg = write_config(tmp_path, {"grid": {"intervals": [[-1, 1], [-1, 1]], "bits": 13}})
-    for command in ("classify", "grover"):
-        assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+    for bits in (13, 1024, 5000):
+        cfg = write_config(tmp_path, {"grid": {"intervals": [[-1, 1], [-1, 1]], "bits": bits}})
+        for command in ("classify", "grover"):
+            code = run_cli(command, "--out", str(tmp_path), "--config", str(cfg))
+            assert code == cli.EXIT_CAP, (bits, command)
+
+
+@pytest.mark.parametrize("command", ["classify", "grover"])
+def test_grid_whose_ticks_overflow_is_usage_error(tmp_path, command):
+    # the ticks scale 1e308 by 2**2 - 1; classify used to vote with infinite parameters
+    cfg = write_config(tmp_path, {"grid": {"intervals": [[-1e308, 1e308], [-1, 1]], "bits": 2}})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, "--out", str(out), "--config", str(cfg)) == cli.EXIT_USAGE
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
@@ -339,6 +353,16 @@ def test_single_point_plot_at_huge_values_is_finite(tmp_path, v):
     assert "nan" not in text and "inf" not in text
 
 
+def test_fig5_far_beyond_the_window_matches_the_closed_form(tmp_path):
+    cfg = write_config(tmp_path, {"x_min": -1e4, "x_max": 1e4})
+    # the quadrature used to integrate [window end, query] afresh and miss
+    # the mass near the window end: 3.601 at every |x| >= 1e4, max_gap 0.399
+    assert run_cli("fig5", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_OK
+    rows = (tmp_path / "fig5_expectation.csv").read_text().splitlines()
+    quadrature = [r for r in rows if r.endswith(",quadrature")]
+    assert quadrature[0] == "-10000,-4,quadrature" and quadrature[-1] == "10000,4,quadrature"
+
+
 @pytest.mark.parametrize(
     ("scheme", "x"),
     [("log_odds", [[-2.0], [0.5]]), ("effective_centered", [[0.0], [0.0]])],
@@ -362,6 +386,17 @@ def test_failed_consistency_check_exit_code(tmp_path):
 def test_nonpositive_raster_step_is_usage_error(tmp_path, step):
     cfg = write_config(tmp_path, {"raster_step": step})
     assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
+
+
+def test_infinite_raster_step_is_usage_error(tmp_path):
+    # 1e999 parses as inf: it used to write a nan raster row, then fail in argmin
+    (tmp_path / "config.json").write_text('{"raster_step": 1e999}')
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("fig6", "--out", str(out), "--config", str(tmp_path / "config.json"))
+    assert code == cli.EXIT_USAGE
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -16,19 +16,16 @@ from qens.model import (
     grid_accuracies,
     grid_correct_counts,
     lattice,
-    mlp_two_hidden,
-    perceptron,
     predict_many,
-    threshold1d,
 )
 
 
 # --- family validation ---------------------------------------------------
 
 def test_parameter_counts():
-    assert threshold1d().parameter_count == 2
-    assert perceptron(3).parameter_count == 4
-    assert mlp_two_hidden(2, 2, 2).parameter_count == 2 * 2 + 2 * 2 + 2
+    assert ModelFamily("threshold1d", 1).parameter_count == 2
+    assert ModelFamily("perceptron", 3).parameter_count == 4
+    assert ModelFamily("mlp2", 2, (2, 2)).parameter_count == 2 * 2 + 2 * 2 + 2
 
 
 def test_threshold_requires_univariate():
@@ -37,9 +34,9 @@ def test_threshold_requires_univariate():
 
 
 def test_point_symmetry_flags():
-    assert perceptron(2).is_point_symmetric
-    assert mlp_two_hidden(1).is_point_symmetric
-    assert not threshold1d().is_point_symmetric
+    assert ModelFamily("perceptron", 2).is_point_symmetric
+    assert ModelFamily("mlp2", 1, (2, 2)).is_point_symmetric
+    assert not ModelFamily("threshold1d", 1).is_point_symmetric
 
 
 def test_unknown_kind_rejected():
@@ -50,7 +47,7 @@ def test_unknown_kind_rejected():
 # --- predictions ----------------------------------------------------------
 
 def test_threshold_prediction_values():
-    fam = threshold1d()
+    fam = ModelFamily("threshold1d", 1)
     thetas = np.array([[1.0, 0.5], [-1.0, 0.5]])
     xs = np.array([[0.0], [1.0]])
     out = predict_many(fam, thetas, xs)
@@ -58,7 +55,7 @@ def test_threshold_prediction_values():
 
 
 def test_perceptron_prediction_matches_manual():
-    fam = perceptron(2)
+    fam = ModelFamily("perceptron", 2)
     rng = np.random.default_rng(0)
     thetas = rng.normal(size=(5, 3))
     xs = rng.normal(size=(7, 2))
@@ -68,7 +65,7 @@ def test_perceptron_prediction_matches_manual():
 
 
 def test_mlp_prediction_matches_manual():
-    fam = mlp_two_hidden(2, 2, 2)
+    fam = ModelFamily("mlp2", 2, (2, 2))
     rng = np.random.default_rng(1)
     theta = rng.normal(size=(10,))
     x = rng.normal(size=(2,))
@@ -82,7 +79,7 @@ def test_mlp_prediction_matches_manual():
 
 
 def test_sign_zero_margin_is_plus_one():
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     assert predict_many(fam, np.array([1.0, 0.0]), np.array([0.0]))[0, 0] == 1
     # negative zero margin counts as zero
     assert predict_many(fam, np.array([-0.0, 0.0]), np.array([5.0]))[0, 0] == 1
@@ -90,7 +87,7 @@ def test_sign_zero_margin_is_plus_one():
 
 def test_point_symmetry_of_predictions():
     rng = np.random.default_rng(2)
-    for fam in (perceptron(3), mlp_two_hidden(2, 2, 2)):
+    for fam in (ModelFamily("perceptron", 3), ModelFamily("mlp2", 2, (2, 2))):
         thetas = rng.normal(size=(40, fam.parameter_count))
         xs = rng.normal(size=(25, fam.input_dim))
         a = predict_many(fam, thetas, xs)
@@ -99,7 +96,7 @@ def test_point_symmetry_of_predictions():
 
 
 def test_threshold_not_point_symmetric():
-    fam = threshold1d()
+    fam = ModelFamily("threshold1d", 1)
     theta = np.array([1.0, 0.5])
     x = np.array([0.0])
     # between the two mirrored thresholds both signs flip, so the
@@ -186,6 +183,22 @@ def test_grid_validation():
         ParameterGrid(((-np.inf, 1.0),), 2)
 
 
+@pytest.mark.parametrize(
+    ("interval", "bits"),
+    [((-1e308, 1e308), 2), ((0.0, 1e308), 1023), ((-1.0, 1.0), 1024), ((0.5, 1.0), 5000)],
+)
+def test_grid_rejects_ticks_that_overflow(interval, bits):
+    # the ticks scale each end by 2**bits - 1, which must stay finite
+    with pytest.raises(ValueError):
+        ParameterGrid((interval, (-1.0, 1.0)), bits)
+
+
+def test_grid_ticks_at_the_largest_finite_scale_are_finite():
+    ticks = decode_all(ParameterGrid(((-1e307, 1e307),), 3))[:, 0]
+    assert np.all(np.isfinite(ticks))
+    assert ticks[0] == -1e307 and ticks[-1] == 1e307
+
+
 def test_grid_symmetry_flag():
     assert ParameterGrid(((-1.0, 1.0), (-2.0, 2.0)), 2).is_symmetric
     assert not ParameterGrid(((-1.0, 1.0), (0.0, 2.0)), 2).is_symmetric
@@ -260,7 +273,7 @@ def test_read_csv_rejects_ragged_row(tmp_path):
 # --- scoring --------------------------------------------------------------
 
 def test_correct_counts_and_accuracy(region_dataset):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 1)
     counts = grid_correct_counts(fam, grid, region_dataset)
     assert counts.tolist() == [25, 8, 42, 25]
@@ -272,7 +285,7 @@ def test_correct_counts_and_accuracy(region_dataset):
 
 def test_count_complement_under_negation():
     rng = np.random.default_rng(4)
-    fam = perceptron(2)
+    fam = ModelFamily("perceptron", 2)
     thetas = rng.normal(size=(30, 3))
     ds = Dataset(rng.normal(size=(11, 2)), rng.choice([-1, 1], size=11))
     c = correct_counts(fam, thetas, ds)
@@ -281,14 +294,14 @@ def test_count_complement_under_negation():
 
 
 def test_grid_family_mismatch_rejected(region_dataset):
-    fam = perceptron(2)
+    fam = ModelFamily("perceptron", 2)
     grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 1)
     with pytest.raises(ValueError):
         grid_accuracies(fam, grid, region_dataset)
 
 
 def test_dataset_dimension_mismatch_rejected(region_dataset):
-    fam = perceptron(2)
+    fam = ModelFamily("perceptron", 2)
     thetas = np.zeros((1, 3))
     with pytest.raises(ValueError):
         correct_counts(fam, thetas, region_dataset)
@@ -319,7 +332,7 @@ def unblocked_predictions(fam, thetas, xs):
 
 @pytest.mark.parametrize(
     "fam",
-    [threshold1d(), perceptron(1), perceptron(2), perceptron(3), mlp_two_hidden(2)],
+    [ModelFamily("threshold1d", 1), ModelFamily("perceptron", 1), ModelFamily("perceptron", 2), ModelFamily("perceptron", 3), ModelFamily("mlp2", 2, (2, 2))],
     ids=["threshold1d", "perceptron1", "perceptron2", "perceptron3", "mlp2"],
 )
 @pytest.mark.parametrize("e", [1, B - 1, B, B + 1, 3 * B + 7])
@@ -354,12 +367,12 @@ def test_blocked_predictions_match_unblocked(fam, e):
 def test_nan_margin_predicts_minus_one():
     thetas = np.array([[np.nan, 0.0], [np.inf, -np.inf]])
     with np.errstate(invalid="ignore"):
-        assert predict_many(perceptron(1), thetas, np.array([[1.0]])).tolist() == [[-1], [-1]]
+        assert predict_many(ModelFamily("perceptron", 1), thetas, np.array([[1.0]])).tolist() == [[-1], [-1]]
 
 
 @pytest.mark.parametrize(
     "fam",
-    [threshold1d(), perceptron(1), perceptron(3), mlp_two_hidden(2, 2, 2)],
+    [ModelFamily("threshold1d", 1), ModelFamily("perceptron", 1), ModelFamily("perceptron", 3), ModelFamily("mlp2", 2, (2, 2))],
     ids=["threshold1d", "perceptron1", "perceptron3", "mlp2"],
 )
 def test_block_evaluation_memory_bound(fam, peak_bytes):

@@ -1,7 +1,8 @@
 """expectation_quadrature against the algorithm it replaced, bit for bit.
 
 The reference below integrates every segment afresh on each call, with
-the integrand evaluated through ClassDensity.cdf on numpy 0-d arrays.
+the integrand evaluated through ClassDensity.cdf on numpy 0-d arrays, and
+scores a query outside the truncation window as the nearer window end.
 The module under test caches the segments between fixed cuts and
 evaluates the integrand on Python floats; neither may move a bit, in any
 call order."""
@@ -54,8 +55,8 @@ def reference_expectation(problem, x_query, tail_tol=analytic.DEFAULT_TAIL_TOL):
         raise QuadratureError("tail")
     inner = [*problem.minus.breakpoints(), *problem.plus.breakpoints()]
     fn = lambda w: _signed_cdf_gap(problem, w)
-    left = _quad_piecewise(fn, lo, x, inner) if x > lo else 0.0
-    right = _quad_piecewise(fn, x, hi, inner) if x < hi else 0.0
+    left = _quad_piecewise(fn, lo, min(x, hi), inner) if x > lo else 0.0
+    right = _quad_piecewise(fn, max(x, lo), hi, inner) if x < hi else 0.0
     return left - right
 
 
@@ -183,10 +184,22 @@ def test_warm_problem_integrates_only_the_pieces_at_the_query(monkeypatch):
         return quad(fn, a, b, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-    for x in [*mids, 0.1, lo - 1.0, hi + 1.0]:
+    for x in [*mids, 0.1, lo - 1.0, hi + 1.0, lo - 1e6, hi + 1e6]:
         calls.clear()
         value = expectation_quadrature(problem, x)
-        assert len(calls) == (2 if lo < x < hi else 1), (x, calls)
+        # a query outside the window is the sum of the cached segments alone
+        assert len(calls) == (2 if lo < x < hi else 0), (x, calls)
         assert all(x in segment for segment in calls), (x, calls)
         # the reference holds its own binding of quad, so it is not counted
         assert bits(value) == bits(reference_expectation(problem, x))
+
+
+def test_far_queries_score_as_the_window_ends():
+    # QUADPACK on [hi, x] for a far x misses the mass near hi: 3.601 at x >= 1e4
+    problem = DecisionProblem1D(ClassDensity.gaussian(-1.0, 0.5), ClassDensity.gaussian(1.0, 0.5))
+    lo, hi = _window(problem)
+    for d in (1e3, 1e4, 1e6, 1e300):
+        assert abs(expectation_quadrature(problem, hi + d) - 4.0) < 1e-12
+        assert abs(expectation_quadrature(problem, lo - d) + 4.0) < 1e-12
+        assert bits(expectation_quadrature(problem, hi + d)) == bits(expectation_quadrature(problem, hi))
+        assert bits(expectation_quadrature(problem, lo - d)) == bits(expectation_quadrature(problem, lo))

@@ -9,13 +9,12 @@ import pytest
 from qens import simulator
 from qens.model import (
     Dataset,
+    ModelFamily,
     ParameterGrid,
     decode_all,
     grid_accuracies,
     grid_correct_counts,
-    perceptron,
     predict_many,
-    threshold1d,
 )
 from qens.simulator import (
     EnsembleState,
@@ -159,7 +158,7 @@ def test_postselection_impossible_when_all_models_wrong():
 # --- classifier flips and measurement ---------------------------------------------
 
 def test_classifier_moves_plus_models_to_output_one(region_dataset, sym_grid_1d):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     acc = grid_accuracies(fam, sym_grid_1d, region_dataset)
     layout = RegisterLayout(sym_grid_1d.total_bits)
     state = prepare_uniform(layout)
@@ -173,7 +172,7 @@ def test_classifier_moves_plus_models_to_output_one(region_dataset, sym_grid_1d)
 
 
 def test_classifier_requires_clear_output(region_dataset, sym_grid_1d):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     state = prepare_uniform(RegisterLayout(sym_grid_1d.total_bits))
     labels = query_labels(fam, sym_grid_1d, np.array([2.0]))
     apply_classifier(state, labels)
@@ -184,7 +183,7 @@ def test_classifier_requires_clear_output(region_dataset, sym_grid_1d):
 def test_classifier_layout_mismatch(sym_grid_1d):
     state = prepare_uniform(RegisterLayout(4))
     with pytest.raises(ValueError):
-        apply_classifier(state, query_labels(perceptron(1), sym_grid_1d, np.array([2.0])))
+        apply_classifier(state, query_labels(ModelFamily("perceptron", 1), sym_grid_1d, np.array([2.0])))
 
 
 def test_measurement_of_two_model_state():
@@ -300,7 +299,7 @@ def test_classifier_memory_bound(param_bits, count_bits, peak_bytes):
 # --- sequential rotation ----------------------------------------------------------
 
 def seq_fixture(labels):
-    fam = threshold1d()
+    fam = ModelFamily("threshold1d", 1)
     grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 1)
     ds = Dataset(np.array([[-2.0], [2.0]]), np.asarray(labels))
     return fam, grid, ds
@@ -365,7 +364,7 @@ def test_sequential_layout_mismatch():
 # --- amplitude amplification --------------------------------------------------------
 
 def test_grover_quarter_fraction_reaches_certainty():
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 2)
     ds = Dataset(np.array([[-2.0], [0.5]]), np.array([-1, 1]))
     state, report = grover_amplify_counts(grid_correct_counts(fam, grid, ds), len(ds))

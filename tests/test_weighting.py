@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qens.model import Dataset, ParameterGrid, decode_all, perceptron
+from qens.model import Dataset, ModelFamily, ParameterGrid, decode_all
 from qens.weighting import (
     DEFAULT_MODEL_CAP,
     DegenerateEnsembleError,
@@ -33,17 +33,19 @@ def test_tree_sum_scalar_result():
 
 
 def test_tree_sum_axis():
+    # the first axis is reduced; the others are kept
     a = np.arange(12.0).reshape(4, 3)
-    assert np.array_equal(tree_sum(a, axis=0), ((a[0] + a[1]) + (a[2] + a[3])))
-    assert tree_sum(a.T, axis=1).shape == (3,)
+    assert np.array_equal(tree_sum(a), ((a[0] + a[1]) + (a[2] + a[3])))
+    assert tree_sum(a.T).shape == (4,)
+    assert tree_sum(np.empty((0, 3))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_tree_sum_invariant_to_column_chunking():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(101, 57))
-    whole = tree_sum(a, axis=0)
+    whole = tree_sum(a)
     for split in (1, 7, 13, 56):
-        parts = np.concatenate([tree_sum(a[:, :split], axis=0), tree_sum(a[:, split:], axis=0)])
+        parts = np.concatenate([tree_sum(a[:, :split]), tree_sum(a[:, split:])])
         assert np.array_equal(whole, parts)
 
 
@@ -69,7 +71,7 @@ def test_signed_tree_sum_is_tree_sum_bit_for_bit(e, n):
     w = rng.integers(0, 50, e) / 49.0
     w[::7] = 0.0
     s = random_signs(rng, e, n)
-    want = tree_sum(w[:, None] * s.astype(np.float64), axis=0)
+    want = tree_sum(w[:, None] * s.astype(np.float64))
     assert signed_tree_sum(signed_sum_table(w), s).tobytes() == want.tobytes()
 
 
@@ -145,10 +147,12 @@ def test_weights_for_vectorized():
 
 # --- vote ---------------------------------------------------------------------
 
+def labels(*signs):
+    return np.array(signs, dtype=np.int8)
+
+
 def test_vote_two_model_score():
-    fam = perceptron(1)
-    thetas = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    dec = vote(fam, thetas, np.array([0.84, 0.16]), np.array([1.0]))
+    dec = vote(np.array([0.84, 0.16]), labels(1, -1))
     assert dec.raw_score == pytest.approx(0.68, abs=1e-15)
     assert dec.p_plus == pytest.approx(0.84, abs=1e-15)
     assert dec.p_minus == pytest.approx(0.16, abs=1e-15)
@@ -156,32 +160,41 @@ def test_vote_two_model_score():
 
 
 def test_vote_tie_labels_plus():
-    fam = perceptron(1)
-    thetas = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    dec = vote(fam, thetas, np.array([0.5, 0.5]), np.array([2.0]))
+    dec = vote(np.array([0.5, 0.5]), labels(1, -1))
     assert dec.raw_score == 0.0
     assert dec.label == 1
 
 
 def test_vote_all_zero_weights_degenerate():
-    fam = perceptron(1)
-    thetas = np.array([[1.0, 0.0]])
     with pytest.raises(DegenerateEnsembleError):
-        vote(fam, thetas, np.array([0.0]), np.array([1.0]))
+        vote(np.array([0.0]), labels(1))
 
 
 def test_vote_zero_total_weight_gives_nan_probabilities():
-    fam = perceptron(1)
-    thetas = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    dec = vote(fam, thetas, np.array([0.5, -0.5]), np.array([1.0]))
+    dec = vote(np.array([0.5, -0.5]), labels(1, -1))
     assert math.isnan(dec.p_plus) and math.isnan(dec.p_minus)
     assert dec.raw_score == pytest.approx(1.0)
+
+
+def test_vote_needs_one_weight_per_label():
+    with pytest.raises(ValueError):
+        vote(np.array([0.5, 0.5]), labels(1, -1, 1))
+
+
+def test_vote_is_the_tree_sums_of_weights_and_labels():
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0.0, 1.0, 1001)
+    s = np.where(rng.random(1001) < 0.5, -1, 1).astype(np.int8)
+    dec = vote(w, s)
+    assert dec.raw_score == tree_sum(w * s)
+    assert dec.p_plus == tree_sum(w * (s > 0)) / tree_sum(w)
+    assert dec.p_minus == tree_sum(w * (s < 0)) / tree_sum(w)
 
 
 # --- ensemble_decide ------------------------------------------------------------
 
 def test_ensemble_decide_accuracy_scheme(region_dataset, sym_grid_1d):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     dec = ensemble_decide(fam, sym_grid_1d, region_dataset, WeightScheme.ACCURACY, np.array([2.0]))
     # weights (0.5, 0.16, 0.84, 0.5), outputs (-1, -1, +1, +1)
     assert dec.raw_score == pytest.approx(0.68, abs=1e-15)
@@ -190,14 +203,14 @@ def test_ensemble_decide_accuracy_scheme(region_dataset, sym_grid_1d):
 
 
 def test_ensemble_decide_log_odds_nan_on_symmetric_grid(region_dataset, sym_grid_1d):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     dec = ensemble_decide(fam, sym_grid_1d, region_dataset, WeightScheme.LOG_ODDS, np.array([2.0]))
     # complement pairs cancel the total weight exactly
     assert math.isnan(dec.p_plus)
 
 
 def test_ensemble_decide_cap(region_dataset):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     # 2^26 models: the cap is checked before the grid is enumerated
     grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 13)
     assert grid.size > DEFAULT_MODEL_CAP
@@ -205,8 +218,19 @@ def test_ensemble_decide_cap(region_dataset):
         ensemble_decide(fam, grid, region_dataset, WeightScheme.UNIFORM, np.array([0.0]))
 
 
+@pytest.mark.parametrize("scheme", [WeightScheme.UNIFORM, WeightScheme.ACCURACY, WeightScheme.LOG_ODDS])
+def test_ensemble_decide_is_the_vote_on_grid_accuracies(region_dataset, sym_grid_1d, scheme):
+    from qens.model import grid_accuracies, predict_many
+
+    fam = ModelFamily("perceptron", 1)
+    x = np.array([0.3])
+    acc = grid_accuracies(fam, sym_grid_1d, region_dataset)
+    want = vote(weights_for(scheme, acc), predict_many(fam, decode_all(sym_grid_1d), x)[:, 0])
+    assert ensemble_decide(fam, sym_grid_1d, region_dataset, scheme, x) == want
+
+
 def test_uniform_equals_unweighted_majority(region_dataset, sym_grid_1d):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     dec = ensemble_decide(fam, sym_grid_1d, region_dataset, WeightScheme.UNIFORM, np.array([2.0]))
     assert dec.raw_score == 0.0  # symmetric grid, outputs cancel pairwise
     assert dec.label == 1
@@ -215,13 +239,13 @@ def test_uniform_equals_unweighted_majority(region_dataset, sym_grid_1d):
 # --- accurate-half reduction ------------------------------------------------------
 
 def test_effective_expectation_engineered_value(region_dataset, sym_grid_1d):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     eff = effective_expectation(fam, sym_grid_1d, region_dataset, np.array([2.0]))
     assert eff == pytest.approx(0.085, abs=1e-15)
 
 
 def test_effective_expectation_equals_half_full_sum(region_dataset, sym_grid_1d):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     from qens.model import grid_accuracies, predict_many
 
     acc = grid_accuracies(fam, sym_grid_1d, region_dataset)
@@ -234,22 +258,20 @@ def test_effective_expectation_equals_half_full_sum(region_dataset, sym_grid_1d)
 
 
 def test_effective_expectation_requires_symmetry(region_dataset):
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     asym = ParameterGrid(((-1.0, 1.0), (0.0, 1.0)), 1)
     with pytest.raises(ValueError):
         effective_expectation(fam, asym, region_dataset, np.array([0.0]))
 
 
 def test_effective_expectation_requires_point_symmetric_family(region_dataset):
-    from qens.model import threshold1d
-
     grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 1)
     with pytest.raises(ValueError):
-        effective_expectation(threshold1d(), grid, region_dataset, np.array([0.0]))
+        effective_expectation(ModelFamily("threshold1d", 1), grid, region_dataset, np.array([0.0]))
 
 
 def test_effective_expectation_all_ties_is_zero():
-    fam = perceptron(1)
+    fam = ModelFamily("perceptron", 1)
     grid = ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 1)
     # two points, mirrored labels: every model scores exactly 1/2
     ds = Dataset(np.array([[2.0], [2.0]]), np.array([-1, 1]))
@@ -260,7 +282,7 @@ def test_effective_expectation_all_ties_is_zero():
 @given(st.integers(0, 2**32 - 1))
 def test_reduction_identity_random_problems(seed):
     rng = np.random.default_rng(seed)
-    fam = perceptron(int(rng.integers(1, 3)))
+    fam = ModelFamily("perceptron", int(rng.integers(1, 3)))
     bits = int(rng.integers(1, 4))
     grid = ParameterGrid(tuple((-1.0, 1.0) for _ in range(fam.parameter_count)), bits)
     m = int(rng.integers(1, 9))
