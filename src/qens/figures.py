@@ -30,9 +30,12 @@ _CHUNK = 256
 # fig6 raster points: the default raster has 81^2, a 0.025 step 161^2
 RASTER_POINT_CAP = 1 << 20
 FIG6_MODEL_CAP = 1 << 18  # fig6 lattice models: 64 values per parameter, cubed
-FIG2_SIZE_CAP = 1 << 14  # fig2 committee size: each curve's cost grows with its square
+# fig2 committee size: a curve has about max_size^2 / 8 log terms, 1.5-1.9 s per accuracy at the cap
+FIG2_SIZE_CAP = 1 << 14
 # grover iterations: the default floor(pi/4 sqrt(E/K)) is at most 2274 under the qubit cap
 GROVER_ITERATION_CAP = 1 << 12
+# classify shots: all are drawn at once, as uint64 words and their float64 uniforms
+SHOTS_CAP = 1 << 20
 # fig4 and fig5 curve points: fig5 integrates once per point, about 6 s at the cap
 CURVE_POINT_CAP = 1 << 16
 
@@ -524,9 +527,13 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         raise ConfigError("query dimension does not match the family")
     if rotation not in ("exact", "sequential"):
         raise ConfigError("rotation must be 'exact' or 'sequential'")
+    if not np.all(np.isfinite(query)):
+        raise ValueError("query must be finite")
 
-    # cap check before enumerating the grid
+    # cap checks before enumerating the grid
     layout = simulator.RegisterLayout(grid.total_bits)
+    if shots > SHOTS_CAP:
+        raise weighting.EnumerationCapError(f"classify shots are over {SHOTS_CAP}")
     acc = grid_accuracies(family, grid, dataset)
     counts = grid_correct_counts(family, grid, dataset)
     m = len(dataset)

@@ -463,6 +463,33 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, command, override):
     assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("query", ["1e999", "-1e999", "NaN"])
+def test_classify_non_finite_query_is_domain_error(tmp_path, monkeypatch, query):
+    def refuse(*args):
+        raise AssertionError("grid enumerated before the query check")
+
+    monkeypatch.setattr(figures, "grid_accuracies", refuse)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"query": [{query}]}}')
+    out = tmp_path / "out"
+    assert run_cli("classify", "--out", str(out), "--config", str(cfg)) == cli.EXIT_DOMAIN
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_classify_shots_cap(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {"shots": figures.SHOTS_CAP})
+    assert run_cli("classify", "--out", str(tmp_path / "ok"), "--config", str(cfg)) == cli.EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("grid enumerated before the cap check")
+
+    monkeypatch.setattr(figures, "grid_accuracies", refuse)
+    cfg = write_config(tmp_path, {"shots": figures.SHOTS_CAP + 1})
+    out = tmp_path / "out"
+    assert run_cli("classify", "--out", str(out), "--config", str(cfg)) == cli.EXIT_CAP
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_query_dimension_mismatch_is_usage_error(tmp_path):
     cfg = write_config(tmp_path, {"query": [0.1, 0.2]})
     assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
