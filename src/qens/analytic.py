@@ -235,13 +235,17 @@ def expectation_quadrature(
     return left - right
 
 
-def expectation_closed_equal_sigma(problem: DecisionProblem1D, x_query: float) -> float:
-    """Closed-form committee score for equal-variance Gaussian classes."""
+def expectation_closed_equal_sigma(problem: DecisionProblem1D, x_query):
+    """Closed-form committee score for equal-variance Gaussian classes, at
+    one query or an array of them.  A query outside the quadrature window
+    scores as the nearer window end, as in expectation_quadrature: past it
+    the two gamma terms, each near 2|x|, cancel to nothing, and near
+    float64's top they overflow."""
     if problem.minus.kind != GAUSSIAN or problem.plus.kind != GAUSSIAN:
         raise ValueError("closed form requires Gaussian class densities")
     if problem.minus.scale != problem.plus.scale:
         raise ValueError("closed form requires equal standard deviations")
-    x = float(x_query)
+    x = np.clip(np.asarray(x_query, dtype=np.float64), *_cut_points(problem))
     return 2.0 * gamma_antiderivative(x, problem.minus.loc, problem.minus.scale) - (
         2.0 * gamma_antiderivative(x, problem.plus.loc, problem.plus.scale)
     )

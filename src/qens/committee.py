@@ -88,12 +88,13 @@ def condorcet_error(size: int, p: float) -> float:
     return float(_majority_errors([size], p)[0])
 
 
-def condorcet_curve(p: float, max_size: int) -> list[tuple[int, float]]:
-    """(size, majority error) for every odd size up to max_size."""
+def condorcet_curve(p: float, max_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, majority errors): every odd size up to max_size, ascending,
+    and the majority error at each."""
     if max_size < 1:
         raise ValueError("max_size must be positive")
-    sizes = range(1, max_size + 1, 2)
-    return list(zip(sizes, _majority_errors(sizes, p).tolist()))
+    sizes = np.arange(1, max_size + 1, 2)
+    return sizes, _majority_errors(sizes, p)
 
 
 def odds_ratio(a: float) -> float:

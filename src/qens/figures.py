@@ -135,6 +135,8 @@ def _float_array(values) -> np.ndarray:
 def _curve_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if not math.isfinite(hi - lo):  # also an overflowing width, which linspace turns into nan
         raise ConfigError("curve needs finite bounds with a finite width")
+    if points < 1:
+        raise ConfigError("curve needs at least one point")
     if points > CURVE_POINT_CAP:
         raise weighting.EnumerationCapError(f"curve has over {CURVE_POINT_CAP} points")
     return np.linspace(lo, hi, points)
@@ -246,14 +248,12 @@ def _summary(command: str, cfg: dict, outputs: list[str], metrics: dict, checks:
 def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Majority-error curves over committee size plus the odds-ratio gain."""
     p_list, max_size = _fields(cfg, p_list=_floats, max_size=int).values()
+    if not p_list:
+        raise ConfigError("p_list needs at least one accuracy")
     if max_size > FIG2_SIZE_CAP:
         raise weighting.EnumerationCapError(f"fig2 max_size is over {FIG2_SIZE_CAP}")
     curves = [committee.condorcet_curve(p, max_size) for p in p_list]
-    series = []
-    for p, curve in zip(p_list, curves):
-        sizes = np.array([e for e, _ in curve], dtype=np.float64)
-        errs = np.array([v for _, v in curve])
-        series.append((f"p={p:g}", sizes, errs))
+    series = [(f"p={p:g}", sizes, errs) for p, (sizes, errs) in zip(p_list, curves)]
     a_grid = np.round(np.arange(0.01, 0.995, 0.01), 10)
     odds = np.array([committee.odds_ratio(a) for a in a_grid])
     odds_series = [
@@ -265,22 +265,21 @@ def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
     )
     odds_title = "odds-ratio signal of one member vs a pair"
     _write_curves(out, "fig2_oddsratio", "accuracy", odds_series, odds_title, "odds")
-    by_p = dict(zip(p_list, curves))
+    by_p = {p: errs for p, (_, errs) in zip(p_list, curves)}
     checks = {}
     if 0.6 in by_p and max_size >= 1001:
-        checks["p06_converges"] = by_p[0.6][-1][1] < 1e-6
+        checks["p06_converges"] = by_p[0.6][-1] < 1e-6
     if 0.5 in by_p:
-        flat_dev = max(abs(v - 0.5) for _, v in by_p[0.5])
-        checks["p05_flat"] = flat_dev < 1e-12
+        checks["p05_flat"] = np.max(np.abs(by_p[0.5] - 0.5)) < 1e-12
     for p in p_list:
         if p > 0.5:
-            vals = [v for _, v in by_p[p]]
-            checks[f"monotone_p{p:g}"] = all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+            errs = by_p[p]
+            checks[f"monotone_p{p:g}"] = np.all(errs[1:] <= errs[:-1] + 1e-15)
     checks["complement_symmetry"] = all(
         abs(committee.condorcet_error(e, 0.6) + committee.condorcet_error(e, 0.4) - 1.0) < 1e-12
         for e in (3, 51, 501)
     )
-    metrics = {f"final_error_p={p:g}": by_p[p][-1][1] for p in p_list}
+    metrics = {f"final_error_p={p:g}": by_p[p][-1] for p in p_list}
     return _summary(
         "fig2",
         cfg,
@@ -330,7 +329,7 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
         analytic.ClassDensity.gaussian(mu_plus, sigma),
     )
     xs = _curve_grid(x_min, x_max, points)
-    closed = np.array([analytic.expectation_closed_equal_sigma(problem, x) for x in xs])
+    closed = analytic.expectation_closed_equal_sigma(problem, xs)
     quadrature = np.array([analytic.expectation_quadrature(problem, x) for x in xs])
     boundary = analytic.decision_boundary(problem)
     series = [("closed_form", xs, closed), ("quadrature", xs, quadrature)]
@@ -371,6 +370,8 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     ticks_per_axis = round(min((hi - lo) / step, RASTER_POINT_CAP)) + 1
     if ticks_per_axis**2 > RASTER_POINT_CAP:
         raise weighting.EnumerationCapError(f"raster has over {RASTER_POINT_CAP} points")
+    if values["values_per_parameter"] < 1:
+        raise ConfigError("fig6 needs values_per_parameter >= 1")
     if values["values_per_parameter"] ** 3 > FIG6_MODEL_CAP:
         raise weighting.EnumerationCapError(f"fig6 lattice has over {FIG6_MODEL_CAP} models")
     dataset = gaussian_blobs(spec)

@@ -109,22 +109,14 @@ def count_bits_for(dataset_size: int) -> int:
 
 
 class EnsembleState:
-    """Real statevector over the ensemble register."""
+    """Real statevector over the ensemble register, allocated as zeros;
+    every gate of the circuit is real, so the amplitudes are float64."""
 
     __slots__ = ("layout", "amplitudes")
 
-    def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray | None = None) -> None:
+    def __init__(self, layout: RegisterLayout) -> None:
         self.layout = layout
-        size = 1 << layout.total_qubits
-        if amplitudes is None:
-            amplitudes = np.zeros(size, dtype=np.float64)
-        else:
-            if np.iscomplexobj(amplitudes):
-                raise ValueError("amplitudes must be real; this circuit has no complex phase")
-            amplitudes = np.asarray(amplitudes, dtype=np.float64)
-            if amplitudes.shape != (size,):
-                raise ValueError(f"amplitude vector must have length {size}")
-        self.amplitudes = amplitudes
+        self.amplitudes = np.zeros(1 << layout.total_qubits, dtype=np.float64)
 
     def view(self) -> np.ndarray:
         """Amplitudes reshaped to (models, output, accuracy, count values)."""

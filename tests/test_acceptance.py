@@ -254,7 +254,7 @@ def test_criterion_6_majority_error_convergence():
     tail = condorcet_error(1001, 0.6)
     monotone = True
     for p in (0.55, 0.6, 0.7):
-        errs = [v for _, v in condorcet_curve(p, 1001)]
+        _, errs = condorcet_curve(p, 1001)
         monotone &= all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
     comp = max(
         abs(condorcet_error(e, p) + condorcet_error(e, 1.0 - p) - 1.0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
+from qens import analytic
 from qens.analytic import (
     ClassDensity,
     DecisionProblem1D,
@@ -148,6 +149,25 @@ def test_closed_form_matches_quadrature():
         abs(expectation_closed_equal_sigma(prob, x) - expectation_quadrature(prob, x)) for x in xs
     ]
     assert max(gaps) < 1e-6
+
+
+def test_closed_form_on_an_array_is_the_per_point_form_clipped_to_the_window():
+    prob = gaussian_pair()
+    lo, hi = analytic._cut_points(prob)
+    inside = np.linspace(lo, hi, 2401)
+    got = expectation_closed_equal_sigma(prob, inside)
+    # the unclipped per-point formula, one Python call per query
+    want = [
+        2.0 * gamma_antiderivative(x, -1.0, 0.5) - 2.0 * gamma_antiderivative(x, 1.0, 0.5)
+        for x in inside
+    ]
+    assert got.tobytes() == np.array(want).tobytes()
+    outside = np.array([-1e308, -1e17, lo - 1.0, hi + 1.0, 1e17, 1e308])
+    ends = [want[0]] * 3 + [want[-1]] * 3
+    assert expectation_closed_equal_sigma(prob, outside).tolist() == ends
+    assert [expectation_closed_equal_sigma(prob, float(x)) for x in outside] == ends
+    for x in outside:
+        assert abs(expectation_closed_equal_sigma(prob, x) - expectation_quadrature(prob, x)) < 1e-12
 
 
 def test_closed_form_requires_equal_sigma_gaussians():

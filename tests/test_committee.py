@@ -81,18 +81,18 @@ def test_complement_symmetry(half, p):
 
 def test_monotone_improvement_above_half():
     for p in (0.55, 0.6, 0.7):
-        errs = [v for _, v in condorcet_curve(p, 401)]
+        _, errs = condorcet_curve(p, 401)
         assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
 
 
 def test_monotone_decline_below_half():
-    errs = [v for _, v in condorcet_curve(0.45, 201)]
+    _, errs = condorcet_curve(0.45, 201)
     assert all(b >= a - 1e-15 for a, b in zip(errs, errs[1:]))
 
 
 def test_curve_sizes_are_odd():
-    curve = condorcet_curve(0.6, 10)
-    assert [e for e, _ in curve] == [1, 3, 5, 7, 9]
+    sizes, _ = condorcet_curve(0.6, 10)
+    assert sizes.tolist() == [1, 3, 5, 7, 9]
 
 
 def test_odds_ratio_values():
@@ -124,7 +124,9 @@ def test_log_space_stability_extreme_sizes():
 @example(0.6)
 @example(0.7)
 def test_batched_pass_matches_per_size_logsumexp_bit_for_bit(p):
-    assert condorcet_curve(p, 2001) == [(n, per_size_error(n, p)) for n in range(1, 2002, 2)]
+    sizes, errs = condorcet_curve(p, 2001)
+    assert sizes.tolist() == list(range(1, 2002, 2))
+    assert errs.tolist() == [per_size_error(n, p) for n in sizes.tolist()]
     for size in (1, 3, 1609, 4001, 16383):
         assert condorcet_error(size, p) == per_size_error(size, p)
 
@@ -140,14 +142,15 @@ def test_curve_straddling_chunk_boundaries_keeps_per_size_values(p, monkeypatch)
 
     monkeypatch.setattr(committee, "_CHUNK_TERMS", 100)
     monkeypatch.setattr(committee, "_chunk_errors", record)
-    curve = condorcet_curve(p, 401)
+    sizes, errs = condorcet_curve(p, 401)
     # whole sizes per chunk, in order; from size 201 on a size has over 100
     # terms and is a chunk alone
     assert [n for chunk in chunks for n in chunk] == list(range(1, 402, 2))
     assert all(sum((n + 1) // 2 for n in c) <= 100 for c in chunks if c[0] < 201)
     assert sum(1 for c in chunks if c[0] < 201) > 10
     assert [c for c in chunks if c[0] >= 201] == [[n] for n in range(201, 402, 2)]
-    assert curve == [(n, per_size_error(n, p)) for n in range(1, 402, 2)]
+    assert sizes.tolist() == list(range(1, 402, 2))
+    assert errs.tolist() == [per_size_error(n, p) for n in sizes.tolist()]
 
 
 def test_curve_at_size_cap_memory_bound(peak_bytes):

@@ -270,6 +270,24 @@ def test_curve_point_cap(tmp_path, monkeypatch, command):
     assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
 
 
+def test_importing_the_package_loads_no_module():
+    # qens exposes modules, not names: the package root imports nothing
+    src = str(Path(qens.__file__).resolve().parents[1])
+    probe = (
+        "import sys, qens; "
+        "print(sorted(m for m in sys.modules if m.startswith('qens.') or m == 'numpy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_importing_the_cli_loads_no_scipy_integrate():
     # the quadrature imports scipy.integrate on first use, and with it
     # scipy.optimize and scipy.sparse; no other command needs them
@@ -317,11 +335,43 @@ def test_single_point_curves_draw_finite_svg(tmp_path, command, override):
 
 
 def test_fig5_single_point_beyond_2_53_draws_finite_svg(tmp_path):
-    # x +- 1 rounds back to 1e17, so the empty x span must widen by more.
-    # The closed form cancels there and misses the quadrature: its check fails
+    # x +- 1 rounds back to 1e17, so the empty x span must widen by more
     cfg = write_config(tmp_path, {"x_min": 1e17, "x_max": 1e17, "points": 1})
-    assert run_cli("fig5", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CHECK_FAILED
+    assert run_cli("fig5", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_OK
     assert "nan" not in (tmp_path / "fig5_expectation.svg").read_text()
+
+
+@pytest.mark.parametrize(
+    "override", [{"x_max": 1e308}, {"x_min": -3.0, "x_max": 1e17}], ids=["1e308", "1e17"]
+)
+def test_fig5_closed_form_far_outside_the_window_matches_quadrature(tmp_path, override):
+    # past the window the closed form's two gamma terms cancel to 0 (at 1e17)
+    # or overflow to nan (near 1e308); both routes score the window end there
+    cfg = write_config(tmp_path, override)
+    assert run_cli("fig5", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "fig5_summary.json").read_text())
+    assert summary["checks"]["closed_matches_quadrature"]
+    assert "nan" not in (tmp_path / "fig5_expectation.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    ("command", "override"),
+    [
+        ("fig2", {"p_list": []}),
+        ("fig4", {"points": 0}),
+        ("fig5", {"points": 0}),
+        ("fig5", {"points": -2}),
+        ("fig6", {"values_per_parameter": 0}),
+    ],
+    ids=[
+        "fig2-no-accuracies", "fig4-no-points", "fig5-no-points", "fig5-negative-points", "fig6-no-models",
+    ],
+)
+def test_empty_input_is_config_error_before_any_artifact(tmp_path, command, override):
+    cfg = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--config", str(cfg)) == cli.EXIT_USAGE
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -85,12 +85,12 @@ def test_count_bits_for():
 
 # --- preparation and rotation --------------------------------------------------
 
-def test_state_is_real_and_rejects_complex_amplitudes():
+def test_state_is_real():
     layout = RegisterLayout(1)
     assert prepare_uniform(layout).amplitudes.dtype == np.float64
-    assert EnsembleState(layout, np.full(8, 0.5, dtype=np.float32)).amplitudes.dtype == np.float64
-    with pytest.raises(ValueError):
-        EnsembleState(layout, np.full(8, 0.5 + 0.0j))
+    state = EnsembleState(layout)
+    assert state.amplitudes.dtype == np.float64
+    assert state.amplitudes.tolist() == [0.0] * 8
 
 
 def test_prepare_uniform_distribution():

@@ -121,6 +121,13 @@ LAYOUTS = sorted(
 )
 
 
+def state_with(layout, amps):
+    """A fresh state holding a copy of the amplitudes amps."""
+    state = EnsembleState(layout)
+    state.amplitudes[...] = amps
+    return state
+
+
 def random_state(layout, seed, zero=()):
     """Random normalized real amplitudes whose magnitudes span eight
     decades in runs of 64, so that summation order shows in the last bits;
@@ -128,7 +135,7 @@ def random_state(layout, seed, zero=()):
     rng = np.random.default_rng(seed)
     n = 1 << layout.total_qubits
     amps = rng.normal(size=n) * np.repeat(10.0 ** rng.uniform(-4, 4, -(-n // 64)), 64)[:n]
-    state = EnsembleState(layout, amps)
+    state = state_with(layout, amps)
     state.view()[list(zero)] = 0.0
     state.amplitudes /= ref_norm(state)
     return state
@@ -195,7 +202,7 @@ def test_marked_mass_matches_gather(layout):
     ms = {c // 2, c // 2 + 1, 3 * c // 4 + 1, c - 1} | {m for m in M_VALUES if count_bits_for(m) == layout.count_bits}
     for m in sorted(v for v in ms if c // 2 <= v < c):
         got = simulator._sum_squares(state.amplitudes.reshape(-1, c)[:, m // 2 + 1 :].T)
-        assert bits(got) == bits(ref_marked_probability(EnsembleState(layout, state.amplitudes.copy()), m))
+        assert bits(got) == bits(ref_marked_probability(state_with(layout, state.amplitudes), m))
 
 
 def test_zero_mass_branches():
@@ -234,7 +241,7 @@ def test_grover_marked_probability_matches_gather(param_bits):
 
 def test_postselection_matches_numpy(layout):
     state = random_state(layout, 6, zero_models(layout))
-    want = EnsembleState(layout, state.amplitudes.copy())
+    want = state_with(layout, state.amplitudes)
     p_acc = ref_postselect(want)
     _, report = postselect_accuracy_zero(state)
     assert bits(report.acceptance_probability) == bits(p_acc)
@@ -245,7 +252,7 @@ def test_classifier_matches_gather(layout):
     state = random_state(layout, 7, zero_models(layout))
     state.view()[:, 1] = 0.0
     labels = np.where(np.random.default_rng(8).random(layout.model_count) < 0.5, -1, 1)
-    want = EnsembleState(layout, state.amplitudes.copy())
+    want = state_with(layout, state.amplitudes)
     ref_classifier(want, labels)
     apply_classifier(state, labels)
     assert bits(state.amplitudes) == bits(want.amplitudes)
@@ -257,7 +264,7 @@ def test_sequential_rotation_matches_numpy(param_bits, count_bits, m):
     state = random_state(layout, 9, zero_models(layout))
     state.view()[:, :, 1] = 0.0
     correct = np.random.default_rng(10).random((layout.model_count, m)) < 0.6
-    want = EnsembleState(layout, state.amplitudes.copy())
+    want = state_with(layout, state.amplitudes)
     ref_sequential(want, correct, math.pi / (4 * m))
     apply_accuracy_rotation_sequential(state, correct, math.pi / (4 * m))
     assert bits(state.amplitudes) == bits(want.amplitudes)
