@@ -119,6 +119,13 @@ def _fields(spec: dict, **converters) -> dict:
     return values
 
 
+def _at_least_one(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"{n} is below 1")
+    return n
+
+
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
@@ -158,7 +165,9 @@ def _grid(d: dict) -> ParameterGrid:
     return ParameterGrid(intervals, bits)
 
 
-_BLOB_FIELDS = dict(mean_minus=_floats, mean_plus=_floats, sigma=float, per_class=int, seed=int)
+_BLOB_FIELDS = dict(
+    mean_minus=_floats, mean_plus=_floats, sigma=float, per_class=_at_least_one, seed=int
+)
 
 
 def dataset_from_config(d: dict) -> Dataset:
@@ -177,7 +186,7 @@ def dataset_from_config(d: dict) -> Dataset:
             sigma_minus=float,
             mu_plus=float,
             sigma_plus=float,
-            per_class=int,
+            per_class=_at_least_one,
             seed=int,
         )
         return gaussian_1d_pair(**spec)
@@ -247,7 +256,7 @@ def _summary(command: str, cfg: dict, outputs: list[str], metrics: dict, checks:
 
 def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Majority-error curves over committee size plus the odds-ratio gain."""
-    p_list, max_size = _fields(cfg, p_list=_floats, max_size=int).values()
+    p_list, max_size = _fields(cfg, p_list=_floats, max_size=_at_least_one).values()
     if not p_list:
         raise ConfigError("p_list needs at least one accuracy")
     if max_size > FIG2_SIZE_CAP:
@@ -329,8 +338,9 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
         analytic.ClassDensity.gaussian(mu_plus, sigma),
     )
     xs = _curve_grid(x_min, x_max, points)
-    closed = analytic.expectation_closed_equal_sigma(problem, xs)
+    # the quadrature first: a config whose tails it refuses would overflow the closed form
     quadrature = np.array([analytic.expectation_quadrature(problem, x) for x in xs])
+    closed = analytic.expectation_closed_equal_sigma(problem, xs)
     boundary = analytic.decision_boundary(problem)
     series = [("closed_form", xs, closed), ("quadrature", xs, quadrature)]
     _write_curves(out, "fig5_expectation", "x", series, "committee score vs query point", "score")

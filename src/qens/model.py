@@ -12,6 +12,15 @@ Three families share one functional interface f(x; theta) -> {-1, +1}:
 sgn(0) is +1 throughout, so predictions are total and deterministic.
 predict_many scores 2**14 models at a time into its (E, M) int8 result, so
 it peaks at E*M bytes plus one block's float64 margins (and mlp2 activations).
+Margins: threshold1d computes fl(fl(x - w0) * o) and a one-input perceptron
+fl(fl(w * x) + b), elementwise, with no BLAS, so no BLAS kernel can move
+them.  A one-term BLAS dot product rounds once as well and gives the same
+signs: it can differ only in the sign bit of a zero product, and sgn maps
+both zeros to +1.  Wider perceptrons take w . x from BLAS (matmul) and mlp2
+its layers from einsum, so their last bits follow the host's BLAS and SIMD
+kernels.  correct_counts reduces the int8 table 2**16 values at a time, each
+block a float64 matrix-vector product with the labels: every dot product is
+an integer of magnitude at most M, exact in any summation order.
 Parameter vectors are flat float64 arrays; mlp2 packs W1 row-major, then
 W2 row-major, then the output weights.
 
@@ -42,6 +51,7 @@ MLP_TWO_HIDDEN = "mlp2"
 
 _KINDS = (THRESHOLD1D, PERCEPTRON, MLP_TWO_HIDDEN)
 _BLOCK_ROWS = 1 << 14  # models per predict_many block; bounds the float64 margins
+_COUNT_CHUNK = 1 << 16  # float64 prediction values per correct_counts block
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,7 @@ def _block_margins(family: ModelFamily, block: np.ndarray, xs: np.ndarray) -> np
         margins *= block[:, 0:1]
         return margins
     if family.kind == PERCEPTRON:
-        margins = block[:, :n] @ xs.T
+        margins = block[:, 0:1] * xs[:, 0] if n == 1 else block[:, :n] @ xs.T
         margins += block[:, n : n + 1]
         return margins
     h1, h2 = family.hidden
@@ -282,8 +292,20 @@ def correct_counts(family: ModelFamily, thetas: np.ndarray, dataset: Dataset) ->
     if len(dataset) < 1:
         raise ValueError("dataset is empty")
     preds = predict_many(family, thetas, dataset.x)
-    preds *= dataset.y.astype(np.int8)  # +1 where correct, -1 where wrong
-    return (len(dataset) + preds.sum(axis=1, dtype=np.int64)) // 2
+    e, m = preds.shape
+    y = dataset.y.astype(np.float64)
+    rows = max(1, _COUNT_CHUNK // m)
+    block = np.empty((min(rows, e), m))
+    dots = np.empty(len(block))  # sum of y * prediction: +1 where correct, -1 where wrong
+    out = np.empty(e, dtype=np.int64)
+    for start in range(0, e, rows):
+        k = min(rows, e - start)
+        block[:k] = preds[start : start + k]
+        np.matmul(block[:k], y, out=dots[:k])
+        out[start : start + k] = dots[:k]
+    out += m
+    out //= 2
+    return out
 
 
 def grid_accuracies(family: ModelFamily, grid: ParameterGrid, dataset: Dataset) -> np.ndarray:

@@ -30,8 +30,14 @@ Operations mutate the passed state in place and return it.
 
 Memory: beside the statevector an operation holds O(E) values (angles,
 labels, per-model sums) and at most one chunk of _NORM_CHUNK = 2**16
-float64 values (512 KiB) of squares or temporaries; elementwise steps run
-over model rows one chunk at a time.  Every readout has the bits of np.sum
+float64 values (512 KiB) of squares or temporaries.  The elementwise steps
+work in place along the model axis, so numpy's inner loops run over E
+models rather than over the 2 values of one model: the exact rotation one
+output value at a time, the classifier as masked copies of each model's
+run of 2 * 2**c amplitudes, taken as one raw-byte element, and the
+postselection on views that already merge into one long axis.  Only the
+sequential rotation, which needs two temporaries, runs over model rows
+one chunk at a time.  Every readout has the bits of np.sum
 over a squared copy of (part of) the state, because it adds the chunks in
 the order numpy 2.4 uses (tests/test_state_sums.py holds those numpy
 expressions as references):
@@ -221,10 +227,11 @@ def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) 
         raise ValueError("accuracies outside [0, 1]")
     _require_clear(state, state.layout.count_values, _ACCURACY_NOT_CLEAR)
     view = state.view()
-    c = np.sqrt(a)[:, None, None]
-    s = np.sqrt(1.0 - a)[:, None, None]
-    np.multiply(view[:, :, 0, :], s, out=view[:, :, 1, :])  # no E x 2 temporary
-    view[:, :, 0, :] *= c
+    c = np.sqrt(a)[:, None]
+    s = np.sqrt(1.0 - a)[:, None]
+    for output in (0, 1):  # per output value, so for c = 0 numpy's inner loop runs along E
+        np.multiply(view[:, output, 0, :], s, out=view[:, output, 1, :])
+        view[:, output, 0, :] *= c
     return state
 
 
@@ -302,12 +309,12 @@ def apply_classifier(state: EnsembleState, labels: np.ndarray) -> EnsembleState:
         raise ValueError("one label per parameter basis state is required")
     _require_clear(state, 2 * state.layout.count_values, _OUTPUT_NOT_CLEAR)
     flip = labels == 1
-    view = state.view()
-    rows = _model_rows(state.layout)  # the gather holds at most half a chunk
-    for r in range(0, state.layout.model_count, rows):
-        sub, f = view[r : r + rows], flip[r : r + rows]
-        sub[f, 1] = sub[f, 0]
-        sub[f, 0] = 0.0
+    # one element per model and output value: the run of its 2 * 2**c
+    # amplitudes as raw bytes, so each masked copy is one pass over E models
+    runs = state.amplitudes.view(np.dtype((np.void, 16 * state.layout.count_values)))
+    runs = runs.reshape(-1, 2)
+    np.copyto(runs[:, 1], runs[:, 0], where=flip)
+    np.copyto(runs[:, 0], np.zeros((), runs.dtype), where=flip)
     return state
 
 

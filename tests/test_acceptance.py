@@ -9,6 +9,9 @@ Tolerances and runtime budgets are pinned in the assertions.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -448,37 +451,40 @@ LOG_ODDS_OVERRIDES = {
 }
 
 
+# each case: (command, config overrides or None)
+GOLDEN_CASES = {
+    "fig2": ("fig2", {"max_size": 151}),
+    "fig4": ("fig4", None),
+    "fig5": ("fig5", None),
+    "fig6": ("fig6", None),
+    "fig7": ("fig7", None),
+    "classify": ("classify", None),
+    "classify_sequential": ("classify", {"rotation": "sequential"}),
+    "grover": ("grover", None),
+    # 65,536 and 17,576 models: several predict_many row blocks each
+    "classify_blocks": (
+        "classify",
+        {"grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 8}},
+    ),
+    "fig6_blocks": ("fig6", {"values_per_parameter": 26, "raster_step": 0.5}),
+    # 9,261 models: 1,157 packed sign groups and a tail of 5
+    "fig6_tail": ("fig6", {"values_per_parameter": 21, "raster_step": 0.5}),
+    # 2^16 models on an 8-parameter lattice: mlp2's tanh layers
+    "classify_mlp2": (
+        "classify",
+        {
+            "family": {"kind": "mlp2", "input_dim": 1, "hidden": [2, 2]},
+            "grid": {"intervals": [[-1.0, 1.0]] * 8, "bits": 2},
+        },
+    ),
+    "classify_log_odds": ("classify", LOG_ODDS_OVERRIDES),
+}
+
+
 def test_criterion_10_byte_determinism(tmp_path):
-    cases = {
-        "fig2": ("fig2", {"max_size": 151}),
-        "fig4": ("fig4", None),
-        "fig5": ("fig5", None),
-        "fig6": ("fig6", None),
-        "fig7": ("fig7", None),
-        "classify": ("classify", None),
-        "classify_sequential": ("classify", {"rotation": "sequential"}),
-        "grover": ("grover", None),
-        # 65,536 and 17,576 models: several predict_many row blocks each
-        "classify_blocks": (
-            "classify",
-            {"grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 8}},
-        ),
-        "fig6_blocks": ("fig6", {"values_per_parameter": 26, "raster_step": 0.5}),
-        # 9,261 models: 1,157 packed sign groups and a tail of 5
-        "fig6_tail": ("fig6", {"values_per_parameter": 21, "raster_step": 0.5}),
-        # 2^16 models on an 8-parameter lattice: mlp2's tanh layers
-        "classify_mlp2": (
-            "classify",
-            {
-                "family": {"kind": "mlp2", "input_dim": 1, "hidden": [2, 2]},
-                "grid": {"intervals": [[-1.0, 1.0]] * 8, "bits": 2},
-            },
-        ),
-        "classify_log_odds": ("classify", LOG_ODDS_OVERRIDES),
-    }
     identical = True
     golden = True
-    for name, (command, overrides) in cases.items():
+    for name, (command, overrides) in GOLDEN_CASES.items():
         argv_extra = []
         if overrides is not None:
             cfg = tmp_path / f"{name}_cfg.json"
@@ -500,8 +506,64 @@ def test_criterion_10_byte_determinism(tmp_path):
         10,
         "every command reproduces its recorded artifacts byte for byte across runs and threads",
         identical and golden,
-        f"{len(cases)} cases x 3 runs, identical: {identical}, match recorded sha256: {golden}",
+        f"{len(GOLDEN_CASES)} cases x 3 runs, identical: {identical}, match recorded sha256: {golden}",
     )
+
+
+# Runs golden cases in a fresh interpreter and prints their sha256 as JSON,
+# with the dispatch groups numpy left enabled; argv: cases as JSON, out dir.
+_GOLDEN_CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_features__
+from qens import cli
+cases, root = json.loads(sys.argv[1]), Path(sys.argv[2])
+hashes = {}
+for name, (command, overrides) in cases.items():
+    argv = [command, "--out", str(root / name)]
+    if overrides is not None:
+        cfg = root / (name + ".json")
+        cfg.write_text(json.dumps(overrides))
+        argv += ["--config", str(cfg)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, name
+    hashes[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (root / name).iterdir()}
+groups = [g for g in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(g)]
+print(json.dumps({"hashes": hashes, "simd": groups}))
+"""
+
+# The golden cases whose bytes already hold on other BLAS kernels and SIMD
+# levels: one-input perceptrons (elementwise margins), exact integer counts,
+# and a simulator that multiplies and copies elementwise.  fig2 (log-space
+# gammaln sums), fig6 (two-input BLAS margins) and classify_mlp2 (einsum and
+# tanh) still move under these settings, so they stay out until their
+# arithmetic is made dispatch-invariant (ROADMAP item 5).
+PORTABLE_CASES = ("classify", "classify_sequential", "classify_blocks", "grover")
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"},
+    ],
+    ids=["openblas-prescott", "numpy-baseline-simd"],
+)
+def test_golden_cases_hold_on_other_kernels(tmp_path, env):
+    cases = {name: GOLDEN_CASES[name] for name in PORTABLE_CASES}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_CHILD, json.dumps(cases), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    if "NPY_DISABLE_CPU_FEATURES" in env:
+        assert result["simd"] == []  # the setting took effect
+    assert result["hashes"] == {name: GOLDEN_SHA256[name] for name in PORTABLE_CASES}
 
 
 def test_second_scheme_votes_on_the_accuracies_already_held(tmp_path, monkeypatch):

@@ -362,9 +362,15 @@ def test_fig5_closed_form_far_outside_the_window_matches_quadrature(tmp_path, ov
         ("fig5", {"points": 0}),
         ("fig5", {"points": -2}),
         ("fig6", {"values_per_parameter": 0}),
+        ("fig2", {"max_size": 0}),
+        ("fig2", {"max_size": -3}),
+        ("fig6", {"per_class": 0}),
+        ("classify", {"dataset": {"pair": dict(DEFAULTS["classify"]["dataset"]["pair"], per_class=0)}}),
+        ("classify", {"dataset": {"blobs": {"mean_minus": [-1.0], "mean_plus": [1.0], "sigma": 0.5, "per_class": -1, "seed": 1}}}),
     ],
     ids=[
         "fig2-no-accuracies", "fig4-no-points", "fig5-no-points", "fig5-negative-points", "fig6-no-models",
+        "fig2-no-sizes", "fig2-negative-size", "fig6-no-points", "pair-no-points", "blobs-negative-points",
     ],
 )
 def test_empty_input_is_config_error_before_any_artifact(tmp_path, command, override):
@@ -411,6 +417,28 @@ def test_fig5_far_beyond_the_window_matches_the_closed_form(tmp_path):
     rows = (tmp_path / "fig5_expectation.csv").read_text().splitlines()
     quadrature = [r for r in rows if r.endswith(",quadrature")]
     assert quadrature[0] == "-10000,-4,quadrature" and quadrature[-1] == "10000,4,quadrature"
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"mu_plus": 1e300}, {"mu_minus": -1e308, "mu_plus": 1e308}],
+    ids=["mu_plus-1e300", "means-1e308"],
+)
+def test_fig5_refused_by_the_quadrature_prints_no_overflow_warning(tmp_path, override):
+    # the closed form overflows at these means; the quadrature refuses the
+    # config first, so the run ends in exit 3 with only its error line
+    cfg = write_config(tmp_path, override)
+    src = str(Path(qens.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "qens.cli", "fig5", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == cli.EXIT_DOMAIN, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr.startswith("error: integrand at the truncation cutoffs")
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qens import model
 from qens.model import (
@@ -389,3 +391,89 @@ def test_block_evaluation_memory_bound(fam, peak_bytes):
     bound = e * m + blocks * B * m * 8 + (1 << 16)
     assert peak_bytes(predict_many, fam, thetas, ds.x) <= bound
     assert peak_bytes(correct_counts, fam, thetas, ds) <= bound
+
+
+# --- the one-input margins and the counts against the forms they replaced ----
+
+
+def matmul_signs(thetas, xs):
+    """The one-input perceptron as it was computed: margins from BLAS, w @ x + b."""
+    margins = thetas[:, :1] @ xs.T + thetas[:, 1:2]
+    return np.where(margins >= 0.0, 1, -1).astype(np.int8)
+
+
+# finite values with the edges drawn often: signed zeros, the smallest
+# subnormal, and magnitudes whose products overflow to +-inf
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300, 1.7e308, -1.7e308])
+_FINITE = st.one_of(_EDGES, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=12), st.lists(_FINITE, min_size=1, max_size=6))
+def test_one_input_perceptron_signs_match_matmul(models, points):
+    fam = ModelFamily("perceptron", 1)
+    thetas = np.array(models)
+    xs = np.array(points)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each model again with b = -fl(w * x0): its margin at the first point is exactly zero
+        on_edge = np.column_stack([thetas[:, 0], -(thetas[:, 0] * xs[0, 0])])
+        thetas = np.concatenate([thetas, on_edge, -on_edge])
+        got = predict_many(fam, thetas, xs)
+        want = matmul_signs(thetas, xs)
+    assert np.array_equal(got, want)
+
+
+def test_one_input_perceptron_signs_match_matmul_on_grid_blocks():
+    # a whole grid, several blocks, at points that include tick values
+    # (zero margins) and the grid's own negations
+    fam = ModelFamily("perceptron", 1)
+    thetas = decode_all(ParameterGrid(((-1.0, 1.0), (-1.0, 1.0)), 8))
+    xs = np.concatenate([decode_all(ParameterGrid(((-2.0, 2.0),), 4)), [[0.0], [-0.0], [1e-300]]])
+    assert np.array_equal(predict_many(fam, thetas, xs), matmul_signs(thetas, xs))
+
+
+def int8_row_sum_counts(fam, thetas, ds):
+    """correct_counts as it was computed: signs times labels in int8, summed per row."""
+    preds = predict_many(fam, thetas, ds.x)
+    preds *= ds.y.astype(np.int8)
+    return (len(ds) + preds.sum(axis=1, dtype=np.int64)) // 2
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [ModelFamily("threshold1d", 1), ModelFamily("perceptron", 1), ModelFamily("perceptron", 2), ModelFamily("mlp2", 2, (2, 2))],
+    ids=["threshold1d", "perceptron1", "perceptron2", "mlp2"],
+)
+@pytest.mark.parametrize("m", [1, 7, 24, 200])
+def test_correct_counts_match_int8_row_sums(fam, m):
+    rows = model._COUNT_CHUNK // m
+    rng = np.random.default_rng(m)
+    ds = Dataset(rng.integers(-4, 5, size=(m, fam.input_dim)) / 4.0, rng.choice([-1, 1], size=m))
+    for e in (1, rows - 1, rows, 2 * rows + 3):
+        thetas = rng.integers(-4, 5, size=(e, fam.parameter_count)) / 4.0
+        got = correct_counts(fam, thetas, ds)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, int8_row_sum_counts(fam, thetas, ds))
+    # every model right everywhere, and wrong everywhere
+    ones = np.ones(m, dtype=np.int64)
+    for y in (ones, -ones):
+        both = Dataset(ds.x, y)
+        assert np.array_equal(correct_counts(fam, thetas, both), int8_row_sum_counts(fam, thetas, both))
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [ModelFamily("threshold1d", 1), ModelFamily("perceptron", 1), ModelFamily("perceptron", 2)],
+    ids=["threshold1d", "perceptron1", "perceptron2"],
+)
+def test_correct_counts_memory_bound(fam, peak_bytes):
+    # the (E, M) int8 table, the (E,) int64 counts and one float64 block of
+    # predictions; an E-sized float64 temporary (2 MiB here) breaks it.
+    # predict_many's margins, B x M float64, fit in the same bound for M <= 20
+    e, m = 1 << 18, 16
+    block = model._COUNT_CHUNK * 8
+    assert B * m * 8 <= 8 * e + block
+    rng = np.random.default_rng(11)
+    thetas = rng.normal(size=(e, fam.parameter_count))
+    ds = Dataset(rng.normal(size=(m, fam.input_dim)), rng.choice([-1, 1], size=m))
+    assert peak_bytes(correct_counts, fam, thetas, ds) <= e * m + 8 * e + block + (128 << 10)

@@ -18,6 +18,7 @@ from qens import simulator
 from qens.simulator import (
     EnsembleState,
     RegisterLayout,
+    apply_accuracy_rotation_exact,
     apply_accuracy_rotation_sequential,
     apply_classifier,
     count_bits_for,
@@ -79,6 +80,14 @@ def ref_classifier(state, labels):
     view = state.view()
     view[flip, 1, :, :] = view[flip, 0, :, :]
     view[flip, 0, :, :] = 0.0
+
+
+def ref_rotation_exact(state, accuracies):
+    view = state.view()
+    c = np.sqrt(accuracies)[:, None, None]
+    s = np.sqrt(1.0 - accuracies)[:, None, None]
+    np.multiply(view[:, :, 0, :], s, out=view[:, :, 1, :])
+    view[:, :, 0, :] *= c
 
 
 def ref_sequential(state, correct, delta):
@@ -248,9 +257,19 @@ def test_postselection_matches_numpy(layout):
     assert bits(state.amplitudes) == bits(want.amplitudes)
 
 
+def faint(target, seed):
+    """Set the branch `target`, a view of a state where one qubit is |1>, to
+    amplitudes of +-1e-9 / sqrt(size) on a third of its models and zeros
+    elsewhere: mass under the 1e-12 that the clear-qubit check tolerates,
+    so the operation still runs, over nonzero values."""
+    rng = np.random.default_rng(seed)
+    target[...] = 0.0
+    target[::3] = rng.choice([-1e-9, 1e-9], size=target[::3].shape) / math.sqrt(target.size)
+
+
 def test_classifier_matches_gather(layout):
     state = random_state(layout, 7, zero_models(layout))
-    state.view()[:, 1] = 0.0
+    faint(state.view()[:, 1], 11)
     labels = np.where(np.random.default_rng(8).random(layout.model_count) < 0.5, -1, 1)
     want = state_with(layout, state.amplitudes)
     ref_classifier(want, labels)
@@ -267,4 +286,16 @@ def test_sequential_rotation_matches_numpy(param_bits, count_bits, m):
     want = state_with(layout, state.amplitudes)
     ref_sequential(want, correct, math.pi / (4 * m))
     apply_accuracy_rotation_sequential(state, correct, math.pi / (4 * m))
+    assert bits(state.amplitudes) == bits(want.amplitudes)
+
+
+def test_exact_rotation_matches_numpy(layout):
+    state = random_state(layout, 12, zero_models(layout))
+    faint(state.view()[:, :, 1], 13)
+    rng = np.random.default_rng(14)
+    accuracies = rng.random(layout.model_count)
+    accuracies[::5] = rng.choice([0.0, 1.0, 0.5], size=accuracies[::5].shape)
+    want = state_with(layout, state.amplitudes)
+    ref_rotation_exact(want, accuracies)
+    apply_accuracy_rotation_exact(state, accuracies)
     assert bits(state.amplitudes) == bits(want.amplitudes)
