@@ -256,6 +256,8 @@ def decision_boundary(problem: DecisionProblem1D) -> float:
     s = problem.max_scale
     lo = min(problem.minus.loc, problem.plus.loc) - 10.0 * s
     hi = max(problem.minus.loc, problem.plus.loc) + 10.0 * s
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a bisection midpoint would be NaN
+        raise NoBoundaryError(f"search bracket [{lo}, {hi}] is not finite")
     f_lo = expectation_quadrature(problem, lo)
     f_hi = expectation_quadrature(problem, hi)
     if f_lo == 0.0 and f_hi == 0.0:

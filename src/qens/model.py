@@ -10,17 +10,21 @@ Three families share one functional interface f(x; theta) -> {-1, +1}:
                 negating every weight negates the output
 
 sgn(0) is +1 throughout, so predictions are total and deterministic.
-predict_many scores 2**14 models at a time into its (E, M) int8 result, so
-it peaks at E*M bytes plus one block's float64 margins (and mlp2 activations).
-Margins: threshold1d computes fl(fl(x - w0) * o) and a one-input perceptron
-fl(fl(w * x) + b), elementwise, with no BLAS, so no BLAS kernel can move
-them.  A one-term BLAS dot product rounds once as well and gives the same
-signs: it can differ only in the sign bit of a zero product, and sgn maps
-both zeros to +1.  Wider perceptrons take w . x from BLAS (matmul) and mlp2
-its layers from einsum, so their last bits follow the host's BLAS and SIMD
-kernels.  correct_counts reduces the int8 table 2**16 values at a time, each
-block a float64 matrix-vector product with the labels: every dot product is
-an integer of magnitude at most M, exact in any summation order.
+predict_many writes margin >= 0 into its (E, M) int8 result and maps it to
+2b - 1 in place; beside those E*M bytes it holds one block of about 2 MiB
+of float64 scratch, whatever M is.  One-input families run along the model
+axis: a run of 2**14 models' two parameters sits in contiguous buffers, and
+one pass per point x_j computes fl(fl(x_j - w0) * o) (threshold1d) or
+fl(fl(w * x_j) + b) (perceptron) into column j, with no BLAS.  (A one-term
+BLAS dot product also rounds once; it can differ only in the sign of a zero
+product, which sgn maps to +1 either way.)  Wide families score blocks of
+2**18 // (M * values) models, values being the float64 values per (model,
+point): the margin, plus mlp2's h1 + h2 tanh activations, made in place.
+Their margins come from BLAS (perceptron matmul) or einsum (mlp2), so their
+last bits follow the host's kernels, which BLAS picks by the block's shape.
+correct_counts reduces the int8 table 2**16 values at a
+time, each block a float64 matrix-vector product with the labels: every dot
+product is an integer of magnitude at most M, exact in any summation order.
 Parameter vectors are flat float64 arrays; mlp2 packs W1 row-major, then
 W2 row-major, then the output weights.
 
@@ -50,7 +54,8 @@ PERCEPTRON = "perceptron"
 MLP_TWO_HIDDEN = "mlp2"
 
 _KINDS = (THRESHOLD1D, PERCEPTRON, MLP_TWO_HIDDEN)
-_BLOCK_ROWS = 1 << 14  # models per predict_many block; bounds the float64 margins
+_RUN = 1 << 14  # models per run of the one-input kernel
+_BLOCK_VALUES = 1 << 18  # float64 values per wide predict_many block: 2 MiB
 _COUNT_CHUNK = 1 << 16  # float64 prediction values per correct_counts block
 
 
@@ -108,39 +113,60 @@ def _as_points(family: ModelFamily, xs: np.ndarray) -> np.ndarray:
 
 
 def _block_margins(family: ModelFamily, block: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Float64 margins of one block of models at every point; mlp2's hidden
-    activations are locals here, freed on return."""
+    """Float64 margins of one block of wide-family models at every point;
+    mlp2's hidden activations are locals here, freed on return."""
     n = family.input_dim
-    if family.kind == THRESHOLD1D:
-        margins = xs[:, 0][None, :] - block[:, 1:2]
-        margins *= block[:, 0:1]
-        return margins
     if family.kind == PERCEPTRON:
-        margins = block[:, 0:1] * xs[:, 0] if n == 1 else block[:, :n] @ xs.T
+        margins = block[:, :n] @ xs.T
         margins += block[:, n : n + 1]
         return margins
     h1, h2 = family.hidden
     w1 = block[:, : h1 * n].reshape(-1, h1, n)
     w2 = block[:, h1 * n : h1 * n + h2 * h1].reshape(-1, h2, h1)
     w3 = block[:, h1 * n + h2 * h1 :]
-    a1 = np.tanh(np.einsum("ehn,mn->ehm", w1, xs))
-    a2 = np.tanh(np.einsum("ekh,ehm->ekm", w2, a1))
+    a1 = np.einsum("ehn,mn->ehm", w1, xs)
+    np.tanh(a1, out=a1)
+    a2 = np.einsum("ekh,ehm->ekm", w2, a1)
+    np.tanh(a2, out=a2)
     return np.einsum("ek,ekm->em", w3, a2)
+
+
+def _one_input_signs(family: ModelFamily, thetas: np.ndarray, x: np.ndarray, signs: np.ndarray) -> None:
+    """margin >= 0 of every one-input model at each point x_j into column j of
+    the bool signs, one run of models at a time along the model axis."""
+    buffers = np.empty((3, min(_RUN, len(thetas))))
+    for start in range(0, len(thetas), _RUN):
+        run = thetas[start : start + _RUN]
+        a, b, t = buffers[:, : len(run)]
+        a[:] = run[:, 0]
+        b[:] = run[:, 1]
+        for j, xj in enumerate(x):
+            if family.kind == THRESHOLD1D:  # a = o, b = w0
+                np.subtract(xj, b, out=t)
+                t *= a
+            else:  # a = w, b = bias
+                np.multiply(a, xj, out=t)
+                t += b
+            np.greater_equal(t, 0.0, out=signs[start : start + len(run), j])
 
 
 def predict_many(family: ModelFamily, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Predictions for every (model, point) pair, shape (E, M), int8 in {-1, +1}."""
     thetas = _as_theta_matrix(family, thetas)
     xs = _as_points(family, xs)
-    out = np.empty((thetas.shape[0], xs.shape[0]), dtype=np.int8)
-    for start in range(0, thetas.shape[0], _BLOCK_ROWS):
-        margins = _block_margins(family, thetas[start : start + _BLOCK_ROWS], xs)
-        signs = out[start : start + _BLOCK_ROWS]
-        # sgn(0) = sgn(-0.0) = +1 and NaN -> -1: margin >= 0 as 0/1, then 2b - 1
-        np.greater_equal(margins, 0.0, out=signs.view(np.bool_))
-        del margins  # freed before the next block's margins exist
-        signs *= 2
-        signs -= 1
+    out = np.empty((len(thetas), len(xs)), dtype=np.int8)
+    # sgn(0) = sgn(-0.0) = +1 and NaN -> -1: margin >= 0 as 0/1, then 2b - 1
+    signs = out.view(np.bool_)
+    if family.kind != MLP_TWO_HIDDEN and family.input_dim == 1:
+        _one_input_signs(family, thetas, xs[:, 0], signs)
+    else:  # float64 values per (model, point): the margin and mlp2's activations
+        rows = max(1, _BLOCK_VALUES // (max(len(xs), 1) * (1 + sum(family.hidden))))
+        for start in range(0, len(thetas), rows):
+            margins = _block_margins(family, thetas[start : start + rows], xs)
+            np.greater_equal(margins, 0.0, out=signs[start : start + rows])
+            del margins  # freed before the next block's margins exist
+    out *= 2
+    out -= 1
     return out
 
 

@@ -532,13 +532,24 @@ groups = [g for g in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_f
 print(json.dumps({"hashes": hashes, "simd": groups}))
 """
 
-# The golden cases whose bytes already hold on other BLAS kernels and SIMD
-# levels: one-input perceptrons (elementwise margins), exact integer counts,
-# and a simulator that multiplies and copies elementwise.  fig2 (log-space
+# The golden cases whose bytes already hold on other BLAS kernels, SIMD
+# levels and glibc libm variants: one-input perceptrons (elementwise margins
+# along the model axis), exact integer counts, a simulator that multiplies and
+# copies elementwise, the log-odds weights, and the analytic figures fig4,
+# fig5 and fig7 (scipy's erf and quad on their inputs).  fig2 (log-space
 # gammaln sums), fig6 (two-input BLAS margins) and classify_mlp2 (einsum and
 # tanh) still move under these settings, so they stay out until their
 # arithmetic is made dispatch-invariant (ROADMAP item 5).
-PORTABLE_CASES = ("classify", "classify_sequential", "classify_blocks", "grover")
+PORTABLE_CASES = (
+    "classify",
+    "classify_sequential",
+    "classify_blocks",
+    "classify_log_odds",
+    "grover",
+    "fig4",
+    "fig5",
+    "fig7",
+)
 
 
 @pytest.mark.parametrize(
@@ -546,8 +557,10 @@ PORTABLE_CASES = ("classify", "classify_sequential", "classify_blocks", "grover"
     [
         {"OPENBLAS_CORETYPE": "Prescott"},
         {"NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"},
+        # glibc's libm without its FMA variants: np.cos/np.sin and scipy.special
+        {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"},
     ],
-    ids=["openblas-prescott", "numpy-baseline-simd"],
+    ids=["openblas-prescott", "numpy-baseline-simd", "glibc-no-fma"],
 )
 def test_golden_cases_hold_on_other_kernels(tmp_path, env):
     cases = {name: GOLDEN_CASES[name] for name in PORTABLE_CASES}

@@ -225,6 +225,18 @@ def test_no_boundary_error():
         decision_boundary(prob)
 
 
+def test_overflowing_bracket_raises_before_bisecting(monkeypatch):
+    # means -+ 10 * 3e307 overflow to -+inf: the first midpoint would be NaN
+    prob = DecisionProblem1D(ClassDensity.gaussian(-1e307, 3e307), ClassDensity.gaussian(1e307, 3e307))
+
+    def refuse(*args):
+        raise AssertionError("score evaluated on a non-finite bracket")
+
+    monkeypatch.setattr(analytic, "expectation_quadrature", refuse)
+    with pytest.raises(NoBoundaryError, match="not finite"):
+        decision_boundary(prob)
+
+
 # --- decomposition ------------------------------------------------------------
 
 def test_decomposition_grid_contains_query_as_node():

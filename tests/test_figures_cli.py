@@ -441,6 +441,15 @@ def test_fig5_refused_by_the_quadrature_prints_no_overflow_warning(tmp_path, ove
     assert done.stderr.startswith("error: integrand at the truncation cutoffs")
 
 
+def test_fig5_with_an_overflowing_boundary_bracket_is_domain_error(tmp_path):
+    # the classes are symmetric about 0, but the boundary search brackets the
+    # means -+ 10 * sigma, which overflows; it used to bisect to NaN and exit 6
+    cfg = write_config(tmp_path, {"sigma": 3e307, "mu_minus": -1e307, "mu_plus": 1e307})
+    out = tmp_path / "out"
+    assert run_cli("fig5", "--out", str(out), "--config", str(cfg)) == cli.EXIT_DOMAIN
+    assert not out.exists() or read_dir_bytes(out) == {}
+
+
 @pytest.mark.parametrize(
     ("scheme", "x"),
     [("log_odds", [[-2.0], [0.5]]), ("effective_centered", [[0.0], [0.0]])],

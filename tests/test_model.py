@@ -311,7 +311,13 @@ def test_dataset_dimension_mismatch_rejected(region_dataset):
 
 # --- block evaluation -----------------------------------------------------
 
-B = model._BLOCK_ROWS
+B = model._RUN  # models per run of the one-input kernel
+
+
+def block_rows(fam, m):
+    """Models per block of a wide family at m points: 2**18 float64 values,
+    a margin and mlp2's h1 + h2 activations per (model, point)."""
+    return max(1, model._BLOCK_VALUES // (m * (1 + sum(fam.hidden))))
 
 
 def unblocked_predictions(fam, thetas, xs):
@@ -334,15 +340,20 @@ def unblocked_predictions(fam, thetas, xs):
 
 @pytest.mark.parametrize(
     "fam",
-    [ModelFamily("threshold1d", 1), ModelFamily("perceptron", 1), ModelFamily("perceptron", 2), ModelFamily("perceptron", 3), ModelFamily("mlp2", 2, (2, 2))],
+    [ModelFamily("threshold1d", 1), ModelFamily("perceptron", 1), ModelFamily("perceptron", 2), ModelFamily("perceptron", 3), ModelFamily("mlp2", 2, (2, 1))],
     ids=["threshold1d", "perceptron1", "perceptron2", "perceptron3", "mlp2"],
 )
 @pytest.mark.parametrize("e", [1, B - 1, B, B + 1, 3 * B + 7])
 def test_blocked_predictions_match_unblocked(fam, e):
+    # the wide families get the point count at which a block holds B models,
+    # so e straddles the one-input runs and the wide blocks alike
+    one_input = fam.kind != "mlp2" and fam.input_dim == 1
+    m = 7 if one_input else model._BLOCK_VALUES // (B * (1 + sum(fam.hidden)))
+    assert one_input or block_rows(fam, m) == B
     rng = np.random.default_rng(e)
     # quarter-step values make many margins exactly zero
     thetas = rng.integers(-4, 5, size=(e, fam.parameter_count)) / 4.0
-    xs = rng.integers(-4, 5, size=(7, fam.input_dim)) / 4.0
+    xs = rng.integers(-4, 5, size=(m, fam.input_dim)) / 4.0
     xs[0] = 0.25
     edges = [i for i in (0, B - 1, B, B + 1, 2 * B - 1, 2 * B, e - 1) if i < e]
     zero, negative_zero = np.zeros(fam.parameter_count), np.zeros(fam.parameter_count)
@@ -356,14 +367,93 @@ def test_blocked_predictions_match_unblocked(fam, e):
     preds = predict_many(fam, thetas, xs)
     expected = unblocked_predictions(fam, thetas, xs)
     assert preds.dtype == np.int8
-    assert preds.shape == (e, 7)
+    assert preds.shape == (e, m)
     assert np.array_equal(preds, expected)
     assert np.all(preds[edges, 0] == 1)
 
-    ds = Dataset(xs, rng.choice([-1, 1], size=7))
+    ds = Dataset(xs, rng.choice([-1, 1], size=m))
     counts = correct_counts(fam, thetas, ds)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, np.count_nonzero(expected == ds.y, axis=1))
+
+
+# finite values with the edges drawn often: signed zeros, the smallest
+# subnormal, and magnitudes whose products overflow to +-inf
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300, 1.7e308, -1.7e308])
+_FINITE = st.one_of(_EDGES, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@pytest.mark.parametrize(
+    "kind, theta, x, sign",
+    [
+        ("threshold1d", (0.0, -1.7e308), 1.7e308, -1),  # o * (x - w0) = 0 * inf: NaN
+        ("threshold1d", (0.0, 1.7e308), -1.7e308, -1),  # 0 * -inf: NaN
+        ("threshold1d", (1.0, 0.25), 0.25, 1),  # 1 * 0.0 = +0.0
+        ("threshold1d", (-1.0, 0.25), 0.25, 1),  # -1 * 0.0 = -0.0
+        ("threshold1d", (-5e-324, 0.0), 0.5, 1),  # -2.5e-324 underflows to -0.0
+        ("threshold1d", (-5e-324, 0.0), 0.75, -1),  # -3.75e-324 rounds to -5e-324
+        ("perceptron", (-5e-324, 0.0), 0.5, 1),  # -0.0 + 0.0 = +0.0
+        ("perceptron", (-5e-324, -0.0), 0.5, 1),  # -0.0 + -0.0 = -0.0
+        ("perceptron", (0.0, -0.0), -3.0, 1),  # w = 0: -0.0 + -0.0
+        ("perceptron", (-0.0, 5e-324), 1.7e308, 1),  # w = 0: the bias decides
+        ("perceptron", (0.0, -5e-324), 1.7e308, -1),
+        ("perceptron", (1.7e308, -1.7e308), -1.7e308, -1),  # -inf + -1.7e308
+        ("perceptron", (1.7e308, -1.7e308), 1.7e308, 1),  # inf - 1.7e308 = inf
+    ],
+)
+def test_one_input_edge_margins(kind, theta, x, sign):
+    # the edge model in every row of three runs and a tail, at both ends of a
+    # column of ordinary points
+    fam = ModelFamily(kind, 1)
+    thetas = np.tile(theta, (3 * B + 5, 1))
+    xs = np.array([[1.0], [x], [-2.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = predict_many(fam, thetas, xs)
+        assert np.array_equal(got, unblocked_predictions(fam, thetas, xs))
+    assert np.all(got[:, 1] == sign)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["threshold1d", "perceptron"]),
+    st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=40),
+    st.lists(_FINITE, min_size=1, max_size=6),
+    st.integers(1, 9),
+)
+def test_one_input_runs_match_unblocked(kind, models, points, run):
+    fam = ModelFamily(kind, 1)
+    thetas, xs = np.array(models), np.array(points)[:, None]
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(model, "_RUN", run)
+        got = predict_many(fam, thetas, xs)
+        want = unblocked_predictions(fam, thetas, xs)
+    assert np.array_equal(got, want)
+
+
+# signed powers of two and zeros: every product of two of them, and every
+# product of one with a tanh value, is exact, and each margin or activation
+# sums two terms, so any BLAS or einsum order, fused or not, rounds it alike.
+# (Overflow is left out: a fused multiply-add of -inf's product onto +inf
+# gives +inf, so there the order decides.)
+_POWERS = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 4.0, -4.0, 2.0**-1000, -(2.0**-1000)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([ModelFamily("perceptron", 2), ModelFamily("mlp2", 2, (2, 2))]),
+    st.integers(1, 30),
+    st.integers(1, 9),
+    st.integers(1, 64),
+    st.data(),
+)
+def test_wide_blocks_match_unblocked(fam, e, m, block_values, data):
+    thetas = np.array(data.draw(st.lists(_POWERS, min_size=e * fam.parameter_count, max_size=e * fam.parameter_count))).reshape(e, -1)
+    xs = np.array(data.draw(st.lists(_POWERS, min_size=2 * m, max_size=2 * m))).reshape(m, 2)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(model, "_BLOCK_VALUES", block_values)
+        got = predict_many(fam, thetas, xs)
+        want = unblocked_predictions(fam, thetas, xs)
+    assert np.array_equal(got, want)
 
 
 def test_nan_margin_predicts_minus_one():
@@ -374,21 +464,19 @@ def test_nan_margin_predicts_minus_one():
 
 @pytest.mark.parametrize(
     "fam",
-    [ModelFamily("threshold1d", 1), ModelFamily("perceptron", 1), ModelFamily("perceptron", 3), ModelFamily("mlp2", 2, (2, 2))],
-    ids=["threshold1d", "perceptron1", "perceptron3", "mlp2"],
+    [ModelFamily("threshold1d", 1), ModelFamily("perceptron", 1), ModelFamily("perceptron", 2), ModelFamily("perceptron", 3), ModelFamily("mlp2", 2, (2, 2))],
+    ids=["threshold1d", "perceptron1", "perceptron2", "perceptron3", "mlp2"],
 )
 def test_block_evaluation_memory_bound(fam, peak_bytes):
-    # the (E, M) int8 result plus at most two blocks of float64 margins;
-    # the unblocked form held E x M float64 margins and an int64 copy.
-    # mlp2 holds one block's activations a1 and a2 and the input of a2's
-    # tanh, h1 + 2*h2 margin-sized arrays; it used to keep the previous
-    # block's activations alive as well
-    e, m = 1 << 16, 24
+    # the (E, M) int8 result plus one block of 2**18 float64 values (2 MiB),
+    # whatever M is: a wide block's margins, and mlp2's activations a1 and
+    # a2 beside them, or the one-input kernel's three run buffers (384 KiB).
+    # Blocks of 2**14 models held 32 MiB of margins at M = 256
+    e, m = 1 << 16, 256
     rng = np.random.default_rng(9)
     thetas = rng.normal(size=(e, fam.parameter_count))
     ds = Dataset(rng.normal(size=(m, fam.input_dim)), rng.choice([-1, 1], size=m))
-    blocks = 2 if fam.kind != model.MLP_TWO_HIDDEN else fam.hidden[0] + 2 * fam.hidden[1]
-    bound = e * m + blocks * B * m * 8 + (1 << 16)
+    bound = e * m + 8 * model._BLOCK_VALUES + (256 << 10)
     assert peak_bytes(predict_many, fam, thetas, ds.x) <= bound
     assert peak_bytes(correct_counts, fam, thetas, ds) <= bound
 
@@ -400,12 +488,6 @@ def matmul_signs(thetas, xs):
     """The one-input perceptron as it was computed: margins from BLAS, w @ x + b."""
     margins = thetas[:, :1] @ xs.T + thetas[:, 1:2]
     return np.where(margins >= 0.0, 1, -1).astype(np.int8)
-
-
-# finite values with the edges drawn often: signed zeros, the smallest
-# subnormal, and magnitudes whose products overflow to +-inf
-_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300, 1.7e308, -1.7e308])
-_FINITE = st.one_of(_EDGES, st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=300, deadline=None)
@@ -469,10 +551,10 @@ def test_correct_counts_match_int8_row_sums(fam, m):
 def test_correct_counts_memory_bound(fam, peak_bytes):
     # the (E, M) int8 table, the (E,) int64 counts and one float64 block of
     # predictions; an E-sized float64 temporary (2 MiB here) breaks it.
-    # predict_many's margins, B x M float64, fit in the same bound for M <= 20
+    # predict_many's scratch, 2**18 float64 values, fits in the same bound
     e, m = 1 << 18, 16
     block = model._COUNT_CHUNK * 8
-    assert B * m * 8 <= 8 * e + block
+    assert 8 * model._BLOCK_VALUES <= 8 * e + block
     rng = np.random.default_rng(11)
     thetas = rng.normal(size=(e, fam.parameter_count))
     ds = Dataset(rng.normal(size=(m, fam.input_dim)), rng.choice([-1, 1], size=m))
