@@ -338,10 +338,11 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
         analytic.ClassDensity.gaussian(mu_plus, sigma),
     )
     xs = _curve_grid(x_min, x_max, points)
-    # the quadrature first: a config whose tails it refuses would overflow the closed form
+    # the quadrature and the boundary search first: a config whose tails or
+    # bracket they refuse would overflow the closed form
     quadrature = np.array([analytic.expectation_quadrature(problem, x) for x in xs])
-    closed = analytic.expectation_closed_equal_sigma(problem, xs)
     boundary = analytic.decision_boundary(problem)
+    closed = analytic.expectation_closed_equal_sigma(problem, xs)
     series = [("closed_form", xs, closed), ("quadrature", xs, quadrature)]
     _write_curves(out, "fig5_expectation", "x", series, "committee score vs query point", "score")
     max_gap = float(np.max(np.abs(closed - quadrature)))

@@ -441,12 +441,20 @@ def test_fig5_refused_by_the_quadrature_prints_no_overflow_warning(tmp_path, ove
     assert done.stderr.startswith("error: integrand at the truncation cutoffs")
 
 
-def test_fig5_with_an_overflowing_boundary_bracket_is_domain_error(tmp_path):
-    # the classes are symmetric about 0, but the boundary search brackets the
-    # means -+ 10 * sigma, which overflows; it used to bisect to NaN and exit 6
-    cfg = write_config(tmp_path, {"sigma": 3e307, "mu_minus": -1e307, "mu_plus": 1e307})
+@pytest.mark.parametrize(
+    "override",
+    [{"sigma": 3e307, "mu_minus": -1e307, "mu_plus": 1e307}, {"sigma": 1e308, "mu_plus": 1e308}],
+    ids=["symmetric-3e307", "mu_plus-1e308"],
+)
+def test_fig5_with_an_overflowing_boundary_bracket_is_domain_error(tmp_path, override):
+    # the boundary search brackets the means -+ 10 * sigma, which overflows
+    # here; both configs used to bisect to a NaN boundary and exit 6, the
+    # second after an overflow warning from the closed form
+    cfg = write_config(tmp_path, override)
     out = tmp_path / "out"
-    assert run_cli("fig5", "--out", str(out), "--config", str(cfg)) == cli.EXIT_DOMAIN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("fig5", "--out", str(out), "--config", str(cfg)) == cli.EXIT_DOMAIN
     assert not out.exists() or read_dir_bytes(out) == {}
 
 
