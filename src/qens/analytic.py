@@ -214,21 +214,19 @@ def _quad_piecewise(problem, fn, lo: float, hi: float, x: float) -> float:
     return total
 
 
-def expectation_quadrature(
-    problem: DecisionProblem1D, x_query: float, tail_tol: float = DEFAULT_TAIL_TOL
-) -> float:
+def expectation_quadrature(problem: DecisionProblem1D, x_query: float) -> float:
     """Committee score E(x_query) by adaptive quadrature on a truncated
     domain.  A query outside the window scores as the nearer window end,
     the sum of the cached fixed segments.  Raises QuadratureError when the
-    integrand has not decayed below tail_tol at the cutoffs."""
+    integrand has not decayed below DEFAULT_TAIL_TOL at the cutoffs."""
     x = float(x_query)
     lo, hi = _cut_points(problem)
     fn = _integrand(problem)
     gap_lo, gap_hi = abs(fn(lo)), abs(fn(hi))
-    if max(gap_lo, gap_hi) > tail_tol:
+    if max(gap_lo, gap_hi) > DEFAULT_TAIL_TOL:
         raise QuadratureError(
             f"integrand at the truncation cutoffs is {max(gap_lo, gap_hi):.3g}, "
-            f"above the tolerance {tail_tol:.3g}"
+            f"above the tolerance {DEFAULT_TAIL_TOL:.3g}"
         )
     left = _quad_piecewise(problem, fn, lo, min(x, hi), x) if x > lo else 0.0
     right = _quad_piecewise(problem, fn, max(x, lo), hi, x) if x < hi else 0.0

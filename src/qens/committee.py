@@ -95,10 +95,3 @@ def condorcet_curve(p: float, max_size: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("max_size must be positive")
     sizes = np.arange(1, max_size + 1, 2)
     return sizes, _majority_errors(sizes, p)
-
-
-def odds_ratio(a: float) -> float:
-    """a / (1 - a); the signal carried by a member of accuracy a."""
-    if not 0.0 <= a < 1.0:
-        raise ValueError("odds ratio needs accuracy in [0, 1)")
-    return a / (1.0 - a)

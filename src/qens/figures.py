@@ -264,7 +264,7 @@ def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
     curves = [committee.condorcet_curve(p, max_size) for p in p_list]
     series = [(f"p={p:g}", sizes, errs) for p, (sizes, errs) in zip(p_list, curves)]
     a_grid = np.round(np.arange(0.01, 0.995, 0.01), 10)
-    odds = np.array([committee.odds_ratio(a) for a in a_grid])
+    odds = a_grid / (1.0 - a_grid)
     odds_series = [
         ("odds_ratio", a_grid, odds),
         ("odds_ratio_squared", a_grid, odds**2),
@@ -530,7 +530,7 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         query=_float_array,
         rotation=str,
         delta=_optional(float),
-        shots=int,
+        shots=_at_least_one,
         seed=int,
         scheme=weighting.WeightScheme,
     ).values()
@@ -554,9 +554,9 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         simulator.apply_accuracy_rotation_exact(state, acc)
     else:
         delta = math.pi / (4.0 * m) if delta is None else delta
-        correct = predict_many(family, decode_all(grid), dataset.x) == dataset.y.astype(np.int8)
-        simulator.apply_accuracy_rotation_sequential(state, correct, delta)
-        del correct  # E x M flags, freed before the classical vote walks the grid
+        simulator.apply_accuracy_rotation_sequential(
+            state, predict_many(family, decode_all(grid), dataset.x), dataset.y, delta
+        )
         rotation_p0 = state.accuracy_zero_probabilities()
     state, post = simulator.postselect_accuracy_zero(state)
     # labels passed inline: an (E,) array kept alive here pins the heap through the vote below
@@ -636,6 +636,8 @@ def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
     dataset = dataset_from_config(cfg["dataset"])
     # cap checks before enumerating the grid
     simulator.RegisterLayout(grid.total_bits, simulator.count_bits_for(len(dataset)))
+    if iterations is not None and iterations < 0:
+        raise ConfigError("grover iterations must be non-negative")
     if iterations is not None and iterations > GROVER_ITERATION_CAP:
         raise weighting.EnumerationCapError(f"grover iterations are over {GROVER_ITERATION_CAP}")
     counts = grid_correct_counts(family, grid, dataset)

@@ -21,10 +21,13 @@ the state takes 8 * 2**n bytes, 512 MiB at the 26-qubit cap.
 The weighting routine brings the accuracy qubit, conditioned on the
 parameter basis state, to sqrt(a)|0> + sqrt(1-a)|1>, either exactly or
 through the sequential per-training-point rotation approximation whose
-conditional probability is cos^2(pi/4 - (2c - M) * delta).  Postselection
-is analytic: the rejected branch is projected out and the survivor is
-renormalized, and the report carries the acceptance probability and
-expected number of repetitions 1/p_acc rather than simulating retries.
+conditional probability is cos^2(pi/4 - (2c - M) * delta).  Its gates
+are the two fixed Ry(-2 delta) and Ry(2 delta), so cos delta and sin
+delta are evaluated once, and per chunk of models each point's
+right/wrong flags pick the sign of the sine.  Postselection is analytic:
+the rejected branch is projected out and the survivor is renormalized,
+and the report carries the acceptance probability and expected number of
+repetitions 1/p_acc rather than simulating retries.
 
 Operations mutate the passed state in place and return it.
 
@@ -36,11 +39,11 @@ models rather than over the 2 values of one model: the exact rotation one
 output value at a time, the classifier as masked copies of each model's
 run of 2 * 2**c amplitudes, taken as one raw-byte element, and the
 postselection on views that already merge into one long axis.  Only the
-sequential rotation, which needs two temporaries, runs over model rows
-one chunk at a time.  Every readout has the bits of np.sum
-over a squared copy of (part of) the state, because it adds the chunks in
-the order numpy 2.4 uses (tests/test_state_sums.py holds those numpy
-expressions as references):
+sequential rotation, which needs two temporaries and a flag per model
+row, runs over model rows one chunk at a time.  Every readout has the
+bits of np.sum over a squared copy of (part of) the state, because it
+adds the chunks in the order numpy 2.4 uses (tests/test_state_sums.py
+holds those numpy expressions as references):
 
   contiguous operand  one pairwise sum over its whole length, which numpy
                       splits at n/2 - (n/2 mod 8) down to blocks of 128;
@@ -236,46 +239,48 @@ def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) 
 
 
 def apply_accuracy_rotation_sequential(
-    state: EnsembleState, correct: np.ndarray, delta: float
+    state: EnsembleState, predictions: np.ndarray, labels: np.ndarray, delta: float
 ) -> EnsembleState:
-    """Hadamard the accuracy qubit, then for each training point rotate it
-    by delta toward |0> (correctly classified) or |1> (misclassified),
-    conditioned on the parameter basis state.  `correct` is the (E, M)
-    boolean matrix of correct classifications, one row per basis state.
+    """Hadamard the accuracy qubit, then for each training point j rotate
+    it, per parameter basis state, by the fixed gate Ry(-2 delta) toward |0>
+    where predict_many's (E, M) table `predictions` matches labels[j], else
+    by Ry(2 delta) toward |1>; per chunk of models the flags pick sin's sign.
 
     The rotations share one axis, so the conditional probability lands at
     cos^2(pi/4 - (2 c_theta - M) delta), monotone in the correct count
     c_theta whenever 0 < delta <= pi/(4M)."""
-    correct = np.asarray(correct, dtype=bool)
-    if correct.ndim != 2 or correct.shape[0] != state.layout.model_count:
-        raise ValueError("one row of correct flags per parameter basis state is required")
-    m = correct.shape[1]
+    if predictions.ndim != 2 or predictions.shape[0] != state.layout.model_count:
+        raise ValueError("one row of predictions per parameter basis state is required")
+    m = predictions.shape[1]
+    if labels.shape != (m,):
+        raise ValueError("one label per prediction column is required")
     if not 0.0 < delta <= math.pi / (4.0 * m):
         raise ValueError(f"delta must lie in (0, pi/(4*{m})]")
     _require_clear(state, state.layout.count_values, _ACCURACY_NOT_CLEAR)
     view = state.view()
     e = state.layout.model_count
+    cos_d, sin_d = float(np.cos(delta)), float(np.sin(delta))
     # one chunk of model rows at a time, through every point: the two
-    # temporaries hold half a chunk each
+    # temporaries hold half a chunk each, the flags one value per row
     rows = _model_rows(state.layout)
     new0 = np.empty((min(rows, e), 2, state.layout.count_values))
     tmp = np.empty_like(new0)
+    flags = np.empty(len(new0), dtype=bool)
     inv = 1.0 / math.sqrt(2.0)
     for r in range(0, e, rows):
         a0, a1 = view[r : r + rows, :, 0, :], view[r : r + rows, :, 1, :]
-        n0, t = new0[: a0.shape[0]], tmp[: a0.shape[0]]
+        n0, t, right = new0[: a0.shape[0]], tmp[: a0.shape[0]], flags[: a0.shape[0]]
         np.add(a0, a1, out=n0)
         n0 *= inv
         np.subtract(a0, a1, out=a1)
         a1 *= inv
         a0[...] = n0
-        for point in range(m):
-            phi = np.where(correct[r : r + rows, point], -delta, delta)
-            c = np.cos(phi)[:, None, None]
-            s = np.sin(phi)[:, None, None]
-            np.multiply(c, a0, out=n0)
+        for point, label in enumerate(labels.tolist()):
+            np.equal(predictions[r : r + rows, point], label, out=right)
+            s = np.where(right, -sin_d, sin_d)[:, None, None]
+            np.multiply(a0, cos_d, out=n0)
             n0 -= np.multiply(s, a1, out=t)
-            a1 *= c
+            a1 *= cos_d
             a1 += np.multiply(s, a0, out=t)
             a0[...] = n0
     return state

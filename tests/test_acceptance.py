@@ -344,8 +344,8 @@ def test_criterion_9_sequential_rotation_fidelity():
         assert len(ds) == m
         counts = grid_correct_counts(family, grid, ds)
         state = prepare_uniform(RegisterLayout(grid.total_bits))
-        correct = predict_many(family, decode_all(grid), ds.x) == ds.y[None, :]
-        apply_accuracy_rotation_sequential(state, correct, delta)
+        predictions = predict_many(family, decode_all(grid), ds.x)
+        apply_accuracy_rotation_sequential(state, predictions, ds.y, delta)
         p0 = state.accuracy_zero_probabilities()
         want = np.cos(math.pi / 4 - (2 * counts - m) * delta) ** 2
         worst = max(worst, float(np.max(np.abs(p0 - want))))
@@ -432,6 +432,10 @@ GOLDEN_SHA256 = {
         "classify_report.json": "106070fdfb228bfbb7c595d2863ff6d321d6d20966551f4f8658180dfbd4d57b",
         "classify_summary.json": "106070fdfb228bfbb7c595d2863ff6d321d6d20966551f4f8658180dfbd4d57b",
     },
+    "classify_sequential_blocks": {
+        "classify_report.json": "f896ca031fd6d1ba6b07ee7a4eab9d59f063d257e259b058d894502e4c67910b",
+        "classify_summary.json": "f896ca031fd6d1ba6b07ee7a4eab9d59f063d257e259b058d894502e4c67910b",
+    },
 }
 
 
@@ -478,6 +482,11 @@ GOLDEN_CASES = {
         },
     ),
     "classify_log_odds": ("classify", LOG_ODDS_OVERRIDES),
+    # 65,536 models: the sequential rotation's 4 chunks of model rows
+    "classify_sequential_blocks": (
+        "classify",
+        {"rotation": "sequential", "grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 8}},
+    ),
 }
 
 
@@ -545,6 +554,7 @@ PORTABLE_CASES = (
     "classify_sequential",
     "classify_blocks",
     "classify_log_odds",
+    "classify_sequential_blocks",
     "grover",
     "fig4",
     "fig5",

@@ -188,9 +188,12 @@ def test_narrow_sigma_limit_is_distance_difference():
 
 def test_laplace_tail_tolerance():
     prob = DecisionProblem1D(ClassDensity.laplace(-1, 0.5), ClassDensity.laplace(1, 0.5))
-    expectation_quadrature(prob, 0.5)  # default tolerance passes
-    with pytest.raises(QuadratureError):
-        expectation_quadrature(prob, 0.5, tail_tol=1e-7)
+    expectation_quadrature(prob, 0.5)  # the tails have decayed at the window ends
+    # 1e300 + 6 rounds to 1e300: the window ends on the far mean, where the
+    # integrand is 1, far above DEFAULT_TAIL_TOL
+    far = DecisionProblem1D(ClassDensity.laplace(0, 0.5), ClassDensity.laplace(1e300, 0.5))
+    with pytest.raises(QuadratureError, match="truncation cutoffs is 1,"):
+        expectation_quadrature(far, 0.5)
 
 
 # --- boundary ----------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Majority-vote error and the odds ratio."""
+"""Majority-vote error of independent committees."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from qens import committee
-from qens.committee import (
-    condorcet_curve,
-    condorcet_error,
-    odds_ratio,
-)
+from qens.committee import condorcet_curve, condorcet_error
 from qens.figures import FIG2_SIZE_CAP
 
 EDGE_P = (0.0, 1.0, 0.5, 5e-324, 1e-300, 1.0 - 2.0**-53, 0.45, 0.55, 0.6, 0.7)
@@ -93,14 +89,6 @@ def test_monotone_decline_below_half():
 def test_curve_sizes_are_odd():
     sizes, _ = condorcet_curve(0.6, 10)
     assert sizes.tolist() == [1, 3, 5, 7, 9]
-
-
-def test_odds_ratio_values():
-    assert odds_ratio(0.5) == 1.0
-    assert odds_ratio(0.84) == pytest.approx(5.25, rel=1e-12)
-    assert odds_ratio(0.0) == 0.0
-    with pytest.raises(ValueError):
-        odds_ratio(1.0)
 
 
 def test_log_space_stability_extreme_sizes():

@@ -103,6 +103,22 @@ def test_classify_sequential_rotation(tmp_path):
     assert "rotation_accuracy_deviation" in report["metrics"]
 
 
+def test_classify_sequential_memory_bound(tmp_path, peak_bytes):
+    # M = 400 points, so predict_many's (E, M) int8 table dominates: the
+    # rotation reads it as passed and builds no (E, M) flags beside it
+    overrides = {
+        "rotation": "sequential",
+        "grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 8},
+        "dataset": {"pair": dict(DEFAULTS["classify"]["dataset"]["pair"], per_class=200)},
+    }
+    cfg = merged_config("classify", overrides)
+    layout = simulator.RegisterLayout(16)
+    e, m = layout.model_count, 400
+    state_bytes = 8 << layout.total_qubits
+    bound = e * m + state_bytes + 64 * e + 8 * simulator._NORM_CHUNK
+    assert peak_bytes(figures.run_classify, cfg, tmp_path) <= bound
+
+
 def test_grover_report(tmp_path):
     assert run_cli("grover", "--out", str(tmp_path)) == 0
     report = json.loads((tmp_path / "grover_report.json").read_text())
@@ -582,6 +598,29 @@ def test_classify_shots_cap(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"shots": figures.SHOTS_CAP + 1})
     out = tmp_path / "out"
     assert run_cli("classify", "--out", str(out), "--config", str(cfg)) == cli.EXIT_CAP
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_classify_shots_below_one_is_usage_error(tmp_path, monkeypatch, shots):
+    def refuse(*args):
+        raise AssertionError("grid enumerated before the shots check")
+
+    monkeypatch.setattr(figures, "grid_accuracies", refuse)
+    cfg = write_config(tmp_path, {"shots": shots})
+    out = tmp_path / "out"
+    assert run_cli("classify", "--out", str(out), "--config", str(cfg)) == cli.EXIT_USAGE
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_grover_negative_iterations_is_usage_error(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("grid enumerated before the iterations check")
+
+    monkeypatch.setattr(figures, "grid_correct_counts", refuse)
+    cfg = write_config(tmp_path, {"iterations": -1})
+    out = tmp_path / "out"
+    assert run_cli("grover", "--out", str(out), "--config", str(cfg)) == cli.EXIT_USAGE
     assert not out.exists() or not any(out.iterdir())
 
 

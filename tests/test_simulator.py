@@ -42,9 +42,10 @@ def query_labels(family, grid, x):
     return predict_many(family, decode_all(grid), x[None, :])[:, 0]
 
 
-def correct_flags(family, grid, ds):
-    """(E, M) matrix of the grid models' correct classifications."""
-    return predict_many(family, decode_all(grid), ds.x) == ds.y[None, :]
+def rotation_inputs(family, grid, ds):
+    """(predictions, labels): the grid models' (E, M) predictions and the
+    training labels, as the sequential rotation takes them."""
+    return predict_many(family, decode_all(grid), ds.x), ds.y
 
 
 def two_model_state(amp0=math.sqrt(0.84), amp1=math.sqrt(0.16)):
@@ -310,7 +311,7 @@ def test_sequential_rotation_matches_cosine_formula():
     m = len(ds)
     delta = math.pi / (4 * m)
     state = prepare_uniform(RegisterLayout(grid.total_bits))
-    apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), delta)
+    apply_accuracy_rotation_sequential(state, *rotation_inputs(fam, grid, ds), delta)
     counts = grid_correct_counts(fam, grid, ds)
     want = np.cos(math.pi / 4 - (2 * counts - m) * delta) ** 2
     assert np.allclose(state.accuracy_zero_probabilities(), want, atol=1e-12)
@@ -322,43 +323,76 @@ def test_sequential_rotation_exact_at_extreme_and_half_counts():
     counts = grid_correct_counts(fam, grid, ds)
     assert set(counts.tolist()) == {1}
     state = prepare_uniform(RegisterLayout(grid.total_bits))
-    apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), math.pi / 8)
+    apply_accuracy_rotation_sequential(state, *rotation_inputs(fam, grid, ds), math.pi / 8)
     assert np.allclose(state.accuracy_zero_probabilities(), 0.5, atol=1e-15)
 
     # mixed labels: counts 0 and 2 map to probabilities 0 and 1 at max delta
     fam, grid, ds = seq_fixture([-1, 1])
     counts = grid_correct_counts(fam, grid, ds)
     state = prepare_uniform(RegisterLayout(grid.total_bits))
-    apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), math.pi / 8)
+    apply_accuracy_rotation_sequential(state, *rotation_inputs(fam, grid, ds), math.pi / 8)
     assert np.allclose(state.accuracy_zero_probabilities(), counts / 2.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("param_bits, count_bits", [(16, 0), (14, 4)])
 def test_sequential_rotation_memory_bound(param_bits, count_bits, peak_bytes):
     # one chunk of model rows at a time through every point: two
-    # half-chunk temporaries and the rows' angle columns, no state-sized term
+    # half-chunk temporaries, the rows' flags, the signed sines of this
+    # point and the last, and numpy's iterator buffers on the strided views;
+    # no state-sized term and no (E, M) term beside the predictions passed in
     layout = RegisterLayout(param_bits, count_bits)
     state = prepare_uniform(layout)
     e, m = layout.model_count, 24
-    correct = np.random.default_rng(3).random((e, m)) < 0.6
-    bound = 48 * e
-    assert peak_bytes(apply_accuracy_rotation_sequential, state, correct, math.pi / (4 * m)) <= bound
+    rng = np.random.default_rng(3)
+    predictions = np.where(rng.random((e, m)) < 0.6, 1, -1).astype(np.int8)
+    labels = np.ones(m, dtype=np.int64)
+    delta = math.pi / (4 * m)
+    rows = simulator._model_rows(layout)
+    bound = CHUNK + rows * (1 + 2 * 8) + 2 * SLACK
+    assert peak_bytes(apply_accuracy_rotation_sequential, state, predictions, labels, delta) <= bound
 
 
 def test_sequential_delta_validation():
     fam, grid, ds = seq_fixture([-1, 1])
     state = prepare_uniform(RegisterLayout(grid.total_bits))
     with pytest.raises(ValueError):
-        apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), 0.0)
+        apply_accuracy_rotation_sequential(state, *rotation_inputs(fam, grid, ds), 0.0)
     with pytest.raises(ValueError):
-        apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), math.pi / 4)
+        apply_accuracy_rotation_sequential(state, *rotation_inputs(fam, grid, ds), math.pi / 4)
 
 
 def test_sequential_layout_mismatch():
     fam, grid, ds = seq_fixture([-1, 1])
     state = prepare_uniform(RegisterLayout(4))
     with pytest.raises(ValueError):
-        apply_accuracy_rotation_sequential(state, correct_flags(fam, grid, ds), math.pi / 8)
+        apply_accuracy_rotation_sequential(state, *rotation_inputs(fam, grid, ds), math.pi / 8)
+
+
+def test_cosine_is_even_and_sine_odd_bit_for_bit():
+    # the rotation evaluates cos and sin once, at +delta; the per-element
+    # form it replaced evaluated them at -delta wherever a model is right.
+    # Both give the same bits only while this libm's cos is even and its
+    # sin odd, on arrays and on the one scalar the rotation passes.
+    rng = np.random.default_rng(17)
+    steps = math.pi / (4.0 * np.arange(1, 5000))  # every default delta for M < 5000
+    deltas = np.concatenate([steps, rng.uniform(0.0, math.pi / 4, 200_000)])
+    deltas = deltas[deltas > 0.0]
+    cos, sin = np.cos(deltas), np.sin(deltas)
+    odd_cos = np.flatnonzero(np.cos(-deltas).view(np.int64) != cos.view(np.int64))
+    even_sin = np.flatnonzero(np.sin(-deltas).view(np.int64) != (-sin).view(np.int64))
+    assert odd_cos.size == 0, f"cos(-d) != cos(d) at {deltas[odd_cos[:5]].tolist()}"
+    assert even_sin.size == 0, f"sin(-d) != -sin(d) at {deltas[even_sin[:5]].tolist()}"
+    assert [float(np.cos(d)) for d in steps] == cos[: steps.size].tolist()
+    assert [float(np.sin(d)) for d in steps] == sin[: steps.size].tolist()
+
+
+def test_sequential_labels_must_match_prediction_columns():
+    fam, grid, ds = seq_fixture([-1, 1])
+    state = prepare_uniform(RegisterLayout(grid.total_bits))
+    predictions, labels = rotation_inputs(fam, grid, ds)
+    for bad in (labels[:1], np.append(labels, 1), labels[None, :]):
+        with pytest.raises(ValueError, match="one label per prediction column"):
+            apply_accuracy_rotation_sequential(state, predictions, bad, math.pi / 8)
 
 
 # --- amplitude amplification --------------------------------------------------------

@@ -277,16 +277,21 @@ def test_classifier_matches_gather(layout):
     assert bits(state.amplitudes) == bits(want.amplitudes)
 
 
-@pytest.mark.parametrize("param_bits, count_bits, m", [(0, 0, 1), (3, 2, 5), (10, 5, 7), (15, 0, 3), (16, 0, 2), (11, 4, 4)])
+@pytest.mark.parametrize("param_bits, count_bits, m", [(0, 0, 1), (3, 2, 5), (10, 5, 7), (15, 0, 3), (16, 0, 2), (11, 4, 4), (17, 0, 3)])
 def test_sequential_rotation_matches_numpy(param_bits, count_bits, m):
+    # the reference evaluates cos and sin at every (model, point) pair; the
+    # rotation evaluates them once at delta and flips the sine's sign
     layout = RegisterLayout(param_bits, count_bits)
-    state = random_state(layout, 9, zero_models(layout))
-    state.view()[:, :, 1] = 0.0
-    correct = np.random.default_rng(10).random((layout.model_count, m)) < 0.6
-    want = state_with(layout, state.amplitudes)
-    ref_sequential(want, correct, math.pi / (4 * m))
-    apply_accuracy_rotation_sequential(state, correct, math.pi / (4 * m))
-    assert bits(state.amplitudes) == bits(want.amplitudes)
+    rng = np.random.default_rng(10)
+    predictions = np.where(rng.random((layout.model_count, m)) < 0.5, -1, 1).astype(np.int8)
+    labels = np.where(rng.random(m) < 0.5, -1, 1)
+    for delta in (math.pi / (4 * m), 0.01):
+        state = random_state(layout, 9, zero_models(layout))
+        state.view()[:, :, 1] = 0.0
+        want = state_with(layout, state.amplitudes)
+        ref_sequential(want, predictions == labels, delta)
+        apply_accuracy_rotation_sequential(state, predictions, labels, delta)
+        assert bits(state.amplitudes) == bits(want.amplitudes)
 
 
 def test_exact_rotation_matches_numpy(layout):
