@@ -26,20 +26,19 @@ own implementation rather than the C library's: math.erf, which calls
 the latter, gives different bits on a tenth to a fifth of inputs, so
 every erf here is scipy's.
 
-The quadrature integrates the pieces between fixed cuts (the window ends
-and the class breakpoints) once per problem and keeps them in a bounded
-cache; only the pieces that touch the query are integrated per call, and
-a query outside the window touches none.
-The sums are formed in the same order either way, so the result does not
-depend on which queries came before.
+The quadrature integrates the segments between fixed cuts (the window
+ends and the class breakpoints) once per call, and per query inside the
+window the two segments that end at it.  Each query's segments are summed
+from the left, so its score depends on no other query, in the call or not.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import erf
@@ -50,9 +49,6 @@ LAPLACE = "laplace"
 
 _TAIL_SCALES = 12.0
 DEFAULT_TAIL_TOL = 1e-5
-# fixed quadrature segments kept: a problem has at most 7 (its window ends
-# and up to 6 breakpoints make 8 cuts), so this holds over 100 problems
-_SEGMENT_CACHE_SIZE = 1024
 
 
 class NoBoundaryError(RuntimeError):
@@ -198,28 +194,9 @@ def _segment(fn, a: float, b: float) -> float:
         return quad(fn, a, b, limit=200)[0]
 
 
-@functools.lru_cache(maxsize=_SEGMENT_CACHE_SIZE)
-def _fixed_segment(problem: DecisionProblem1D, a: float, b: float) -> float:
-    return _segment(_integrand(problem), a, b)
-
-
-def _quad_piecewise(problem, fn, lo: float, hi: float, x: float) -> float:
-    """Integral of fn over [lo, hi], one segment between each pair of
-    cuts, summed from the left; segments without x as an end are cached."""
-    inner = [*problem.minus.breakpoints(), *problem.plus.breakpoints()]
-    cuts = sorted({lo, hi, *[c for c in inner if lo < c < hi]})
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += _segment(fn, a, b) if x in (a, b) else _fixed_segment(problem, a, b)
-    return total
-
-
-def expectation_quadrature(problem: DecisionProblem1D, x_query: float) -> float:
-    """Committee score E(x_query) by adaptive quadrature on a truncated
-    domain.  A query outside the window scores as the nearer window end,
-    the sum of the cached fixed segments.  Raises QuadratureError when the
-    integrand has not decayed below DEFAULT_TAIL_TOL at the cutoffs."""
-    x = float(x_query)
+def _scorer(problem: DecisionProblem1D):
+    """E as a function of one query float, after the tail check and one
+    integration of each segment between the fixed cuts."""
     lo, hi = _cut_points(problem)
     fn = _integrand(problem)
     gap_lo, gap_hi = abs(fn(lo)), abs(fn(hi))
@@ -228,9 +205,36 @@ def expectation_quadrature(problem: DecisionProblem1D, x_query: float) -> float:
             f"integrand at the truncation cutoffs is {max(gap_lo, gap_hi):.3g}, "
             f"above the tolerance {DEFAULT_TAIL_TOL:.3g}"
         )
-    left = _quad_piecewise(problem, fn, lo, min(x, hi), x) if x > lo else 0.0
-    right = _quad_piecewise(problem, fn, max(x, lo), hi, x) if x < hi else 0.0
-    return left - right
+    inner = [*problem.minus.breakpoints(), *problem.plus.breakpoints()]
+    cuts = sorted({lo, hi, *[c for c in inner if lo < c < hi]})
+    fixed = [_segment(fn, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    def score(x: float) -> float:
+        if math.isnan(x):
+            return 0.0
+        # the fixed segments left of x end at cuts[i - 1], the rest start there
+        i = min(max(bisect.bisect_right(cuts, x), 1), len(cuts))
+        left, right = fixed[: i - 1], fixed[i - 1 :]
+        if lo < x < hi and x != cuts[i - 1]:  # x splits segment i - 1
+            left.append(_segment(fn, cuts[i - 1], x))
+            right = [_segment(fn, x, cuts[i]), *fixed[i:]]
+        # added from the left: sum() compensates from Python 3.12, which moves bits
+        *_, total_left = accumulate(left, initial=0.0)
+        *_, total_right = accumulate(right, initial=0.0)
+        return total_left - total_right
+
+    return score
+
+
+def expectation_quadrature(problem: DecisionProblem1D, x_query):
+    """Committee score E at one query or an array of them, by adaptive
+    quadrature on a truncated domain.  A query outside the window (±inf too)
+    scores as the nearer window end, NaN as 0.0.  Raises QuadratureError when
+    the integrand has not decayed below DEFAULT_TAIL_TOL at the cutoffs."""
+    score = _scorer(problem)
+    x = np.asarray(x_query, dtype=np.float64)
+    out = np.array([score(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 def expectation_closed_equal_sigma(problem: DecisionProblem1D, x_query):
@@ -256,8 +260,8 @@ def decision_boundary(problem: DecisionProblem1D) -> float:
     hi = max(problem.minus.loc, problem.plus.loc) + 10.0 * s
     if not (math.isfinite(lo) and math.isfinite(hi)):  # a bisection midpoint would be NaN
         raise NoBoundaryError(f"search bracket [{lo}, {hi}] is not finite")
-    f_lo = expectation_quadrature(problem, lo)
-    f_hi = expectation_quadrature(problem, hi)
+    score = _scorer(problem)
+    f_lo, f_hi = score(lo), score(hi)
     if f_lo == 0.0 and f_hi == 0.0:
         raise NoBoundaryError("committee score vanishes at both bracket ends")
     if f_lo == 0.0:
@@ -268,7 +272,7 @@ def decision_boundary(problem: DecisionProblem1D) -> float:
         raise NoBoundaryError("committee score has no sign change on the bracket")
     while hi - lo >= 1e-8:
         mid = 0.5 * (lo + hi)
-        f_mid = expectation_quadrature(problem, mid)
+        f_mid = score(mid)
         if f_mid == 0.0:
             return mid
         if (f_mid < 0.0) == (f_lo < 0.0):

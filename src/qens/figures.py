@@ -36,7 +36,7 @@ FIG2_SIZE_CAP = 1 << 14
 GROVER_ITERATION_CAP = 1 << 12
 # classify shots: all are drawn at once, as uint64 words and their float64 uniforms
 SHOTS_CAP = 1 << 20
-# fig4 and fig5 curve points: fig5 integrates once per point, about 6 s at the cap
+# fig4 and fig5 curve points: fig5 integrates two segments a point, 6-8 s at the cap
 CURVE_POINT_CAP = 1 << 16
 
 DEFAULTS: dict[str, dict] = {
@@ -193,6 +193,23 @@ def dataset_from_config(d: dict) -> Dataset:
     raise ConfigError("dataset config needs one of path/points/blobs/pair")
 
 
+def _ensemble(cfg: dict) -> tuple[ModelFamily, ParameterGrid, Dataset]:
+    """The family, grid and dataset of a classify or grover config, checked
+    against each other before any work."""
+    family, grid = _fields(cfg, family=_family, grid=_grid).values()
+    dataset = dataset_from_config(cfg["dataset"])
+    if grid.parameter_count != family.parameter_count:
+        raise ConfigError(
+            f"grid has {grid.parameter_count} parameter intervals, "
+            f"the family takes {family.parameter_count}"
+        )
+    if dataset.dimension != family.input_dim:
+        raise ConfigError(
+            f"dataset has {dataset.dimension} features, the family takes {family.input_dim}"
+        )
+    return family, grid, dataset
+
+
 def write_curve_csv(path: Path, x_name: str, series: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
     lines = [f"{x_name},value,series"]
     for label, xs, ys in series:
@@ -340,7 +357,7 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
     xs = _curve_grid(x_min, x_max, points)
     # the quadrature and the boundary search first: a config whose tails or
     # bracket they refuse would overflow the closed form
-    quadrature = np.array([analytic.expectation_quadrature(problem, x) for x in xs])
+    quadrature = analytic.expectation_quadrature(problem, xs)
     boundary = analytic.decision_boundary(problem)
     closed = analytic.expectation_closed_equal_sigma(problem, xs)
     series = [("closed_form", xs, closed), ("quadrature", xs, quadrature)]
@@ -523,10 +540,9 @@ def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
 def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Quantum-circuit path and exhaustive classical vote on one grid,
     compared model by model."""
-    family, grid, query, rotation, delta, shots, seed, scheme = _fields(
+    family, grid, dataset = _ensemble(cfg)
+    query, rotation, delta, shots, seed, scheme = _fields(
         cfg,
-        family=_family,
-        grid=_grid,
         query=_float_array,
         rotation=str,
         delta=_optional(float),
@@ -534,13 +550,16 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         seed=int,
         scheme=weighting.WeightScheme,
     ).values()
-    dataset = dataset_from_config(cfg["dataset"])
     if query.shape != (family.input_dim,):
         raise ConfigError("query dimension does not match the family")
     if rotation not in ("exact", "sequential"):
         raise ConfigError("rotation must be 'exact' or 'sequential'")
     if not np.all(np.isfinite(query)):
         raise ValueError("query must be finite")
+    m = len(dataset)
+    delta = math.pi / (4.0 * m) if delta is None else delta
+    if rotation == "sequential" and not 0.0 < delta <= math.pi / (4.0 * m):
+        raise ValueError(f"delta must lie in (0, pi/(4*{m})]")
 
     # cap checks before enumerating the grid
     layout = simulator.RegisterLayout(grid.total_bits)
@@ -548,12 +567,10 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         raise weighting.EnumerationCapError(f"classify shots are over {SHOTS_CAP}")
     acc = grid_accuracies(family, grid, dataset)
     counts = grid_correct_counts(family, grid, dataset)
-    m = len(dataset)
     state = simulator.prepare_uniform(layout)
     if rotation == "exact":
         simulator.apply_accuracy_rotation_exact(state, acc)
     else:
-        delta = math.pi / (4.0 * m) if delta is None else delta
         simulator.apply_accuracy_rotation_sequential(
             state, predict_many(family, decode_all(grid), dataset.x), dataset.y, delta
         )
@@ -630,10 +647,8 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
 
 def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Amplitude amplification of the better-than-chance grid models."""
-    family, grid, iterations = _fields(
-        cfg, family=_family, grid=_grid, iterations=_optional(int)
-    ).values()
-    dataset = dataset_from_config(cfg["dataset"])
+    family, grid, dataset = _ensemble(cfg)
+    iterations = _fields(cfg, iterations=_optional(int))["iterations"]
     # cap checks before enumerating the grid
     simulator.RegisterLayout(grid.total_bits, simulator.count_bits_for(len(dataset)))
     if iterations is not None and iterations < 0:

@@ -28,12 +28,12 @@ _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a 64-bit integer."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
-    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
-    return z ^ (z >> 31)
+def mix64(z):
+    """splitmix64 finaliser on np.uint64 values, a scalar or an array."""
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+        return z ^ (z >> np.uint64(31))
 
 
 def derive_key(seed: int, lane: int) -> int:
@@ -44,7 +44,7 @@ def derive_key(seed: int, lane: int) -> int:
     """
     if lane < 0:
         raise ValueError("lane must be non-negative")
-    return mix64(mix64((seed + (lane + 1) * _LANE) & _MASK))
+    return int(mix64(mix64(np.uint64((seed + (lane + 1) * _LANE) & _MASK))))
 
 
 def words(key: int, count: int) -> np.ndarray:
@@ -52,11 +52,7 @@ def words(key: int, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be non-negative")
     idx = np.arange(count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(key & _MASK) + (idx + np.uint64(1)) * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-        return z ^ (z >> np.uint64(31))
+    return mix64(np.uint64(key & _MASK) + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
 
 
 def uniforms(key: int, count: int) -> np.ndarray:

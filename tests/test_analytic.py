@@ -235,7 +235,7 @@ def test_overflowing_bracket_raises_before_bisecting(monkeypatch):
     def refuse(*args):
         raise AssertionError("score evaluated on a non-finite bracket")
 
-    monkeypatch.setattr(analytic, "expectation_quadrature", refuse)
+    monkeypatch.setattr(analytic, "_scorer", refuse)
     with pytest.raises(NoBoundaryError, match="not finite"):
         decision_boundary(prob)
 

@@ -587,6 +587,39 @@ def test_classify_non_finite_query_is_domain_error(tmp_path, monkeypatch, query)
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("delta", ["1.0", "0.0", "-1.0", "NaN"])
+def test_classify_sequential_delta_out_of_range_is_domain_error(tmp_path, monkeypatch, delta):
+    def refuse(*args):
+        raise AssertionError("grid enumerated before the delta check")
+
+    monkeypatch.setattr(figures, "grid_accuracies", refuse)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"rotation": "sequential", "delta": {delta}}}')
+    out = tmp_path / "out"
+    assert run_cli("classify", "--out", str(out), "--config", str(cfg)) == cli.EXIT_DOMAIN
+    assert not out.exists() or not any(out.iterdir())
+
+
+INCONSISTENT_ENSEMBLES = {
+    "grid-intervals": {"grid": {"intervals": [[-1.0, 1.0]] * 3, "bits": 2}},
+    "dataset-dimension": {"dataset": {"points": {"x": [[-2.0, 0.0], [0.5, 1.0]], "y": [-1, 1]}}},
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "grover"])
+@pytest.mark.parametrize("override", INCONSISTENT_ENSEMBLES.values(), ids=INCONSISTENT_ENSEMBLES)
+def test_inconsistent_ensemble_is_usage_error(tmp_path, monkeypatch, command, override):
+    def refuse(*args):
+        raise AssertionError("grid enumerated before the consistency check")
+
+    monkeypatch.setattr(figures, "grid_accuracies", refuse)
+    monkeypatch.setattr(figures, "grid_correct_counts", refuse)
+    cfg = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--config", str(cfg)) == cli.EXIT_USAGE
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_classify_shots_cap(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"shots": figures.SHOTS_CAP})
     assert run_cli("classify", "--out", str(tmp_path / "ok"), "--config", str(cfg)) == cli.EXIT_OK

@@ -92,10 +92,10 @@ def test_determinism_across_calls():
                           prng.normals(prng.derive_key(3, 0), 64))
 
 
-def test_mix64_zero_is_nonzero():
-    # the fixed point of the raw xorshift is avoided by the increment
-    assert prng.mix64(0) == 0
-    assert word_ref(0, 0) != 0
+def test_mix64_fixes_zero_and_the_increment_avoids_it():
+    # the finaliser maps 0 to 0; the golden increment keeps word 0 of key 0 off it
+    assert prng.mix64(np.uint64(0)) == 0
+    assert int(prng.words(0, 1)[0]) == word_ref(0, 0) != 0
 
 
 def test_uniform_mean_quarter_million():

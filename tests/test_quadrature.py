@@ -1,17 +1,18 @@
 """expectation_quadrature against the algorithm it replaced, bit for bit.
 
-The reference below integrates every segment afresh on each call, with
+The reference below integrates every segment afresh for each query, with
 the integrand evaluated through ClassDensity.cdf on numpy 0-d arrays, and
 scores a query outside the truncation window as the nearer window end.
-The module under test caches the segments between fixed cuts and
-evaluates the integrand on Python floats; neither may move a bit, in any
-call order."""
+The module under test integrates the segments between fixed cuts once per
+call and evaluates the integrand on Python floats; neither may move a
+bit, whatever the other queries of the call."""
 
 import math
 import struct
 import warnings
 
 import numpy as np
+import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,7 +103,8 @@ def _nudged(v: float, ulps: int) -> float:
 
 def queries(problem):
     """Cuts (window ends, breakpoints, ±0.0) and a few ulps either side of
-    each, points across and around the window, and far outside it."""
+    each, points across and around the window, far outside it, ±inf and
+    NaN."""
     lo, hi = _window(problem)
     anchors = [lo, hi, *problem.minus.breakpoints(), *problem.plus.breakpoints(), 0.0, -0.0]
     near_cut = st.builds(_nudged, st.sampled_from(anchors), st.integers(-3, 3))
@@ -110,6 +112,7 @@ def queries(problem):
         near_cut,
         st.floats(lo - 5.0, hi + 5.0),
         st.floats(1e3, 1e6).flatmap(lambda d: st.sampled_from([lo - d, hi + d])),
+        st.sampled_from([-math.inf, math.inf, math.nan]),
     )
 
 
@@ -139,44 +142,40 @@ def test_integrand_sweep_matches_bit_for_bit():
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_quadrature_matches_the_reference_cold_and_warm(data):
+def test_quadrature_matches_the_reference_in_one_call_or_many(data):
     problem = data.draw(PROBLEMS)
     xs = data.draw(st.lists(queries(problem), min_size=1, max_size=6))
     expected = [outcome(reference_expectation, problem, x) for x in xs]
-    cold = []
-    for x in xs:
-        analytic._fixed_segment.cache_clear()
-        cold.append(outcome(expectation_quadrature, problem, x))
-    assert cold == expected
-    analytic._fixed_segment.cache_clear()
+
+    def each(values):
+        return [bits(v) for v in expectation_quadrature(problem, np.array(values))]
+
+    if QuadratureError in expected:  # the tail check refuses the problem, whatever the queries
+        assert set(expected) == {QuadratureError}
+        with pytest.raises(QuadratureError):
+            expectation_quadrature(problem, np.array(xs))
+    else:
+        assert each(xs) == expected
+        assert each(xs[::-1]) == expected[::-1]
     assert [outcome(expectation_quadrature, problem, x) for x in xs] == expected
-    assert [outcome(expectation_quadrature, problem, x) for x in reversed(xs)] == expected[::-1]
 
 
-def test_signed_zero_locations_share_cached_segments_bit_for_bit():
-    # 0.0 and -0.0 locations make equal problems and equal cache keys
+def test_signed_zero_locations_match_the_reference_bit_for_bit():
+    # 0.0 and -0.0 locations make equal problems with the same cuts
     def pair(zero):
         return DecisionProblem1D(ClassDensity.box(zero, 1.0), ClassDensity.gaussian(1.0, 0.5))
 
-    analytic._fixed_segment.cache_clear()
-    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-        for x in (-2.0, -0.0, 0.0, 0.25, 3.0):
-            expectation_quadrature(pair(first), x)
-            assert bits(expectation_quadrature(pair(second), x)) == bits(
-                reference_expectation(pair(second), x)
-            )
-        analytic._fixed_segment.cache_clear()
+    xs = [-2.0, -0.0, 0.0, 0.25, 3.0]
+    for zero in (0.0, -0.0):
+        got = expectation_quadrature(pair(zero), np.array(xs))
+        for x, value in zip(xs, got):
+            assert bits(value) == bits(reference_expectation(pair(zero), x))
+            assert bits(expectation_quadrature(pair(zero), x)) == bits(value)
 
 
-def test_warm_problem_integrates_only_the_pieces_at_the_query(monkeypatch):
-    problem = DecisionProblem1D(ClassDensity.box(-0.75, 1.5), ClassDensity.gaussian(0.5, 0.4))
-    lo, hi = _window(problem)
-    cuts = sorted({lo, hi, *problem.minus.breakpoints(), *problem.plus.breakpoints()})
-    mids = [0.5 * (a + b) for a, b in zip(cuts[:-1], cuts[1:])]
-    analytic._fixed_segment.cache_clear()
-    for x in mids:  # every fixed segment lies off one of these queries
-        expectation_quadrature(problem, x)
-
+def _counting_quad(monkeypatch):
+    """The (a, b) of every quad call the module makes from now on; the
+    reference holds its own binding of quad, so it is not counted."""
     calls = []
 
     def counting_quad(fn, a, b, **kwargs):
@@ -184,14 +183,42 @@ def test_warm_problem_integrates_only_the_pieces_at_the_query(monkeypatch):
         return quad(fn, a, b, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-    for x in [*mids, 0.1, lo - 1.0, hi + 1.0, lo - 1e6, hi + 1e6]:
-        calls.clear()
-        value = expectation_quadrature(problem, x)
-        # a query outside the window is the sum of the cached segments alone
-        assert len(calls) == (2 if lo < x < hi else 0), (x, calls)
-        assert all(x in segment for segment in calls), (x, calls)
-        # the reference holds its own binding of quad, so it is not counted
+    return calls
+
+
+def test_one_call_integrates_each_fixed_segment_once(monkeypatch):
+    problem = DecisionProblem1D(ClassDensity.box(-0.75, 1.5), ClassDensity.gaussian(0.5, 0.4))
+    lo, hi = _window(problem)
+    cuts = sorted({lo, hi, *problem.minus.breakpoints(), *problem.plus.breakpoints()})
+    fixed = list(zip(cuts[:-1], cuts[1:]))
+    mids = [0.5 * (a + b) for a, b in fixed]
+    xs = [*mids, 0.1, *cuts, lo - 1.0, hi + 1.0, lo - 1e6, hi + 1e6, -math.inf, math.inf, math.nan]
+    inside = [x for x in xs if lo < x < hi and x not in cuts]
+    calls = _counting_quad(monkeypatch)
+    values = expectation_quadrature(problem, np.array(xs))
+    # each fixed segment once, then the two segments that end at each query inside the window
+    assert calls[: len(fixed)] == fixed
+    assert calls[len(fixed) :] == [
+        piece for x in inside for a, b in fixed if a < x < b for piece in [(a, x), (x, b)]
+    ]
+    assert len(calls) == len(fixed) + 2 * len(inside)
+    for x, value in zip(xs, values):
         assert bits(value) == bits(reference_expectation(problem, x))
+
+
+def test_decision_boundary_integrates_each_fixed_segment_once(monkeypatch):
+    problem = DecisionProblem1D(ClassDensity.box(-0.75, 1.5), ClassDensity.gaussian(0.5, 0.4))
+    lo, hi = _window(problem)
+    cuts = sorted({lo, hi, *problem.minus.breakpoints(), *problem.plus.breakpoints()})
+    fixed = list(zip(cuts[:-1], cuts[1:]))
+    calls = _counting_quad(monkeypatch)
+    analytic.decision_boundary(problem)
+    assert calls[: len(fixed)] == fixed
+    # then the two segments that end at each bracket end or midpoint
+    rest = calls[len(fixed) :]
+    assert rest and len(rest) % 2 == 0
+    assert all(left[1] == right[0] for left, right in zip(rest[::2], rest[1::2]))
+    assert not any(piece in fixed for piece in rest)
 
 
 def test_far_queries_score_as_the_window_ends():
