@@ -119,8 +119,17 @@ def _fields(spec: dict, **converters) -> dict:
     return values
 
 
+def _integer(value) -> int:
+    """int(value), refusing a bool and a float with a fractional part
+    rather than truncating them."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if fractional or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _at_least_one(value) -> int:
-    n = int(value)
+    n = _integer(value)
     if n < 1:
         raise ValueError(f"{n} is below 1")
     return n
@@ -154,19 +163,19 @@ def _optional(convert):
 
 
 def _family(d: dict) -> ModelFamily:
-    hidden = tuple(int(h) for h in d["hidden"]) if "hidden" in d else ()  # mlp2 only
-    return ModelFamily(d["kind"], int(d["input_dim"]), hidden)
+    hidden = tuple(_integer(h) for h in d["hidden"]) if "hidden" in d else ()  # mlp2 only
+    return ModelFamily(d["kind"], _integer(d["input_dim"]), hidden)
 
 
 def _grid(d: dict) -> ParameterGrid:
-    intervals, bits = tuple(_interval(iv) for iv in d["intervals"]), int(d["bits"])
+    intervals, bits = tuple(_interval(iv) for iv in d["intervals"]), _integer(d["bits"])
     # the qubit cap first: a grid past it is a cap error, whatever its ticks
     simulator.RegisterLayout(bits * len(intervals))
     return ParameterGrid(intervals, bits)
 
 
 _BLOB_FIELDS = dict(
-    mean_minus=_floats, mean_plus=_floats, sigma=float, per_class=_at_least_one, seed=int
+    mean_minus=_floats, mean_plus=_floats, sigma=float, per_class=_at_least_one, seed=_integer
 )
 
 
@@ -187,7 +196,7 @@ def dataset_from_config(d: dict) -> Dataset:
             mu_plus=float,
             sigma_plus=float,
             per_class=_at_least_one,
-            seed=int,
+            seed=_integer,
         )
         return gaussian_1d_pair(**spec)
     raise ConfigError("dataset config needs one of path/points/blobs/pair")
@@ -317,7 +326,7 @@ def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
 
 def run_fig4(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Centered versus log-odds weights as functions of model accuracy."""
-    a_grid = _curve_grid(0.005, 0.995, _fields(cfg, points=int)["points"])
+    a_grid = _curve_grid(0.005, 0.995, _fields(cfg, points=_integer)["points"])
     centered = weighting.weights_for(weighting.WeightScheme.EFFECTIVE_CENTERED, a_grid)
     log_odds = weighting.weights_for(weighting.WeightScheme.LOG_ODDS, a_grid)
     series = [("effective_centered", a_grid, centered), ("log_odds", a_grid, log_odds)]
@@ -348,7 +357,7 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Committee score curve for equal-variance Gaussian classes: closed
     form against quadrature, plus the located decision boundary."""
     mu_minus, mu_plus, sigma, x_min, x_max, points = _fields(
-        cfg, mu_minus=float, mu_plus=float, sigma=float, x_min=float, x_max=float, points=int
+        cfg, mu_minus=float, mu_plus=float, sigma=float, x_min=float, x_max=float, points=_integer
     ).values()
     problem = analytic.DecisionProblem1D(
         analytic.ClassDensity.gaussian(mu_minus, sigma),
@@ -384,7 +393,7 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     values = _fields(
         cfg,
         **_BLOB_FIELDS,
-        values_per_parameter=int,
+        values_per_parameter=_integer,
         parameter_interval=_interval,
         raster_lo=float,
         raster_hi=float,
@@ -476,7 +485,7 @@ _FIG7_EXAMPLES = {
 def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Per-threshold decomposition of the committee score for the two
     worked Gaussian examples (equal and unequal class spreads)."""
-    example, query = _fields(cfg, example=int, query=float).values()
+    example, query = _fields(cfg, example=_integer, query=float).values()
     if example not in _FIG7_EXAMPLES:
         raise ConfigError("example must be 1 or 2")
     (mu_m, s_m), (mu_p, s_p) = _FIG7_EXAMPLES[example]
@@ -547,13 +556,15 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         rotation=str,
         delta=_optional(float),
         shots=_at_least_one,
-        seed=int,
+        seed=_integer,
         scheme=weighting.WeightScheme,
     ).values()
     if query.shape != (family.input_dim,):
         raise ConfigError("query dimension does not match the family")
     if rotation not in ("exact", "sequential"):
         raise ConfigError("rotation must be 'exact' or 'sequential'")
+    if rotation == "exact" and delta is not None:
+        raise ConfigError("delta applies to rotation 'sequential' only")
     if not np.all(np.isfinite(query)):
         raise ValueError("query must be finite")
     m = len(dataset)
@@ -648,7 +659,7 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
 def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Amplitude amplification of the better-than-chance grid models."""
     family, grid, dataset = _ensemble(cfg)
-    iterations = _fields(cfg, iterations=_optional(int))["iterations"]
+    iterations = _fields(cfg, iterations=_optional(_integer))["iterations"]
     # cap checks before enumerating the grid
     simulator.RegisterLayout(grid.total_bits, simulator.count_bits_for(len(dataset)))
     if iterations is not None and iterations < 0:

@@ -33,7 +33,8 @@ Operations mutate the passed state in place and return it.
 
 Memory: beside the statevector an operation holds O(E) values (angles,
 labels, per-model sums) and at most one chunk of _NORM_CHUNK = 2**16
-float64 values (512 KiB) of squares or temporaries.  The elementwise steps
+float64 values (512 KiB) of squares or temporaries.  Grover evolves only
+its E support amplitudes and writes the statevector once.  The elementwise steps
 work in place along the model axis, so numpy's inner loops run over E
 models rather than over the 2 values of one model: the exact rotation one
 output value at a time, the classifier as masked copies of each model's
@@ -388,7 +389,9 @@ def grover_amplify_counts(
     oracle flips the phase of every basis state whose count register
     value v satisfies 2v > M (for M+1 a power of two this is exactly the
     register's top qubit).  Diffusion reflects about the prepared state.
-    The default iteration count is floor(pi/4 * sqrt(E/K)).
+    The state stays on the E basis states (i, 0, 0, counts[i]): iterations
+    run on those E amplitudes, O(E) each, and the statevector is written
+    once after them.  The default iteration count is floor(pi/4 sqrt(E/K)).
     """
     counts = np.asarray(correct_counts, dtype=np.int64)
     m = int(dataset_size)
@@ -398,15 +401,9 @@ def grover_amplify_counts(
         raise ValueError("counts outside 0..dataset_size")
     param_bits = int(np.log2(counts.size))
     layout = RegisterLayout(param_bits, count_bits_for(m))
-    state = EnsembleState(layout)
-    view = state.view()
     e = layout.model_count
-    # the prepared state psi0 is amp0 on the support (i, 0, 0, counts[i])
-    support = (np.arange(e), 0, 0, counts)
-    amp0 = 1.0 / math.sqrt(e)
-    view[support] = amp0
-
-    k = int(np.count_nonzero(2 * counts > m))
+    marked = 2 * counts > m
+    k = int(np.count_nonzero(marked))
     if k == 0:
         raise ValueError("no model is better than chance; nothing to amplify")
     if iterations is None:
@@ -414,14 +411,16 @@ def grover_amplify_counts(
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
 
-    # diffusion 2|psi0><psi0| - I in place: negate, then add the projection
-    # back on the support; the marked values v > M/2 are the tail of the count axis
-    marked = view[..., m // 2 + 1 :]
+    # amps[i] at (i, 0, 0, counts[i]); diffusion 2|psi0><psi0| - I: negate, add the projection
+    amp0 = 1.0 / math.sqrt(e)
+    amps = np.full(e, amp0)
     for _ in range(iterations):
-        marked *= -1.0
-        overlap = float(np.sum(view[support] * amp0))
-        np.negative(state.amplitudes, out=state.amplitudes)
-        view[support] += 2.0 * overlap * amp0
+        np.negative(amps, out=amps, where=marked)
+        overlap = float(np.sum(amps * amp0))
+        np.negative(amps, out=amps)
+        amps += 2.0 * overlap * amp0
+    state = EnsembleState(layout)
+    state.view()[np.arange(e), 0, 0, counts] = amps
 
     # the bits of np.sum over the squared boolean-mask gather of the marked
     # values, which numpy lays out one count value's slab after another

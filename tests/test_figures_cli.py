@@ -600,6 +600,43 @@ def test_classify_sequential_delta_out_of_range_is_domain_error(tmp_path, monkey
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("delta", [-5, 0.01])
+def test_classify_delta_with_exact_rotation_is_usage_error(tmp_path, monkeypatch, delta):
+    # the exact rotation takes no delta: refused, not ignored and recorded
+    def refuse(*args):
+        raise AssertionError("grid enumerated before the delta check")
+
+    monkeypatch.setattr(figures, "grid_accuracies", refuse)
+    cfg = write_config(tmp_path, {"rotation": "exact", "delta": delta})
+    out = tmp_path / "out"
+    assert run_cli("classify", "--out", str(out), "--config", str(cfg)) == cli.EXIT_USAGE
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command,override,code",
+    [
+        ("grover", {"iterations": 1.5}, cli.EXIT_USAGE),
+        ("grover", {"iterations": True}, cli.EXIT_USAGE),
+        ("grover", {"iterations": 1.0}, cli.EXIT_OK),
+        ("grover", {"family": {"kind": "perceptron", "input_dim": True}}, cli.EXIT_USAGE),
+        ("classify", {"shots": 1.7}, cli.EXIT_USAGE),
+        ("classify", {"shots": 16.0}, cli.EXIT_OK),
+        ("classify", {"grid": {"intervals": [[-1.0, 1.0]] * 2, "bits": 2.5}}, cli.EXIT_USAGE),
+        ("fig4", {"points": 10.5}, cli.EXIT_USAGE),
+        ("fig6", {"seed": False}, cli.EXIT_USAGE),
+        ("fig7", {"example": True}, cli.EXIT_USAGE),
+    ],
+)
+def test_integer_config_value_is_not_truncated(tmp_path, command, override, code):
+    # a bool or a fractional float is refused, an integral float is taken
+    cfg = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--config", str(cfg)) == code
+    if code == cli.EXIT_USAGE:
+        assert not out.exists() or not any(out.iterdir())
+
+
 INCONSISTENT_ENSEMBLES = {
     "grid-intervals": {"grid": {"intervals": [[-1.0, 1.0]] * 3, "bits": 2}},
     "dataset-dimension": {"dataset": {"points": {"x": [[-2.0, 0.0], [0.5, 1.0]], "y": [-1, 1]}}},

@@ -428,10 +428,21 @@ def test_grover_all_marked_needs_no_iterations():
     assert report.marked_probability == pytest.approx(1.0, abs=1e-12)
 
 
-def test_grover_zero_marked_rejected():
+def test_grover_zero_marked_rejected(peak_bytes):
     counts = np.zeros(8, dtype=int)
     with pytest.raises(ValueError):
         grover_amplify_counts(counts, 2)
+
+    # refused before the statevector is allocated: 32 MiB here
+    e, m = 1 << 16, 14
+    counts = np.full(e, m // 2, dtype=np.int64)
+    state_bytes = 8 << RegisterLayout(16, count_bits_for(m)).total_qubits
+
+    def refused():
+        with pytest.raises(ValueError, match="better than chance"):
+            grover_amplify_counts(counts, m)
+
+    assert peak_bytes(refused) <= state_bytes // 32
 
 
 def test_grover_tie_counts_are_not_marked():
@@ -460,41 +471,44 @@ def test_grover_count_range_validated():
 
 def dense_grover(counts, m, iterations):
     """Reference amplitude amplification on a complex statevector with the
-    prepared state psi0 stored in full: (amplitudes, marked probability)."""
+    prepared state psi0 stored in full: (amplitudes, marked probability).
+    The overlap <psi0|amps> is summed over psi0's support in index order,
+    as one float64 pairwise sum; a dot product over the whole state adds in
+    another order and rounds differently once the amplitudes are inexact."""
     e = counts.size
     layout = RegisterLayout(int(np.log2(e)), count_bits_for(m))
     amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
     view = amps.reshape(e, 2, 2, layout.count_values)
     view[np.arange(e), 0, 0, counts] = 1.0 / math.sqrt(e)
     psi0 = amps.copy()
+    support = psi0 != 0.0
     marked = 2 * np.arange(layout.count_values) > m
     for _ in range(iterations):
         view[:, :, :, marked] *= -1.0
-        overlap = np.vdot(psi0, amps)
+        overlap = np.sum(psi0[support].real * amps[support].real)
         amps[:] = 2.0 * overlap * psi0 - amps
     return amps, float(np.sum(np.abs(view[:, :, :, marked]) ** 2))
 
 
 @pytest.mark.parametrize("param_bits", range(3, 14))
 def test_grover_matches_dense_reference(param_bits):
-    # with E = 4^k the amplitude 1/sqrt(E) is a power of two and every step
-    # stays exact at these sizes, so even widths agree bit for bit; odd
-    # widths round in the overlap sum, whose order differs from the dense
-    # dot product's
+    # bit for bit at every width; the last case takes the default count on
+    # five marked models, up to 31 iterations at 2^13 models
     rng = np.random.default_rng(param_bits)
+    cases = []
     for m in (5, 7, 14, 20):
         counts = rng.integers(0, m + 1, size=1 << param_bits)
         counts[0] = m
-        for iterations in (0, 1, 2, 3, 5):
-            want_amps, want_p = dense_grover(counts, m, iterations)
-            state, report = grover_amplify_counts(counts, m, iterations)
-            assert not np.any(want_amps.imag)
-            if param_bits % 2 == 0:
-                assert np.array_equal(state.amplitudes, want_amps.real)
-                assert report.marked_probability == want_p
-            else:
-                assert np.allclose(state.amplitudes, want_amps.real, rtol=0.0, atol=1e-12)
-                assert report.marked_probability == pytest.approx(want_p, abs=1e-12)
+        cases += [(counts, m, iterations) for iterations in (0, 1, 2, 3, 5)]
+    few = rng.integers(0, 8, size=1 << param_bits)
+    few[rng.choice(few.size, 5, replace=False)] = 14
+    cases.append((few, 14, None))
+    for counts, m, iterations in cases:
+        state, report = grover_amplify_counts(counts, m, iterations)
+        want_amps, want_p = dense_grover(counts, m, report.iterations)
+        assert not np.any(want_amps.imag)
+        assert np.array_equal(state.amplitudes, want_amps.real)
+        assert report.marked_probability == want_p
 
 
 @pytest.mark.parametrize("qubits", range(1, 23))
