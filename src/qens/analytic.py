@@ -26,22 +26,26 @@ own implementation rather than the C library's: math.erf, which calls
 the latter, gives different bits on a tenth to a fifth of inputs, so
 every erf here is scipy's.
 
-The quadrature integrates the segments between fixed cuts (the window
-ends and the class breakpoints) once per call, and per query inside the
-window the two segments that end at it.  Each query's segments are summed
-from the left, so its score depends on no other query, in the call or not.
+The quadrature is QUADPACK's QAGS, ported to Python floats in _qags with
+the bits of scipy's quad(f, a, b, limit=200); it evaluates each rule's 21
+abscissae in one call of the array cdfs.  It integrates the segments
+between fixed cuts (the window ends and the class breakpoints) once per
+call, and per query inside the window the two segments that end at it.
+Each query's segments are summed from the left, so its score depends on
+no other query, in the call or not.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 from scipy.special import erf
+
+from qens._qags import qags
 
 GAUSSIAN = "gaussian"
 BOX = "box"
@@ -149,31 +153,6 @@ def gamma_antiderivative(x, mu: float, sigma: float):
     return out if out.ndim else float(out)
 
 
-def _scalar_cdf(density: ClassDensity):
-    """density.cdf on one Python float, with the same bits: the same
-    operations in the same order, scalar calls of the same ufuncs."""
-    loc, scale = density.loc, density.scale
-    if density.kind == GAUSSIAN:
-        root2 = math.sqrt(2.0)
-        return lambda w: 0.5 * (1.0 + float(erf((w - loc) / scale / root2)))
-    if density.kind == BOX:
-        return lambda w: min(max((w - loc) / scale + 0.5, 0.0), 1.0)
-
-    def laplace(w: float) -> float:
-        z = (w - loc) / scale
-        tail = 0.5 * float(np.exp(-abs(z)))
-        return tail if z < 0 else 1.0 - tail
-
-    return laplace
-
-
-def _integrand(problem: DecisionProblem1D):
-    """The committee integrand before the sign factor, 2 (G- - G+), on
-    Python floats."""
-    g_minus, g_plus = _scalar_cdf(problem.minus), _scalar_cdf(problem.plus)
-    return lambda w: 2.0 * (g_minus(w) - g_plus(w))
-
-
 def _cut_points(problem: DecisionProblem1D) -> tuple[float, float]:
     """The truncation window: _TAIL_SCALES of the wider class past each mean."""
     lo_loc = min(problem.minus.loc, problem.plus.loc)
@@ -183,28 +162,30 @@ def _cut_points(problem: DecisionProblem1D) -> tuple[float, float]:
 
 
 def _segment(fn, a: float, b: float) -> float:
-    # imported on first use: importing qens then loads no scipy.integrate,
-    # nor the scipy.optimize and scipy.sparse that it pulls in
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings():
-        # segment accuracy is guarded by the explicit tail checks; scipy's
-        # roundoff heuristic misfires on near-zero cusp segments
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(fn, a, b, limit=200)[0]
+    # ier goes unread: the tail check guards accuracy, and QUADPACK's
+    # roundoff heuristic misfires on near-zero cusp segments
+    return qags(fn, a, b)[0]
 
 
 def _scorer(problem: DecisionProblem1D):
     """E as a function of one query float, after the tail check and one
     integration of each segment between the fixed cuts."""
     lo, hi = _cut_points(problem)
-    fn = _integrand(problem)
-    gap_lo, gap_hi = abs(fn(lo)), abs(fn(hi))
+
+    def fn(w: np.ndarray) -> np.ndarray:
+        """The integrand before the sign factor, 2 (G- - G+)."""
+        # near float64's top w - loc overflows to ±inf, where each cdf is 0 or 1
+        with np.errstate(over="ignore"):
+            return 2.0 * (problem.minus.cdf(w) - problem.plus.cdf(w))
+
+    gap_lo, gap_hi = np.abs(fn(np.array([lo, hi]))).tolist()
     if max(gap_lo, gap_hi) > DEFAULT_TAIL_TOL:
         raise QuadratureError(
             f"integrand at the truncation cutoffs is {max(gap_lo, gap_hi):.3g}, "
             f"above the tolerance {DEFAULT_TAIL_TOL:.3g}"
         )
+    if not math.isfinite(hi - lo):  # QAGS takes no infinite end (quad switches to QAGI) or width
+        raise QuadratureError(f"truncation window [{lo}, {hi}] is wider than float64 holds")
     inner = [*problem.minus.breakpoints(), *problem.plus.breakpoints()]
     cuts = sorted({lo, hi, *[c for c in inner if lo < c < hi]})
     fixed = [_segment(fn, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
@@ -230,7 +211,8 @@ def expectation_quadrature(problem: DecisionProblem1D, x_query):
     """Committee score E at one query or an array of them, by adaptive
     quadrature on a truncated domain.  A query outside the window (±inf too)
     scores as the nearer window end, NaN as 0.0.  Raises QuadratureError when
-    the integrand has not decayed below DEFAULT_TAIL_TOL at the cutoffs."""
+    the integrand has not decayed below DEFAULT_TAIL_TOL at the cutoffs, or
+    when the window is wider than float64 holds."""
     score = _scorer(problem)
     x = np.asarray(x_query, dtype=np.float64)
     out = np.array([score(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)

@@ -36,7 +36,7 @@ FIG2_SIZE_CAP = 1 << 14
 GROVER_ITERATION_CAP = 1 << 12
 # classify shots: all are drawn at once, as uint64 words and their float64 uniforms
 SHOTS_CAP = 1 << 20
-# fig4 and fig5 curve points: fig5 integrates two segments a point, 6-8 s at the cap
+# fig4 and fig5 curve points: fig5 integrates two segments a point, 4-6 s at the cap
 CURVE_POINT_CAP = 1 << 16
 
 DEFAULTS: dict[str, dict] = {
@@ -120,12 +120,19 @@ def _fields(spec: dict, **converters) -> dict:
 
 
 def _integer(value) -> int:
-    """int(value), refusing a bool and a float with a fractional part
-    rather than truncating them."""
+    """int(value), refusing text, a bool and a float with a fractional part
+    rather than parsing or truncating them."""
     fractional = isinstance(value, float) and not value.is_integer()
-    if fractional or isinstance(value, (bool, np.bool_)):
+    if fractional or isinstance(value, (bool, np.bool_, str, bytes)):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
+
+
+def _float(value) -> float:
+    """float(value), refusing text rather than parsing it."""
+    if isinstance(value, (str, bytes)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def _at_least_one(value) -> int:
@@ -136,16 +143,20 @@ def _at_least_one(value) -> int:
 
 
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_float(v) for v in values)
 
 
 def _interval(values) -> tuple[float, float]:
     lo, hi = values
-    return float(lo), float(hi)
+    return _float(lo), _float(hi)
 
 
 def _float_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
+    """values as a float64 array, refusing text (numpy would parse it)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "SUO" and any(isinstance(v, (str, bytes)) for v in raw.flat):
+        raise ValueError(f"{values!r} holds text, not numbers")
+    return np.asarray(raw, dtype=np.float64)
 
 
 def _curve_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -175,7 +186,7 @@ def _grid(d: dict) -> ParameterGrid:
 
 
 _BLOB_FIELDS = dict(
-    mean_minus=_floats, mean_plus=_floats, sigma=float, per_class=_at_least_one, seed=_integer
+    mean_minus=_floats, mean_plus=_floats, sigma=_float, per_class=_at_least_one, seed=_integer
 )
 
 
@@ -191,10 +202,10 @@ def dataset_from_config(d: dict) -> Dataset:
     if "pair" in d:
         spec = _fields(
             d["pair"],
-            mu_minus=float,
-            sigma_minus=float,
-            mu_plus=float,
-            sigma_plus=float,
+            mu_minus=_float,
+            sigma_minus=_float,
+            mu_plus=_float,
+            sigma_plus=_float,
             per_class=_at_least_one,
             seed=_integer,
         )
@@ -357,7 +368,7 @@ def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Committee score curve for equal-variance Gaussian classes: closed
     form against quadrature, plus the located decision boundary."""
     mu_minus, mu_plus, sigma, x_min, x_max, points = _fields(
-        cfg, mu_minus=float, mu_plus=float, sigma=float, x_min=float, x_max=float, points=_integer
+        cfg, mu_minus=_float, mu_plus=_float, sigma=_float, x_min=_float, x_max=_float, points=_integer
     ).values()
     problem = analytic.DecisionProblem1D(
         analytic.ClassDensity.gaussian(mu_minus, sigma),
@@ -395,9 +406,9 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
         **_BLOB_FIELDS,
         values_per_parameter=_integer,
         parameter_interval=_interval,
-        raster_lo=float,
-        raster_hi=float,
-        raster_step=float,
+        raster_lo=_float,
+        raster_hi=_float,
+        raster_step=_float,
     )
     spec = BlobSpec(**{key: values[key] for key in _BLOB_FIELDS})
     lo, hi, step = values["raster_lo"], values["raster_hi"], values["raster_step"]
@@ -485,7 +496,7 @@ _FIG7_EXAMPLES = {
 def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
     """Per-threshold decomposition of the committee score for the two
     worked Gaussian examples (equal and unequal class spreads)."""
-    example, query = _fields(cfg, example=_integer, query=float).values()
+    example, query = _fields(cfg, example=_integer, query=_float).values()
     if example not in _FIG7_EXAMPLES:
         raise ConfigError("example must be 1 or 2")
     (mu_m, s_m), (mu_p, s_p) = _FIG7_EXAMPLES[example]
@@ -554,7 +565,7 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         cfg,
         query=_float_array,
         rotation=str,
-        delta=_optional(float),
+        delta=_optional(_float),
         shots=_at_least_one,
         seed=_integer,
         scheme=weighting.WeightScheme,

@@ -304,11 +304,18 @@ def test_importing_the_package_loads_no_module():
     assert done.stdout.strip() == "[]"
 
 
-def test_importing_the_cli_loads_no_scipy_integrate():
-    # the quadrature imports scipy.integrate on first use, and with it
-    # scipy.optimize and scipy.sparse; no other command needs them
+def test_importing_the_cli_loads_no_scipy_integrate(tmp_path):
+    # the quadrature is an in-repo QAGS port: neither fig5 (which integrates
+    # at every point) nor fig7 (decision_boundary) loads scipy.integrate, nor
+    # the scipy.optimize and scipy.sparse that it would pull in
     src = str(Path(qens.__file__).resolve().parents[1])
-    probe = "import sys, qens.cli; print('scipy.integrate' in sys.modules)"
+    probe = (
+        "import sys, qens.cli\n"
+        "for command in ('fig5', 'fig7'):\n"
+        f"    assert qens.cli.main([command, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'])))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),
@@ -317,7 +324,8 @@ def test_importing_the_cli_loads_no_scipy_integrate():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == "[]"  # after the commands' own lines
+    assert (tmp_path / "fig5_summary.json").exists() and (tmp_path / "fig7_summary.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -550,13 +558,14 @@ def test_inverted_or_infinite_raster_is_usage_error(tmp_path, override):
     assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
 
 
-# every top-level key set to a string and to null (where null is not the
-# default), plus a wrong type nested in family and in grid
+# every top-level key set to a string, to a numeric string (which int(),
+# float() and numpy would parse) and to null (where null is not the default),
+# plus a wrong type nested in family, grid, a points dataset and a list
 WRONGLY_TYPED = [
     pytest.param(command, {key: value}, id=f"{command}-{key}-{value}")
     for command, defaults in DEFAULTS.items()
     for key, default in defaults.items()
-    for value in ("x", None)
+    for value in ("x", "2", None)
     if not (value is None and default is None)
 ] + [
     pytest.param(command, override, id=f"{command}-{name}")
@@ -564,7 +573,12 @@ WRONGLY_TYPED = [
     for name, override in (
         ("family.hidden", {"family": {"kind": "mlp2", "input_dim": 1, "hidden": [2, "a"]}}),
         ("grid.intervals", {"grid": {"intervals": [[-1, "a"], [-1, 1]], "bits": 2}}),
+        ("grid.intervals-numeric", {"grid": {"intervals": [[-1, "1"], [-1, 1]], "bits": 2}}),
+        ("dataset.points", {"dataset": {"points": {"x": [["-2.0"], [0.5]], "y": [-1, 1]}}}),
     )
+] + [
+    pytest.param("classify", {"query": ["0.2"]}, id="classify-query-list"),
+    pytest.param("fig6", {"mean_minus": ["-1.0", 1.0]}, id="fig6-mean_minus-list"),
 ]
 
 
@@ -635,6 +649,13 @@ def test_integer_config_value_is_not_truncated(tmp_path, command, override, code
     assert run_cli(command, "--out", str(out), "--config", str(cfg)) == code
     if code == cli.EXIT_USAGE:
         assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("convert", [figures._integer, figures._float, figures._float_array])
+@pytest.mark.parametrize("value", ["2", b"2", ["2"], [b"2"], [1.0, None, "2"]])
+def test_number_converters_refuse_text(convert, value):
+    with pytest.raises((ValueError, TypeError)):
+        convert(value)
 
 
 INCONSISTENT_ENSEMBLES = {

@@ -1,11 +1,12 @@
 """expectation_quadrature against the algorithm it replaced, bit for bit.
 
-The reference below integrates every segment afresh for each query, with
-the integrand evaluated through ClassDensity.cdf on numpy 0-d arrays, and
-scores a query outside the truncation window as the nearer window end.
-The module under test integrates the segments between fixed cuts once per
-call and evaluates the integrand on Python floats; neither may move a
-bit, whatever the other queries of the call."""
+The reference below integrates every segment afresh for each query with
+scipy's quad, the integrand evaluated through ClassDensity.cdf on numpy
+0-d arrays, and scores a query outside the truncation window as the
+nearer window end.  The module under test integrates the segments between
+fixed cuts once per call, with its QAGS port on the 21 abscissae of each
+rule at once; neither may move a bit, whatever the other queries of the
+call."""
 
 import math
 import struct
@@ -13,7 +14,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
@@ -119,27 +119,6 @@ def queries(problem):
 # --- bit-for-bit tests ----------------------------------------------------------
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_integrand_matches_the_array_cdfs_bit_for_bit(data):
-    problem = data.draw(PROBLEMS)
-    w = data.draw(st.one_of(queries(problem), st.floats(-1e300, 1e300)))
-    assert bits(analytic._integrand(problem)(w)) == bits(_signed_cdf_gap(problem, w))
-
-
-def test_integrand_sweep_matches_bit_for_bit():
-    for problem in (
-        DecisionProblem1D(ClassDensity.gaussian(-1.0, 0.5), ClassDensity.gaussian(1.0, 0.5)),
-        DecisionProblem1D(ClassDensity.gaussian(-0.5, 0.3), ClassDensity.gaussian(0.5, 1.5)),
-        DecisionProblem1D(ClassDensity.box(-0.75, 1.5), ClassDensity.box(0.5, 0.4)),
-        DecisionProblem1D(ClassDensity.laplace(-1.0, 0.5), ClassDensity.laplace(1.0, 0.7)),
-    ):
-        lo, hi = _window(problem)
-        fn = analytic._integrand(problem)
-        for w in np.linspace(lo - 1.0, hi + 1.0, 20001).tolist():
-            assert bits(fn(w)) == bits(_signed_cdf_gap(problem, w)), (problem, w)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_quadrature_matches_the_reference_in_one_call_or_many(data):
@@ -173,16 +152,18 @@ def test_signed_zero_locations_match_the_reference_bit_for_bit():
             assert bits(expectation_quadrature(pair(zero), x)) == bits(value)
 
 
-def _counting_quad(monkeypatch):
-    """The (a, b) of every quad call the module makes from now on; the
-    reference holds its own binding of quad, so it is not counted."""
+def _counting_qags(monkeypatch):
+    """The (a, b) of every integration the module makes from now on,
+    counted at its QAGS port; the reference integrates with scipy's quad,
+    which is not counted."""
     calls = []
+    qags = analytic.qags
 
-    def counting_quad(fn, a, b, **kwargs):
+    def counting_qags(fn, a, b):
         calls.append((a, b))
-        return quad(fn, a, b, **kwargs)
+        return qags(fn, a, b)
 
-    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    monkeypatch.setattr(analytic, "qags", counting_qags)
     return calls
 
 
@@ -194,7 +175,7 @@ def test_one_call_integrates_each_fixed_segment_once(monkeypatch):
     mids = [0.5 * (a + b) for a, b in fixed]
     xs = [*mids, 0.1, *cuts, lo - 1.0, hi + 1.0, lo - 1e6, hi + 1e6, -math.inf, math.inf, math.nan]
     inside = [x for x in xs if lo < x < hi and x not in cuts]
-    calls = _counting_quad(monkeypatch)
+    calls = _counting_qags(monkeypatch)
     values = expectation_quadrature(problem, np.array(xs))
     # each fixed segment once, then the two segments that end at each query inside the window
     assert calls[: len(fixed)] == fixed
@@ -211,7 +192,7 @@ def test_decision_boundary_integrates_each_fixed_segment_once(monkeypatch):
     lo, hi = _window(problem)
     cuts = sorted({lo, hi, *problem.minus.breakpoints(), *problem.plus.breakpoints()})
     fixed = list(zip(cuts[:-1], cuts[1:]))
-    calls = _counting_quad(monkeypatch)
+    calls = _counting_qags(monkeypatch)
     analytic.decision_boundary(problem)
     assert calls[: len(fixed)] == fixed
     # then the two segments that end at each bracket end or midpoint
@@ -230,3 +211,18 @@ def test_far_queries_score_as_the_window_ends():
         assert abs(expectation_quadrature(problem, lo - d) + 4.0) < 1e-12
         assert bits(expectation_quadrature(problem, hi + d)) == bits(expectation_quadrature(problem, hi))
         assert bits(expectation_quadrature(problem, lo - d)) == bits(expectation_quadrature(problem, lo))
+
+
+@pytest.mark.parametrize(
+    ("scale", "loc"),
+    [(3e307, 1e307), (1e296, 9e307)],
+    ids=["infinite-ends", "infinite-width"],
+)
+def test_window_wider_than_float64_is_refused(scale, loc):
+    # QAGS takes finite ends (scipy's quad switches to QAGI at an infinite
+    # one), and at an infinite width its abscissae are NaN
+    problem = DecisionProblem1D(ClassDensity.gaussian(-loc, scale), ClassDensity.gaussian(loc, scale))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="wider than float64"):
+            expectation_quadrature(problem, 0.0)
