@@ -19,9 +19,9 @@ are set to -inf, s = np.sum(exp(a_k - a_max)) over that size's terms alone
 s == 0, and the error is min(1, exp(log1p(s) + log(m) + a_max)).  A curve
 evaluates all its odd sizes in one vectorised pass, which gives the same
 bits as one call per size.  The pass holds the terms of whole sizes in
-chunks of at most _CHUNK_TERMS values, in one float and one int scratch
-buffer that every chunk of the curve reuses; a curve to n_max has about
-n_max^2/8 terms, so memory stays bounded while the work grows with n_max^2.
+chunks of at most _CHUNK_TERMS = 2^19 values, in plain numpy temporaries
+that each chunk makes and frees; a curve to n_max has about n_max^2/8
+terms, so memory stays bounded while the work grows with n_max^2.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-_CHUNK_TERMS = 1 << 20  # log terms held at once; a size's terms are never split
+_CHUNK_TERMS = 1 << 19  # log terms held at once; a size's terms are never split
 
 
 def _majority_errors(sizes, p: float) -> np.ndarray:
@@ -44,52 +44,34 @@ def _majority_errors(sizes, p: float) -> np.ndarray:
     log_q, log_p = np.log1p(-p), np.log(p)
     widths = (sizes + 1) // 2  # the terms k = n//2 + 1, ..., n
     ends = np.cumsum(widths)
-    # every chunk works in the same two rows of floats and of ints: a chunk
-    # holds at most _CHUNK_TERMS terms, or a single size's
-    cap = int(min(ends[-1], max(_CHUNK_TERMS, widths.max())))
-    floats, ints = np.empty((2, cap)), np.empty((2, cap), dtype=np.int64)
     errors = np.empty(len(sizes))
     lo = 0
     while lo < len(sizes):
+        # at most _CHUNK_TERMS terms, or a single size's
         limit = ends[lo] - widths[lo] + _CHUNK_TERMS
         hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
-        errors[lo:hi] = _chunk_errors(sizes[lo:hi], widths[lo:hi], g, log_q, log_p, floats, ints)
+        errors[lo:hi] = _chunk_errors(sizes[lo:hi], g, log_q, log_p)
         lo = hi
     return errors
 
 
-def _ramps(out, starts, widths, first, step: int):
-    """out[starts[i] + r] = first[i] + step * r for r < widths[i]: the
-    steps between consecutive terms, summed in place (exact in int64)."""
-    out.fill(step)
-    jumps = first.copy()
-    jumps[1:] -= first[:-1] + step * (widths[:-1] - 1)
-    out[starts] = jumps
-    return np.cumsum(out, out=out)
-
-
-def _chunk_errors(n, widths, g, log_q, log_p, floats, ints) -> np.ndarray:
-    """_majority_errors for the sizes n, whose terms are all held at once in
-    the first columns of the (2, cap) scratch rows floats and ints."""
-    t = int(widths.sum())
-    a, tmp = floats[0, :t], floats[1, :t]
+def _chunk_errors(n, g, log_q, log_p) -> np.ndarray:
+    """_majority_errors for the sizes n, whose terms are all held at once."""
+    widths = (n + 1) // 2
     starts = np.cumsum(widths) - widths
-    half = n // 2
-    size_of = _ramps(ints[1, :t], starts, widths, np.arange(len(n)), 0)
-    # mode="clip" only skips the copy that "raise" makes through a buffer: every index is in range
-    np.take(g[n + 1], size_of, out=a, mode="clip")
-    k = _ramps(ints[0, :t], starts, widths, half + 1, 1)
-    a -= np.take(g[1:], k, out=tmp, mode="clip")  # G(k + 1)
-    n_k = _ramps(ints[1, :t], starts, widths, half, -1)
-    a -= np.take(g[1:], n_k, out=tmp, mode="clip")
-    a += np.multiply(k, log_q, out=tmp)
-    a += np.multiply(n_k, log_p, out=tmp)
+    k = np.arange(widths.sum()) + np.repeat(n // 2 + 1 - starts, widths)
+    n_k = np.repeat(n, widths) - k
+    a = np.repeat(g[n + 1], widths)
+    a -= g[1:][k]  # G(k + 1)
+    a -= g[1:][n_k]
+    a += k * log_q
+    a += n_k * log_p
+    del k, n_k  # the index rows go as soon as the log terms are formed
     a_max = np.maximum.reduceat(a, starts)
-    size_of = _ramps(ints[0, :t], starts, widths, np.arange(len(n)), 0)
-    spread = np.take(a_max, size_of, out=tmp, mode="clip")
-    top = np.equal(a, spread, out=ints[1].view(np.bool_)[:t])
+    spread = np.repeat(a_max, widths)
+    top = a == spread
     m = np.add.reduceat(top, starts, dtype=np.float64)
-    np.copyto(a, -np.inf, where=top)
+    a[top] = -np.inf
     a -= spread
     np.exp(a, out=a)
     s = np.array([a[i:i + w].sum() for i, w in zip(starts.tolist(), widths.tolist())])

@@ -40,10 +40,6 @@ class BlobSpec:
         if self.per_class < 1:
             raise ValueError("per_class must be at least 1")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.mean_minus)
-
 
 def _two_classes(seed: int, per_class: int, minus: tuple, plus: tuple) -> Dataset:
     """per_class samples of each class's (mean, sigma); class -1 rows first."""

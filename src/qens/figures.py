@@ -30,7 +30,7 @@ _CHUNK = 256
 # fig6 raster points: the default raster has 81^2, a 0.025 step 161^2
 RASTER_POINT_CAP = 1 << 20
 FIG6_MODEL_CAP = 1 << 18  # fig6 lattice models: 64 values per parameter, cubed
-# fig2 committee size: a curve has about max_size^2 / 8 log terms, 1.5-1.9 s per accuracy at the cap
+# fig2 committee size: a curve has about max_size^2 / 8 log terms, 1.0-1.3 s per accuracy at the cap
 FIG2_SIZE_CAP = 1 << 14
 # grover iterations: the default floor(pi/4 sqrt(E/K)) is at most 2274 under the qubit cap
 GROVER_ITERATION_CAP = 1 << 12
@@ -129,8 +129,9 @@ def _integer(value) -> int:
 
 
 def _float(value) -> float:
-    """float(value), refusing text rather than parsing it."""
-    if isinstance(value, (str, bytes)):
+    """float(value) of an int or a float, refusing a bool, null, text or
+    anything else rather than converting it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
 
@@ -152,11 +153,9 @@ def _interval(values) -> tuple[float, float]:
 
 
 def _float_array(values) -> np.ndarray:
-    """values as a float64 array, refusing text (numpy would parse it)."""
-    raw = np.asarray(values)
-    if raw.dtype.kind in "SUO" and any(isinstance(v, (str, bytes)) for v in raw.flat):
-        raise ValueError(f"{values!r} holds text, not numbers")
-    return np.asarray(raw, dtype=np.float64)
+    """values as a float64 array, each element taken by _float's rule."""
+    raw = np.asarray(values, dtype=object)
+    return np.array([_float(v) for v in raw.flat], dtype=np.float64).reshape(raw.shape)
 
 
 def _curve_grid(lo: float, hi: float, points: int) -> np.ndarray:

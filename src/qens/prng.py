@@ -10,10 +10,10 @@ splitmix64 output permutation.
 Child streams are derived with an extra mix round (see derive_key), which
 keeps per-class lanes decorrelated from the counter chain of the parent.
 
-Gaussian variates use the inverse normal CDF (scipy's ndtri, Wichura's
-AS241) applied to centered 53-bit uniforms.  Unlike polar or ziggurat
-methods this consumes exactly one word per variate and gives identical
-output on every platform and thread schedule.
+Gaussian variates use the inverse normal CDF (scipy's ndtri, which follows
+Cephes' ndtri, not Wichura's AS241) applied to centered 53-bit uniforms.
+Unlike polar or ziggurat methods this consumes exactly one word per
+variate and gives identical output on every platform and thread schedule.
 """
 
 from __future__ import annotations

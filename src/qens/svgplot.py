@@ -31,11 +31,10 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
     return max(lo, -sys.float_info.max), min(hi, sys.float_info.max)
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five ticks from lo to hi, a span that _span has made non-empty."""
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def render_curves(

@@ -217,4 +217,5 @@ def effective_expectation(
     if not np.any(mask):
         return 0.0
     labels = predict_many(family, decode_all(grid)[mask], np.atleast_1d(x))[:, 0]
-    return vote(counts[mask] / float(m) - 0.5, labels).raw_score / float(grid.size)
+    weights = weights_for(WeightScheme.EFFECTIVE_CENTERED, counts[mask] / float(m))
+    return vote(weights, labels).raw_score / float(grid.size)

@@ -141,9 +141,18 @@ def test_curve_straddling_chunk_boundaries_keeps_per_size_values(p, monkeypatch)
     assert errs.tolist() == [per_size_error(n, p) for n in sizes.tolist()]
 
 
+@pytest.mark.parametrize("p", (0.6, 5e-324))
+def test_curve_over_several_full_chunks_matches_per_size_values(p):
+    # about 2.0M log terms: four chunks at the real _CHUNK_TERMS
+    sizes, errs = condorcet_curve(p, 4001)
+    assert sum((n + 1) // 2 for n in sizes.tolist()) > 3 * committee._CHUNK_TERMS
+    assert errs.tolist() == [per_size_error(n, p) for n in sizes.tolist()]
+
+
 def test_curve_at_size_cap_memory_bound(peak_bytes):
-    # about 33.6M log terms in all, held at most 2^20 at a time
-    assert peak_bytes(condorcet_curve, 0.6, FIG2_SIZE_CAP) <= 64 << 20
+    # about 33.6M log terms in all, held at most 2^19 at a time as a handful
+    # of 4 MiB rows
+    assert peak_bytes(condorcet_curve, 0.6, FIG2_SIZE_CAP) <= 32 << 20
 
 
 def test_curve_checks_its_arguments():

@@ -588,6 +588,35 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, command, override):
     assert run_cli(command, "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
 
 
+BOOL_OR_NULL_NUMBERS = {
+    "fig5-sigma-true": ("fig5", {"sigma": True}),
+    "fig2-p_list-true": ("fig2", {"p_list": [True]}),
+    "classify-query-true": ("classify", {"query": [True]}),
+    "classify-query-null": ("classify", {"query": [None]}),
+    "classify-labels-true": ("classify", {"dataset": {"points": {"x": [[-2.0], [0.5]], "y": [True, -1]}}}),
+    "grover-labels-null": ("grover", {"dataset": {"points": {"x": [[-2.0], [0.5]], "y": [None, 1]}}}),
+}
+
+
+@pytest.mark.parametrize("command,override", BOOL_OR_NULL_NUMBERS.values(), ids=BOOL_OR_NULL_NUMBERS)
+def test_bool_or_null_number_is_usage_error(tmp_path, command, override):
+    # numpy would read true/false as 1.0/0.0 and null as NaN; a number slot
+    # refuses them before anything is computed or written
+    cfg = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    src = str(Path(qens.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "qens.cli", command, "--config", str(cfg), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == cli.EXIT_USAGE, done.stderr
+    assert done.stderr.startswith("error:"), done.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("query", ["1e999", "-1e999", "NaN"])
 def test_classify_non_finite_query_is_domain_error(tmp_path, monkeypatch, query):
     def refuse(*args):
@@ -652,7 +681,9 @@ def test_integer_config_value_is_not_truncated(tmp_path, command, override, code
 
 
 @pytest.mark.parametrize("convert", [figures._integer, figures._float, figures._float_array])
-@pytest.mark.parametrize("value", ["2", b"2", ["2"], [b"2"], [1.0, None, "2"]])
+@pytest.mark.parametrize(
+    "value", ["2", b"2", ["2"], [b"2"], [1.0, None, "2"], True, None, [True], [None], [[1.0], [False]]]
+)
 def test_number_converters_refuse_text(convert, value):
     with pytest.raises((ValueError, TypeError)):
         convert(value)
