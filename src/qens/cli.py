@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-    qens COMMAND [--config FILE] [--seed N] [--out DIR] [--threads N]
+    qens COMMAND [--config FILE] [--out DIR] [--threads N]
 
-Commands map one-to-one onto the experiment presets in `figures`.  The
-output directory defaults to the QENS_OUT environment variable, then to
-./out.  --seed overrides the config's "seed" key where the command has
-one.  Exit codes:
+Commands map one-to-one onto the experiment presets in `figures`, and a
+command takes --threads only if its runner has a `threads` parameter
+(fig6).  A seed is set in the config.  The output directory defaults to
+the QENS_OUT environment variable, then to ./out.  Exit codes:
 
     0  success, all internal consistency checks passed
     2  usage or configuration error
@@ -18,6 +18,7 @@ one.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -47,15 +48,21 @@ def build_parser() -> argparse.ArgumentParser:
         doc = (runner.__doc__ or "").strip().splitlines()[0] if runner.__doc__ else ""
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", type=Path, default=None, help="JSON config file")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument(
             "--out",
             type=Path,
-            default=None,
+            default=Path(os.environ.get("QENS_OUT") or "out"),
             help="output directory (default: $QENS_OUT, then ./out)",
         )
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads")
+        if "threads" in inspect.signature(runner).parameters:
+            cmd.add_argument("--threads", type=_at_least_one, default=1, help="worker threads")
     return parser
+
+
+def _at_least_one(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return int(text)
 
 
 def _load_overrides(path: Path | None) -> dict:
@@ -71,21 +78,10 @@ def _load_overrides(path: Path | None) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = args.out
-    if out is None:
-        env = os.environ.get("QENS_OUT")
-        out = Path(env) if env else Path("out")
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
+    options = vars(build_parser().parse_args(argv))
+    command, config, out = (options.pop(key) for key in ("command", "config", "out"))
     try:
-        overrides = _load_overrides(args.config)
-        if args.seed is not None:
-            if "seed" not in figures.DEFAULTS[args.command]:
-                raise figures.ConfigError(f"{args.command} takes no seed")
-            overrides = dict(overrides, seed=args.seed)
-        summary = figures.run_command(args.command, overrides, out, args.threads)
+        summary = figures.run_command(command, _load_overrides(config), out, **options)
     except figures.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -109,10 +105,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN
     for name, passed in summary["checks"].items():
         print(f"[{'ok' if passed else 'FAIL'}] {name}")
-    print(f"wrote {args.command}_summary.json to {out}")
-    if not summary["ok"]:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    print(f"wrote {command}_summary.json to {out}")
+    return EXIT_OK if summary["ok"] else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

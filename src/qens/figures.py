@@ -148,8 +148,10 @@ def _floats(values) -> tuple[float, ...]:
 
 
 def _interval(values) -> tuple[float, float]:
-    lo, hi = values
-    return _float(lo), _float(hi)
+    lo, hi = (_float(v) for v in values)
+    if not math.isfinite(hi - lo):  # a NaN or infinite bound, or a width that overflows
+        raise ValueError(f"interval [{lo}, {hi}] has no finite width")
+    return lo, hi
 
 
 def _float_array(values) -> np.ndarray:
@@ -273,8 +275,6 @@ def _chunk_map(fn, n_items: int, threads: int) -> list:
     the same for any `threads` value.
     """
     ranges = [(s, min(s + _CHUNK, n_items)) for s in range(0, n_items, _CHUNK)]
-    if threads <= 1:
-        return [fn(a, b) for a, b in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
 
@@ -290,7 +290,7 @@ def _summary(command: str, cfg: dict, outputs: list[str], metrics: dict, checks:
     }
 
 
-def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
+def run_fig2(cfg: dict, out: Path) -> dict:
     """Majority-error curves over committee size plus the odds-ratio gain."""
     p_list, max_size = _fields(cfg, p_list=_floats, max_size=_at_least_one).values()
     if not p_list:
@@ -334,7 +334,7 @@ def run_fig2(cfg: dict, out: Path, threads: int = 1) -> dict:
     )
 
 
-def run_fig4(cfg: dict, out: Path, threads: int = 1) -> dict:
+def run_fig4(cfg: dict, out: Path) -> dict:
     """Centered versus log-odds weights as functions of model accuracy."""
     a_grid = _curve_grid(0.005, 0.995, _fields(cfg, points=_integer)["points"])
     centered = weighting.weights_for(weighting.WeightScheme.EFFECTIVE_CENTERED, a_grid)
@@ -363,7 +363,7 @@ def run_fig4(cfg: dict, out: Path, threads: int = 1) -> dict:
     )
 
 
-def run_fig5(cfg: dict, out: Path, threads: int = 1) -> dict:
+def run_fig5(cfg: dict, out: Path) -> dict:
     """Committee score curve for equal-variance Gaussian classes: closed
     form against quadrature, plus the located decision boundary."""
     mu_minus, mu_plus, sigma, x_min, x_max, points = _fields(
@@ -464,8 +464,10 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
 
     dist = np.linalg.norm(raster_points - midpoint[None, :], axis=1)
     near = dist <= 0.3
-    near_min_idx = int(np.argmin(np.abs(raster_scores[near])))
-    near_min_point = raster_points[near][near_min_idx]
+    near_min_point = near_min_distance = None  # no raster point within 0.3 of the midpoint
+    if np.any(near):
+        point = raster_points[near][np.argmin(np.abs(raster_scores[near]))]
+        near_min_point, near_min_distance = point.tolist(), float(np.linalg.norm(point - midpoint))
 
     checks = {
         "mean_minus_labeled": mean_scores[0] < 0,
@@ -480,8 +482,8 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
         "crossing_distance_to_midpoint": crossing_dist,
         "crossing_point": None if crossing_point is None else [float(v) for v in crossing_point],
         "abs_score_at_midpoint": float(np.abs(raster_scores[np.argmin(dist)])),
-        "near_min_point": [float(v) for v in near_min_point],
-        "near_min_distance_to_midpoint": float(np.linalg.norm(near_min_point - midpoint)),
+        "near_min_point": near_min_point,
+        "near_min_distance_to_midpoint": near_min_distance,
     }
     return _summary("fig6", cfg, ["fig6_raster.csv", "fig6_dataset.csv"], metrics, checks)
 
@@ -492,7 +494,7 @@ _FIG7_EXAMPLES = {
 }
 
 
-def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
+def run_fig7(cfg: dict, out: Path) -> dict:
     """Per-threshold decomposition of the committee score for the two
     worked Gaussian examples (equal and unequal class spreads)."""
     example, query = _fields(cfg, example=_integer, query=_float).values()
@@ -556,7 +558,7 @@ def run_fig7(cfg: dict, out: Path, threads: int = 1) -> dict:
     return _summary("fig7", cfg, outputs, metrics, checks)
 
 
-def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
+def run_classify(cfg: dict, out: Path) -> dict:
     """Quantum-circuit path and exhaustive classical vote on one grid,
     compared model by model."""
     family, grid, dataset = _ensemble(cfg)
@@ -587,6 +589,9 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
     if shots > SHOTS_CAP:
         raise weighting.EnumerationCapError(f"classify shots are over {SHOTS_CAP}")
     acc = grid_accuracies(family, grid, dataset)
+    alt_weights = None  # set before the statevector: log_odds refuses accuracy 0 or 1
+    if scheme is not weighting.WeightScheme.ACCURACY:
+        alt_weights = weighting.weights_for(scheme, acc)
     counts = grid_correct_counts(family, grid, dataset)
     state = simulator.prepare_uniform(layout)
     if rotation == "exact":
@@ -650,9 +655,9 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
         metrics["rotation_accuracy_deviation"] = dev_accuracy
         checks["rotation_matches_formula"] = dev_formula < 1e-12
 
-    if scheme is not weighting.WeightScheme.ACCURACY:
+    if alt_weights is not None:
         labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
-        alt = weighting.vote(weighting.weights_for(scheme, acc), labels)
+        alt = weighting.vote(alt_weights, labels)
         metrics["scheme_decision"] = {
             "scheme": scheme.value,
             "raw_score": alt.raw_score,
@@ -666,7 +671,7 @@ def run_classify(cfg: dict, out: Path, threads: int = 1) -> dict:
     return summary
 
 
-def run_grover(cfg: dict, out: Path, threads: int = 1) -> dict:
+def run_grover(cfg: dict, out: Path) -> dict:
     """Amplitude amplification of the better-than-chance grid models."""
     family, grid, dataset = _ensemble(cfg)
     iterations = _fields(cfg, iterations=_optional(_integer))["iterations"]
@@ -712,9 +717,9 @@ RUNNERS = {
 }
 
 
-def run_command(command: str, overrides: dict | None, out: Path, threads: int = 1) -> dict:
+def run_command(command: str, overrides: dict | None, out: Path, **options) -> dict:
     cfg = merged_config(command, overrides)
     out.mkdir(parents=True, exist_ok=True)
-    summary = RUNNERS[command](cfg, out, threads)
+    summary = RUNNERS[command](cfg, out, **options)
     _write_json(out / f"{command}_summary.json", summary)
     return summary

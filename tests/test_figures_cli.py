@@ -154,10 +154,6 @@ def test_missing_config_file_is_file_error(tmp_path):
     )
 
 
-def test_seed_flag_rejected_for_seedless_command(tmp_path):
-    assert run_cli("fig5", "--out", str(tmp_path), "--seed", "3") == cli.EXIT_USAGE
-
-
 def test_bad_label_in_dataset_is_domain_error(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -494,6 +490,18 @@ def test_unusable_scheme_weights_are_domain_error(tmp_path, scheme, x):
     assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_DOMAIN
 
 
+def test_log_odds_refused_before_the_statevector(tmp_path, monkeypatch):
+    # a model of accuracy 1 has unbounded log-odds weight; the refusal comes
+    # right after the accuracies, before any statevector is allocated
+    def refuse(*args):
+        raise AssertionError("statevector prepared before the scheme's weights")
+
+    monkeypatch.setattr(figures.simulator, "prepare_uniform", refuse)
+    override = {"scheme": "log_odds", "dataset": {"points": {"x": [[-2.0], [0.5]], "y": [-1, 1]}}}
+    cfg = write_config(tmp_path, override)
+    assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_DOMAIN
+
+
 def test_failed_consistency_check_exit_code(tmp_path):
     # two points per class drowned in overlap: the committee cannot
     # separate the blobs, so the preset's label checks fail
@@ -556,6 +564,41 @@ def test_fig2_over_size_cap_is_cap_error(tmp_path, monkeypatch):
 def test_inverted_or_infinite_raster_is_usage_error(tmp_path, override):
     cfg = write_config(tmp_path, override)
     assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_USAGE
+
+
+def test_fig6_raster_far_from_the_midpoint_reports_no_near_minimum(tmp_path):
+    # no raster point lies within 0.3 of the midpoint: the near-minimum
+    # metrics are null, as crossing_point is when no crossing is found
+    cfg = write_config(tmp_path, {"raster_lo": 10, "raster_hi": 11, "raster_step": 0.5})
+    code = run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg))
+    summary = json.loads((tmp_path / "fig6_summary.json").read_text())
+    assert code == (cli.EXIT_OK if summary["ok"] else cli.EXIT_CHECK_FAILED)
+    assert summary["metrics"]["raster_points"] == 9
+    assert summary["metrics"]["near_min_point"] is None
+    assert summary["metrics"]["near_min_distance_to_midpoint"] is None
+
+
+@pytest.mark.parametrize(
+    "interval",
+    ["[-Infinity, 1]", "[NaN, 1]", "[-1, Infinity]", "[-1e308, 1e308]"],
+    ids=["minus_inf", "nan", "plus_inf", "overflowing_width"],
+)
+def test_non_finite_parameter_interval_is_usage_error(tmp_path, interval):
+    # numpy's linspace used to turn these into inf/nan ticks, warn and exit 6
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"parameter_interval": {interval}}}')
+    out = tmp_path / "out"
+    src = str(Path(qens.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "qens.cli", "fig6", "--config", str(cfg), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == cli.EXIT_USAGE, done.stderr
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists() or not any(out.iterdir())
 
 
 # every top-level key set to a string, to a numeric string (which int(),
@@ -785,10 +828,11 @@ def test_fuzzed_config_ends_in_documented_exit_code(tmp_path, command):
 
 # --- seeds and environment -------------------------------------------------------
 
-def test_seed_flag_changes_fig6_dataset(tmp_path):
+def test_config_seed_changes_fig6_dataset(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_cli("fig6", "--out", str(a), "--seed", "1") == 0
-    assert run_cli("fig6", "--out", str(b), "--seed", "2") == 0
+    for out, seed in ((a, 1), (b, 2)):
+        cfg = write_config(tmp_path, {"seed": seed})
+        assert run_cli("fig6", "--out", str(out), "--config", str(cfg)) == 0
     assert (a / "fig6_dataset.csv").read_bytes() != (b / "fig6_dataset.csv").read_bytes()
 
 
@@ -812,14 +856,6 @@ def test_classify_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("classify", "--out", str(a)) == 0
     assert run_cli("classify", "--out", str(b)) == 0
-    assert read_dir_bytes(a) == read_dir_bytes(b)
-
-
-def test_fig2_byte_identical_across_thread_counts(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    cfg = write_config(tmp_path, {"max_size": 151})
-    assert run_cli("fig2", "--out", str(a), "--config", str(cfg), "--threads", "1") == 0
-    assert run_cli("fig2", "--out", str(b), "--config", str(cfg), "--threads", "3") == 0
     assert read_dir_bytes(a) == read_dir_bytes(b)
 
 
@@ -886,5 +922,20 @@ def test_run_command_writes_summary(tmp_path):
 
 
 def test_threads_flag_validation(tmp_path, capsys):
-    with pytest.raises(SystemExit):
-        run_cli("fig4", "--out", str(tmp_path), "--threads", "0")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fig6", "--out", str(tmp_path), "--threads", "0")
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "--threads: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, command, capsys):
+    # a seed is set in the config; --threads belongs to the one command that
+    # splits its work across threads
+    flags = [("--seed", "1")] + ([] if command == "fig6" else [("--threads", "2")])
+    for flag, value in flags:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--out", str(tmp_path / "out"), flag, value)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
