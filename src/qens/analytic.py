@@ -161,12 +161,6 @@ def _cut_points(problem: DecisionProblem1D) -> tuple[float, float]:
     return lo_loc - k, hi_loc + k
 
 
-def _segment(fn, a: float, b: float) -> float:
-    # ier goes unread: the tail check guards accuracy, and QUADPACK's
-    # roundoff heuristic misfires on near-zero cusp segments
-    return qags(fn, a, b)[0]
-
-
 def _scorer(problem: DecisionProblem1D):
     """E as a function of one query float, after the tail check and one
     integration of each segment between the fixed cuts."""
@@ -188,7 +182,9 @@ def _scorer(problem: DecisionProblem1D):
         raise QuadratureError(f"truncation window [{lo}, {hi}] is wider than float64 holds")
     inner = [*problem.minus.breakpoints(), *problem.plus.breakpoints()]
     cuts = sorted({lo, hi, *[c for c in inner if lo < c < hi]})
-    fixed = [_segment(fn, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    # qags's ier goes unread: the tail check guards accuracy, and QUADPACK's
+    # roundoff heuristic misfires on near-zero cusp segments
+    fixed = [qags(fn, a, b)[0] for a, b in zip(cuts[:-1], cuts[1:])]
 
     def score(x: float) -> float:
         if math.isnan(x):
@@ -197,8 +193,8 @@ def _scorer(problem: DecisionProblem1D):
         i = min(max(bisect.bisect_right(cuts, x), 1), len(cuts))
         left, right = fixed[: i - 1], fixed[i - 1 :]
         if lo < x < hi and x != cuts[i - 1]:  # x splits segment i - 1
-            left.append(_segment(fn, cuts[i - 1], x))
-            right = [_segment(fn, x, cuts[i]), *fixed[i:]]
+            left.append(qags(fn, cuts[i - 1], x)[0])
+            right = [qags(fn, x, cuts[i])[0], *fixed[i:]]
         # added from the left: sum() compensates from Python 3.12, which moves bits
         *_, total_left = accumulate(left, initial=0.0)
         *_, total_right = accumulate(right, initial=0.0)

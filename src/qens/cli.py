@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, runner in sorted(figures.RUNNERS.items()):
-        doc = (runner.__doc__ or "").strip().splitlines()[0] if runner.__doc__ else ""
+        doc = " ".join((runner.__doc__ or "").split("\n\n")[0].split())
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", type=Path, default=None, help="JSON config file")
         cmd.add_argument(

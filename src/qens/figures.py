@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -275,7 +276,7 @@ def _chunk_map(fn, n_items: int, threads: int) -> list:
     the same for any `threads` value.
     """
     ranges = [(s, min(s + _CHUNK, n_items)) for s in range(0, n_items, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
 
 
@@ -602,8 +603,10 @@ def run_classify(cfg: dict, out: Path) -> dict:
         )
         rotation_p0 = state.accuracy_zero_probabilities()
     state, post = simulator.postselect_accuracy_zero(state)
-    # labels passed inline: an (E,) array kept alive here pins the heap through the vote below
-    simulator.apply_classifier(state, predict_many(family, decode_all(grid), query[None, :])[:, 0])
+    labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
+    simulator.apply_classifier(state, labels)
+    alt = None if alt_weights is None else weighting.vote(alt_weights, labels)
+    del labels  # kept alive, this (E,) array would pin the heap through ensemble_decide below
     p_minus, p_plus = simulator.measure_label_distribution(state)
     sigma_z = p_minus - p_plus  # expectation_sigma_z without a second read of the state
     sample = simulator.sample_measurements(p_plus, shots, seed)
@@ -655,9 +658,7 @@ def run_classify(cfg: dict, out: Path) -> dict:
         metrics["rotation_accuracy_deviation"] = dev_accuracy
         checks["rotation_matches_formula"] = dev_formula < 1e-12
 
-    if alt_weights is not None:
-        labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
-        alt = weighting.vote(alt_weights, labels)
+    if alt is not None:
         metrics["scheme_decision"] = {
             "scheme": scheme.value,
             "raw_score": alt.raw_score,

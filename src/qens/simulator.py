@@ -50,10 +50,12 @@ holds those numpy expressions as references):
                       splits at n/2 - (n/2 mod 8) down to blocks of 128;
                       _pairwise splits the same way down to chunks and
                       lets np.sum do the rest (the square of a strided
-                      view is such an operand, in C order)
+                      view is such an operand, in C order): the norm, the
+                      branch masses and the label readout's total
   strided operand     buffered blocks of max(8192, contiguous run) values
                       (runs here are powers of two), each one pairwise
-                      sum, added one after another
+                      sum, added one after another: the label readout's
+                      output-|0> mass, over an already squared state
   per-model sums      each model's row is summed alone, so any number of
                       rows at a time gives the same sums
 """
@@ -170,14 +172,14 @@ def _squares(seq: np.ndarray, start: int, n: int, buf: np.ndarray) -> np.ndarray
     return out
 
 
-def _pairwise(n: int, leaf, limit: int = _NORM_CHUNK, start: int = 0) -> float:
+def _pairwise(n: int, leaf, start: int = 0) -> float:
     """numpy's pairwise sum of n values, from leaf(start, count) = the
-    np.sum of values start..start+count-1 for each count <= limit
-    (limit >= 128), called left to right."""
-    if n <= limit:
+    np.sum of values start..start+count-1 for each count <= _NORM_CHUNK,
+    called left to right."""
+    if n <= _NORM_CHUNK:
         return leaf(start, n)
     half = n // 2 - n // 2 % 8
-    return _pairwise(half, leaf, limit, start) + _pairwise(n - half, leaf, limit, start + half)
+    return _pairwise(half, leaf, start) + _pairwise(n - half, leaf, start + half)
 
 
 def _sum_squares(seq: np.ndarray) -> float:
@@ -328,24 +330,19 @@ def measure_label_distribution(state: EnsembleState) -> tuple[float, float]:
     """(p_minus, p_plus): output-qubit Born probabilities for labels -1, +1.
 
     Bit for bit p_minus = probs[:, 0].sum() / probs.sum() with probs the
-    squared state, in one pass: numpy sums the strided output-|0> values in
-    blocks of max(8192, run), run = one model's values at one output, and a
-    block with its output-|1> partners is an aligned power-of-two region of
-    the state, so a subtree of the pairwise total."""
+    squared state, in numpy's two orders: the total is one pairwise sum over
+    the whole state, and the strided output-|0> squares are summed in
+    buffered blocks of max(8192, run) values, run = one model's values at
+    one output, added one after another."""
     a = state.amplitudes
-    run = 2 * state.layout.count_values
-    region = min(a.size, 2 * max(_REDUCE_BLOCK, run))
-    p_minus = 0.0
-
-    def leaf(start: int, n: int) -> float:
-        nonlocal p_minus
-        rows = a[start : start + n].reshape(-1, 2, run)
-        p_minus += _sum_squares(rows[:, 0, :])
-        return _sum_squares(rows.reshape(1, -1))
-
-    total = _pairwise(a.size, leaf, region)
+    total = _sum_squares(a.reshape(1, -1))
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise StateError("state is not normalized")
+    run = 2 * state.layout.count_values
+    block = 2 * max(_REDUCE_BLOCK, run)  # one buffered block with its output-|1> partners
+    p_minus = 0.0
+    for start in range(0, a.size, block):
+        p_minus += _sum_squares(a[start : start + block].reshape(-1, 2, run)[:, 0, :])
     p_minus /= total
     return p_minus, 1.0 - p_minus
 

@@ -611,3 +611,29 @@ def test_second_scheme_votes_on_the_accuracies_already_held(tmp_path, monkeypatc
     assert len(calls) == 3, calls
     hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert hashes == GOLDEN_SHA256["classify_log_odds"]
+
+
+def test_second_scheme_votes_on_the_query_labels_the_circuit_used(tmp_path, monkeypatch):
+    # the classifier gate and the second scheme's vote share one evaluation
+    # at the query; ensemble_decide's classical vote makes the other
+    import qens.model
+    from qens import figures, weighting
+
+    query = np.asarray(merged_config("classify", LOG_ODDS_OVERRIDES)["query"], dtype=np.float64)
+    calls = []
+    original = qens.model.predict_many
+
+    def counting(family, thetas, xs):
+        if np.array_equal(np.asarray(xs).reshape(-1), query):
+            calls.append(len(thetas))
+        return original(family, thetas, xs)
+
+    for module in (qens.model, figures, weighting):
+        monkeypatch.setattr(module, "predict_many", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(LOG_ODDS_OVERRIDES))
+    out = tmp_path / "out"
+    assert cli.main(["classify", "--out", str(out), "--config", str(cfg)]) == 0
+    assert len(calls) == 2, calls
+    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert hashes == GOLDEN_SHA256["classify_log_odds"]

@@ -1,6 +1,7 @@
 """Experiment presets and the command-line wrapper: artifacts, exit codes,
 byte determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -866,6 +867,23 @@ def test_fig6_byte_identical_across_thread_counts(tmp_path):
     assert read_dir_bytes(a) == read_dir_bytes(b)
 
 
+def test_fig6_starts_at_most_one_worker_per_cpu(tmp_path, monkeypatch):
+    workers = []
+    pool = figures.ThreadPoolExecutor
+
+    def recording(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("fig6", "--out", str(a), "--threads", "1") == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(figures, "ThreadPoolExecutor", recording)
+    assert run_cli("fig6", "--out", str(b), "--threads", "32") == 0
+    assert workers and set(workers) == {1}
+    assert read_dir_bytes(a) == read_dir_bytes(b)
+
+
 def test_curve_csv_12_digit_format(tmp_path):
     run_cli("fig5", "--out", str(tmp_path))
     row = (tmp_path / "fig5_expectation.csv").read_text().splitlines()[1]
@@ -926,6 +944,15 @@ def test_threads_flag_validation(tmp_path, capsys):
         run_cli("fig6", "--out", str(tmp_path), "--threads", "0")
     assert exc.value.code == cli.EXIT_USAGE
     assert "--threads: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_help_shows_each_runners_first_paragraph(command):
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    helps = {action.dest: action.help for action in subparsers._choices_actions}
+    paragraph = inspect.cleandoc(figures.RUNNERS[command].__doc__).split("\n\n")[0]
+    assert helps[command] == paragraph.replace("\n", " ")
+    assert helps[command].endswith(".")
 
 
 @pytest.mark.parametrize("command", sorted(DEFAULTS))

@@ -172,11 +172,12 @@ def test_layouts_reach_past_one_chunk():
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 129, 1000, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5, 19 << 14, 1 << 20])
-def test_pairwise_splits_as_numpy(n):
+def test_pairwise_splits_as_numpy(n, monkeypatch):
     x = np.random.default_rng(n).random(n) * 10.0 ** np.random.default_rng(n + 1).uniform(-6, 6, n)
     want = float(np.sum(x))
-    for limit in (128, 1000, simulator._NORM_CHUNK):
-        got = simulator._pairwise(n, lambda s, k: float(np.sum(x[s : s + k])), limit)
+    for chunk in (128, 1000, simulator._NORM_CHUNK):
+        monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
+        got = simulator._pairwise(n, lambda s, k: float(np.sum(x[s : s + k])))
         assert bits(got) == bits(want)
 
 
