@@ -7,14 +7,26 @@ to the arguments of `scipy.integrate.quad(f, a, b, limit=200)`: epsabs =
 epsrel = 1.49e-8.  Every floating-point operation follows QUADPACK's
 order, so `qags(f, a, b)[0]` is `quad(f, a, b, limit=200)[0]` bit for bit
 (the arrays are 1-based, as in the Fortran, to keep the index arithmetic
-comparable).  The one difference is the callback: `f` takes the 21
-abscissae of a rule as one float64 array and returns the 21 values, so
-an elementwise integrand runs once per rule rather than once per point.
+comparable).
+
+`_dqagse` is the routine as a generator: it yields the intervals whose
+rules it needs, the first one and then both halves of each bisection, and
+is sent their dqk21 results.  `qags_each` advances up to _BATCH of them in
+lockstep and evaluates each round's rules in one vectorised `_dqk21`, one
+row a rule, whose sums add each row's terms in QUADPACK's order: an
+integration's bits do not depend on the others in its batch.  `qags` is
+the batch of one interval.
+
+The one difference is the callback: `f` takes a 1-D float64 array that
+holds the abscissae of whole rules, 21 each in the order dqk21 evaluates
+them, and returns their values, so an elementwise integrand runs once a
+round rather than once a point.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -24,6 +36,7 @@ _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _UFLOW = sys.float_info.min  # d1mach(1)
 _OFLOW = sys.float_info.max  # d1mach(2)
 _LIMEXP = 50  # dqelg's epsilon table holds at most this many terms
+_BATCH = 128  # dqagse runs in flight: each unconverged one holds five 201-slot lists
 
 # dqk21's abscissae, Kronrod weights and Gauss weights, as QUADPACK prints
 # them: xgk(2j) are the 10-point Gauss nodes, xgk(11) = 0 is the centre
@@ -59,48 +72,62 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# the 21 abscissae of the rule on [-1, 1]: the centre, then -xgk(j) and
-# +xgk(j) for j = 1..10; centr + hlgth * (-x) is centr - hlgth * x exactly
-_NODES = np.array([0.0, *[-x for x in _XGK], *_XGK])
+# dqk21 evaluates f at the centre first, then at -xgk(j) and +xgk(j) for the
+# Gauss nodes j = 2, 4, ..., 10 and then the Kronrod nodes j = 1, 3, ..., 9
+# (1-based); its sums add the node pairs in the same order, but resasc's by j
+_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_BY_J = [_ORDER.index(j) for j in range(10)]
+# a rule's 21 abscissae on [-1, 1] in that order; centr + hlgth * (-x) is
+# centr - hlgth * x exactly
+_NODES = np.array([0.0, *[s * _XGK[j] for j in _ORDER for s in (-1.0, 1.0)]])
+_WG_PAIRS = np.array(_WG)  # the Gauss pairs, the first five in _ORDER
+_WGK_PAIRS = np.array([_WGK[10], *[_WGK[j] for j in _ORDER]])  # the centre, then the pairs
+_WGK_BY_J = np.array([_WGK[10], *_WGK[:10]])
 
 
-def _qk21(f, a: float, b: float) -> tuple[float, float, float, float]:
-    """dqk21: (result, abserr, resabs, resasc) of the 21-point rule on [a, b]."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    dhlgth = abs(hlgth)
-    x = centr + hlgth * _NODES
-    x[0] = centr  # as QUADPACK's f(centr): hlgth * 0.0 is NaN for an infinite hlgth
-    fv = f(x).tolist()
-    fc, fv1, fv2 = fv[0], fv[1:11], fv[11:]
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
-    for j in (1, 3, 5, 7, 9):  # the Gauss nodes xgk(2), xgk(4), ..., xgk(10)
-        fval1, fval2 = fv1[j], fv2[j]
-        fsum = fval1 + fval2
-        resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
-    for j in (0, 2, 4, 6, 8):  # the Kronrod nodes xgk(1), xgk(3), ..., xgk(9)
-        fval1, fval2 = fv1[j], fv2[j]
-        fsum = fval1 + fval2
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = abs((resk - resg) * hlgth)
-    if resasc != 0.0 and abserr != 0.0:
-        # libm's pow, as QUADPACK's `**`; the base is at most a few thousand
-        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPMACH):
-        abserr = max((_EPMACH * 50.0) * resabs, abserr)
-    return result, abserr, resabs, resasc
+def _added_in_order(terms: np.ndarray) -> np.ndarray:
+    """Each row's terms added from the left, as QUADPACK's loops add them
+    (accumulate, unlike sum, never reassociates)."""
+    return np.add.accumulate(terms, axis=1)[:, -1]
+
+
+def _dqk21(f, intervals: list) -> list:
+    """dqk21 on each (a, b) of intervals: a (result, abserr, resabs, resasc)
+    each, from one call of f on the rules' abscissae, rule after rule.
+    Each row adds its terms in QUADPACK's order, so every rule has the bits
+    of the rule on its own."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf and NaN, silently
+        a, b = np.array(intervals, dtype=np.float64).T
+        centr = 0.5 * (a + b)
+        hlgth = 0.5 * (b - a)
+        x = centr[:, None] + hlgth[:, None] * _NODES
+    x[:, 0] = centr  # as QUADPACK's f(centr): hlgth * 0.0 is NaN for an infinite hlgth
+    fv = f(x.ravel()).reshape(x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fc, fv1, fv2 = fv[:, :1], fv[:, 1::2], fv[:, 2::2]
+        fsum = np.concatenate((fc, fv1 + fv2), axis=1)
+        fabs = np.concatenate((np.abs(fc), np.abs(fv1) + np.abs(fv2)), axis=1)
+        resg = 0.0 + _added_in_order(fsum[:, 1:6] * _WG_PAIRS)  # QUADPACK's resg starts at 0.0
+        resk = _added_in_order(fsum * _WGK_PAIRS)
+        resabs = _added_in_order(fabs * _WGK_PAIRS)  # wgk(11) * |fc| is |wgk(11) * fc| exactly
+        reskh = (resk * 0.5)[:, None]
+        dev = (np.abs(fv1 - reskh) + np.abs(fv2 - reskh))[:, _BY_J]
+        resasc = _added_in_order(np.concatenate((np.abs(fc - reskh), dev), axis=1) * _WGK_BY_J)
+        dhlgth = np.abs(hlgth)
+        result = resk * hlgth
+        resabs = resabs * dhlgth
+        resasc = resasc * dhlgth
+        abserr = np.abs((resk - resg) * hlgth)
+        scaled = (resasc != 0.0) & (abserr != 0.0)
+        if scaled.any():
+            # libm's pow, as QUADPACK's `**`, element by element: np.power may
+            # take numpy's own SIMD code.  The base is at most a few thousand
+            v = np.array([r**1.5 for r in (200.0 * abserr[scaled] / resasc[scaled]).tolist()])
+            abserr[scaled] = resasc[scaled] * np.where(v < 1.0, v, 1.0)  # min(1.0, v), NaN too
+        floor = (_EPMACH * 50.0) * resabs
+        # max(floor, abserr), NaN too, where resabs is above the underflow limit
+        abserr = np.where((resabs > _UFLOW / (50.0 * _EPMACH)) & ~(abserr > floor), floor, abserr)
+    return list(zip(result.tolist(), abserr.tolist(), resabs.tolist(), resasc.tolist()))
 
 
 def _qpsrt(limit: int, last: int, maxerr: int, elist: list, iord: list, nrmax: int):
@@ -216,19 +243,16 @@ def _qelg(n: int, epstab: list, res3la: list, nres: int):
     return n, result, abserr, nres
 
 
-def qags(f, a: float, b: float) -> tuple[float, float, int, int]:
-    """Integral of f over [a, b] by dqagse: (result, abserr, ier, last),
-    QUADPACK's outputs, with ier as dqagse returns it (0 converged, 1 the
-    200-interval limit, 2 roundoff, 3 bad integrand behaviour, 4 no
-    convergence, 5 probably divergent) and last the number of intervals.
-
-    f takes a float64 array of abscissae and returns their values as an
-    array of the same length."""
+def _dqagse(a: float, b: float):
+    """dqagse on [a, b] as a generator: it yields the intervals whose rules
+    it needs next, the first one and then the two halves of each bisection,
+    is sent their dqk21 tuples in the same order, and returns (result,
+    abserr, ier, last) as qags does."""
     epsabs, epsrel, limit = _EPSABS, _EPSREL, _LIMIT
     ier = ierro = 0
 
     # first approximation to the integral
-    result, abserr, defabs, resabs = _qk21(f, a, b)
+    ((result, abserr, defabs, resabs),) = yield ((a, b),)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     last = 1
@@ -263,8 +287,7 @@ def qags(f, a: float, b: float) -> tuple[float, float, int, int]:
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, defab1 = _qk21(f, a1, b1)
-        area2, error2, _, defab2 = _qk21(f, a2, b2)
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield ((a1, b1), (a2, b2))
 
         # improve the previous approximations to integral and error
         area12 = area1 + area2
@@ -404,3 +427,38 @@ def qags(f, a: float, b: float) -> tuple[float, float, int, int]:
         if diverges:
             ier = 6
     return result, abserr, ier - 1 if ier > 2 else ier, last
+
+
+def qags_each(f, intervals: list) -> list[tuple[float, float, int, int]]:
+    """qags on each (a, b) of intervals, in their order.  The dqagse runs
+    advance in lockstep, at most _BATCH of them at a time: each round
+    evaluates the rules that every run in flight waits for in one call of
+    f, and a run that ends makes room for the next interval."""
+    out = [None] * len(intervals)
+    pending = enumerate(intervals)
+    running = []  # (index, dqagse run, the intervals it waits for)
+    while True:
+        for k, (a, b) in islice(pending, _BATCH - len(running)):
+            run = _dqagse(a, b)
+            running.append((k, run, next(run)))
+        if not running:
+            return out
+        rules = iter(_dqk21(f, [ab for *_, wanted in running for ab in wanted]))
+        still = []
+        for k, run, wanted in running:
+            try:
+                still.append((k, run, run.send(list(islice(rules, len(wanted))))))
+            except StopIteration as stop:
+                out[k] = stop.value
+        running = still
+
+
+def qags(f, a: float, b: float) -> tuple[float, float, int, int]:
+    """Integral of f over [a, b] by dqagse: (result, abserr, ier, last),
+    QUADPACK's outputs, with ier as dqagse returns it (0 converged, 1 the
+    200-interval limit, 2 roundoff, 3 bad integrand behaviour, 4 no
+    convergence, 5 probably divergent) and last the number of intervals.
+
+    f takes a float64 array of abscissae, whole rules of 21 each, and
+    returns their values as an array of the same length."""
+    return qags_each(f, [(a, b)])[0]

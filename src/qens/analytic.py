@@ -27,10 +27,11 @@ the latter, gives different bits on a tenth to a fifth of inputs, so
 every erf here is scipy's.
 
 The quadrature is QUADPACK's QAGS, ported to Python floats in _qags with
-the bits of scipy's quad(f, a, b, limit=200); it evaluates each rule's 21
-abscissae in one call of the array cdfs.  It integrates the segments
+the bits of scipy's quad(f, a, b, limit=200).  It integrates the segments
 between fixed cuts (the window ends and the class breakpoints) once per
 call, and per query inside the window the two segments that end at it.
+The rules of all these integrations are evaluated together, many in one
+call of the array cdfs, and each integration keeps the bits it has alone.
 Each query's segments are summed from the left, so its score depends on
 no other query, in the call or not.
 """
@@ -45,7 +46,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.special import erf
 
-from qens._qags import qags
+from qens._qags import qags_each
 
 GAUSSIAN = "gaussian"
 BOX = "box"
@@ -53,6 +54,7 @@ LAPLACE = "laplace"
 
 _TAIL_SCALES = 12.0
 DEFAULT_TAIL_TOL = 1e-5
+_QUERY_CHUNK = 1024  # queries scored together: their pieces' results stay alive until summed
 
 
 class NoBoundaryError(RuntimeError):
@@ -162,8 +164,8 @@ def _cut_points(problem: DecisionProblem1D) -> tuple[float, float]:
 
 
 def _scorer(problem: DecisionProblem1D):
-    """E as a function of one query float, after the tail check and one
-    integration of each segment between the fixed cuts."""
+    """E as a function of a list of query floats, after the tail check and
+    one integration of each segment between the fixed cuts."""
     lo, hi = _cut_points(problem)
 
     def fn(w: np.ndarray) -> np.ndarray:
@@ -184,21 +186,28 @@ def _scorer(problem: DecisionProblem1D):
     cuts = sorted({lo, hi, *[c for c in inner if lo < c < hi]})
     # qags's ier goes unread: the tail check guards accuracy, and QUADPACK's
     # roundoff heuristic misfires on near-zero cusp segments
-    fixed = [qags(fn, a, b)[0] for a, b in zip(cuts[:-1], cuts[1:])]
+    fixed = [r[0] for r in qags_each(fn, list(zip(cuts[:-1], cuts[1:])))]
 
-    def score(x: float) -> float:
-        if math.isnan(x):
-            return 0.0
+    def score(xs: list) -> list:
         # the fixed segments left of x end at cuts[i - 1], the rest start there
-        i = min(max(bisect.bisect_right(cuts, x), 1), len(cuts))
-        left, right = fixed[: i - 1], fixed[i - 1 :]
-        if lo < x < hi and x != cuts[i - 1]:  # x splits segment i - 1
-            left.append(qags(fn, cuts[i - 1], x)[0])
-            right = [qags(fn, x, cuts[i])[0], *fixed[i:]]
-        # added from the left: sum() compensates from Python 3.12, which moves bits
-        *_, total_left = accumulate(left, initial=0.0)
-        *_, total_right = accumulate(right, initial=0.0)
-        return total_left - total_right
+        at = [min(max(bisect.bisect_right(cuts, x), 1), len(cuts)) for x in xs]
+        split = [lo < x < hi and x != cuts[i - 1] for x, i in zip(xs, at)]  # x splits segment i - 1
+        pieces = [ab for x, i, s in zip(xs, at, split) if s for ab in ((cuts[i - 1], x), (x, cuts[i]))]
+        values = iter([r[0] for r in qags_each(fn, pieces)])
+        out = []
+        for x, i, s in zip(xs, at, split):
+            if math.isnan(x):
+                out.append(0.0)
+                continue
+            left, right = fixed[: i - 1], fixed[i - 1 :]
+            if s:
+                left.append(next(values))
+                right = [next(values), *fixed[i:]]
+            # added from the left: sum() compensates from Python 3.12, which moves bits
+            *_, total_left = accumulate(left, initial=0.0)
+            *_, total_right = accumulate(right, initial=0.0)
+            out.append(total_left - total_right)
+        return out
 
     return score
 
@@ -211,7 +220,11 @@ def expectation_quadrature(problem: DecisionProblem1D, x_query):
     when the window is wider than float64 holds."""
     score = _scorer(problem)
     x = np.asarray(x_query, dtype=np.float64)
-    out = np.array([score(v) for v in x.ravel().tolist()], dtype=np.float64).reshape(x.shape)
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _QUERY_CHUNK):
+        out[start : start + _QUERY_CHUNK] = score(flat[start : start + _QUERY_CHUNK].tolist())
+    out = out.reshape(x.shape)
     return out if out.ndim else float(out)
 
 
@@ -239,7 +252,7 @@ def decision_boundary(problem: DecisionProblem1D) -> float:
     if not (math.isfinite(lo) and math.isfinite(hi)):  # a bisection midpoint would be NaN
         raise NoBoundaryError(f"search bracket [{lo}, {hi}] is not finite")
     score = _scorer(problem)
-    f_lo, f_hi = score(lo), score(hi)
+    f_lo, f_hi = score([lo, hi])
     if f_lo == 0.0 and f_hi == 0.0:
         raise NoBoundaryError("committee score vanishes at both bracket ends")
     if f_lo == 0.0:
@@ -250,7 +263,7 @@ def decision_boundary(problem: DecisionProblem1D) -> float:
         raise NoBoundaryError("committee score has no sign change on the bracket")
     while hi - lo >= 1e-8:
         mid = 0.5 * (lo + hi)
-        f_mid = score(mid)
+        (f_mid,) = score([mid])
         if f_mid == 0.0:
             return mid
         if (f_mid < 0.0) == (f_lo < 0.0):

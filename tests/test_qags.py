@@ -2,9 +2,9 @@
 its Gauss-Kronrod constants against mpmath.
 
 Each integrand below is a scalar function of a Python float, which scipy
-calls point by point; the port gets the same function mapped over the 21
-abscissae of a rule.  Result, error estimate and interval count must agree,
-and scipy's warning must name the port's ier."""
+calls point by point; the port gets the same function mapped over the
+abscissae of whole rules at once.  Result, error estimate and interval
+count must agree, and scipy's warning must name the port's ier."""
 
 import math
 import struct
@@ -138,7 +138,7 @@ def test_singular_step_and_oscillating_integrands_match_scipy(family, c, p, b):
     compare_with_scipy(g, 0.0, b)
 
 
-def test_each_rule_is_one_call_on_scipys_abscissae():
+def test_each_call_holds_whole_rules_on_scipys_abscissae():
     seen, scipy_seen = [], []
 
     def f(x):
@@ -151,9 +151,37 @@ def test_each_rule_is_one_call_on_scipys_abscissae():
 
     last = qags(f, -1.0, 2.0)[3]
     scipy_qags(g, -1.0, 2.0)
-    assert all(x.shape == (21,) for x in seen)
-    assert len(seen) == 2 * last - 1
-    assert sorted(map(bits, np.concatenate(seen).tolist())) == sorted(map(bits, scipy_seen))
+    # the first rule, then both halves of each bisection in one call
+    assert [x.shape for x in seen] == [(21,)] + [(42,)] * (last - 1)
+    # scipy's abscissae in scipy's order: rule after rule, each as dqk21 evaluates it
+    assert list(map(bits, np.concatenate(seen).tolist())) == list(map(bits, scipy_seen))
+
+
+def test_one_batch_runs_each_interval_as_alone():
+    # every exit of the table in one lockstep batch; each b is moved a little
+    # so that no two intervals share an abscissa, and the batch's integrand
+    # can tell by the abscissa which interval's integrand to evaluate
+    table = [(g, a, b * (1.0 + k * 1e-9)) for k, (g, a, b, _, _) in enumerate(EXITS.values())]
+    owner = {}
+
+    def recording(k, g):
+        def f(x):
+            for v in x.tolist():
+                assert owner.setdefault(bits(v), k) == k
+            return on_rule(g)(x)
+
+        return f
+
+    alone = [qags(recording(k, g), a, b) for k, (g, a, b) in enumerate(table)]
+    assert {ier for *_, ier, _ in alone} == {0, 1, 2, 3, 4, 5}
+
+    def f_all(x):
+        return np.array([table[owner[bits(v)]][0](v) for v in x.tolist()])
+
+    together = _qags.qags_each(f_all, [(a, b) for _, a, b in table])
+    assert [(bits(r), bits(e), ier, last) for r, e, ier, last in together] == [
+        (bits(r), bits(e), ier, last) for r, e, ier, last in alone
+    ]
 
 
 # --- the committee integrand of every density family ----------------------------

@@ -4,12 +4,13 @@ The reference below integrates every segment afresh for each query with
 scipy's quad, the integrand evaluated through ClassDensity.cdf on numpy
 0-d arrays, and scores a query outside the truncation window as the
 nearer window end.  The module under test integrates the segments between
-fixed cuts once per call, with its QAGS port on the 21 abscissae of each
-rule at once; neither may move a bit, whatever the other queries of the
-call."""
+fixed cuts once per call, with its QAGS port, whose rules for all the
+queries of a call are evaluated together; neither may move a bit, whatever
+the other queries of the call."""
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from qens import analytic
+from qens import _qags, analytic
 from qens.analytic import BOX, GAUSSIAN, LAPLACE, ClassDensity, DecisionProblem1D
 from qens.analytic import QuadratureError, expectation_quadrature
 
@@ -139,6 +140,43 @@ def test_quadrature_matches_the_reference_in_one_call_or_many(data):
     assert [outcome(expectation_quadrature, problem, x) for x in xs] == expected
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_a_shuffled_batch_scores_each_query_as_alone(data):
+    kind = data.draw(st.sampled_from([GAUSSIAN, BOX, LAPLACE]))
+    problem = data.draw(st.builds(DecisionProblem1D, _densities([kind]), _densities([kind])))
+    xs = data.draw(st.lists(queries(problem), min_size=1, max_size=40))
+    alone = [bits(expectation_quadrature(problem, x)) for x in xs]
+    order = data.draw(st.permutations(range(len(xs))))
+    shuffled = np.array([xs[i] for i in order])
+    expected = [alone[i] for i in order]
+    assert [bits(v) for v in expectation_quadrature(problem, shuffled)] == expected
+    # with the lockstep batch and the query chunk cut small, runs end and
+    # start mid-batch and the queries span several chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_qags, "_BATCH", data.draw(st.integers(1, 4)))
+        mp.setattr(analytic, "_QUERY_CHUNK", data.draw(st.integers(1, 4)))
+        assert [bits(v) for v in expectation_quadrature(problem, shuffled)] == expected
+
+
+def test_the_batch_holds_bounded_memory():
+    problem = DecisionProblem1D(ClassDensity.gaussian(-1.0, 0.5), ClassDensity.gaussian(1.0, 0.5))
+
+    def peak(n):
+        xs = np.linspace(-3.0, 3.0, n)
+        tracemalloc.start()
+        try:
+            expectation_quadrature(problem, xs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1024), peak(16384)
+    # only the result grows with the queries, by 8 bytes each: the pieces in
+    # flight are at most one chunk's and the dqagse runs at most one batch
+    assert large - small < 8 * (16384 - 1024) + 512 * 1024
+
+
 def test_signed_zero_locations_match_the_reference_bit_for_bit():
     # 0.0 and -0.0 locations make equal problems with the same cuts
     def pair(zero):
@@ -153,17 +191,17 @@ def test_signed_zero_locations_match_the_reference_bit_for_bit():
 
 
 def _counting_qags(monkeypatch):
-    """The (a, b) of every integration the module makes from now on,
-    counted at its QAGS port; the reference integrates with scipy's quad,
-    which is not counted."""
+    """The (a, b) of every integration the module makes from now on, in the
+    order it asks for them, counted at its QAGS port; the reference
+    integrates with scipy's quad, which is not counted."""
     calls = []
-    qags = analytic.qags
+    qags_each = analytic.qags_each
 
-    def counting_qags(fn, a, b):
-        calls.append((a, b))
-        return qags(fn, a, b)
+    def counting_qags_each(fn, intervals):
+        calls.extend(intervals)
+        return qags_each(fn, intervals)
 
-    monkeypatch.setattr(analytic, "qags", counting_qags)
+    monkeypatch.setattr(analytic, "qags_each", counting_qags_each)
     return calls
 
 
