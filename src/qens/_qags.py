@@ -5,17 +5,16 @@ A port of `dqagse` (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner,
 the error ordering `dqpsrt` and the epsilon extrapolation `dqelg`, fixed
 to the arguments of `scipy.integrate.quad(f, a, b, limit=200)`: epsabs =
 epsrel = 1.49e-8.  Every floating-point operation follows QUADPACK's
-order, so `qags(f, a, b)[0]` is `quad(f, a, b, limit=200)[0]` bit for bit
-(the arrays are 1-based, as in the Fortran, to keep the index arithmetic
-comparable).
+order, so `qags_each(f, [(a, b)])[0][0]` is `quad(f, a, b, limit=200)[0]`
+bit for bit (the arrays are 1-based, as in the Fortran, to keep the index
+arithmetic comparable).
 
 `_dqagse` is the routine as a generator: it yields the intervals whose
 rules it needs, the first one and then both halves of each bisection, and
 is sent their dqk21 results.  `qags_each` advances up to _BATCH of them in
 lockstep and evaluates each round's rules in one vectorised `_dqk21`, one
 row a rule, whose sums add each row's terms in QUADPACK's order: an
-integration's bits do not depend on the others in its batch.  `qags` is
-the batch of one interval.
+integration's bits do not depend on the others in its batch.
 
 The one difference is the callback: `f` takes a 1-D float64 array that
 holds the abscissae of whole rules, 21 each in the order dqk21 evaluates
@@ -247,7 +246,7 @@ def _dqagse(a: float, b: float):
     """dqagse on [a, b] as a generator: it yields the intervals whose rules
     it needs next, the first one and then the two halves of each bisection,
     is sent their dqk21 tuples in the same order, and returns (result,
-    abserr, ier, last) as qags does."""
+    abserr, ier, last) as qags_each reports them."""
     epsabs, epsrel, limit = _EPSABS, _EPSREL, _LIMIT
     ier = ierro = 0
 
@@ -430,10 +429,14 @@ def _dqagse(a: float, b: float):
 
 
 def qags_each(f, intervals: list) -> list[tuple[float, float, int, int]]:
-    """qags on each (a, b) of intervals, in their order.  The dqagse runs
-    advance in lockstep, at most _BATCH of them at a time: each round
-    evaluates the rules that every run in flight waits for in one call of
-    f, and a run that ends makes room for the next interval."""
+    """Integral of f over each (a, b) of intervals by dqagse, in their
+    order: (result, abserr, ier, last) each, QUADPACK's outputs, with ier as
+    dqagse returns it (0 converged, 1 the 200-interval limit, 2 roundoff, 3
+    bad integrand behaviour, 4 no convergence, 5 probably divergent) and
+    last the number of intervals.  The dqagse runs advance in lockstep, at
+    most _BATCH of them at a time: each round evaluates the rules that
+    every run in flight waits for in one call of f, and a run that ends
+    makes room for the next interval."""
     out = [None] * len(intervals)
     pending = enumerate(intervals)
     running = []  # (index, dqagse run, the intervals it waits for)
@@ -452,13 +455,3 @@ def qags_each(f, intervals: list) -> list[tuple[float, float, int, int]]:
                 out[k] = stop.value
         running = still
 
-
-def qags(f, a: float, b: float) -> tuple[float, float, int, int]:
-    """Integral of f over [a, b] by dqagse: (result, abserr, ier, last),
-    QUADPACK's outputs, with ier as dqagse returns it (0 converged, 1 the
-    200-interval limit, 2 roundoff, 3 bad integrand behaviour, 4 no
-    convergence, 5 probably divergent) and last the number of intervals.
-
-    f takes a float64 array of abscissae, whole rules of 21 each, and
-    returns their values as an array of the same length."""
-    return qags_each(f, [(a, b)])[0]

@@ -9,8 +9,6 @@ feature d of a class consumes draw i * dim + d of that class's stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import prng
@@ -20,29 +18,12 @@ _LANE_MINUS = 0
 _LANE_PLUS = 1
 
 
-@dataclass(frozen=True)
-class BlobSpec:
-    """Two isotropic Gaussian blobs with a shared standard deviation."""
-
-    mean_minus: tuple[float, ...]
-    mean_plus: tuple[float, ...]
-    sigma: float
-    per_class: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean_minus", tuple(float(v) for v in self.mean_minus))
-        object.__setattr__(self, "mean_plus", tuple(float(v) for v in self.mean_plus))
-        if len(self.mean_minus) != len(self.mean_plus) or not self.mean_minus:
-            raise ValueError("class means must share a positive dimension")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if self.per_class < 1:
-            raise ValueError("per_class must be at least 1")
-
-
 def _two_classes(seed: int, per_class: int, minus: tuple, plus: tuple) -> Dataset:
     """per_class samples of each class's (mean, sigma); class -1 rows first."""
+    if not (minus[1] > 0.0 and plus[1] > 0.0):  # NaN fails too
+        raise ValueError("sigma must be positive")
+    if per_class < 1:
+        raise ValueError("per_class must be at least 1")
     parts = []
     for lane, (mean, sigma) in ((_LANE_MINUS, minus), (_LANE_PLUS, plus)):
         dim = len(mean)
@@ -52,10 +33,18 @@ def _two_classes(seed: int, per_class: int, minus: tuple, plus: tuple) -> Datase
     return Dataset(np.concatenate(parts, axis=0), y)
 
 
-def gaussian_blobs(spec: BlobSpec) -> Dataset:
-    """Balanced two-class blob dataset; class -1 rows first."""
-    minus, plus = (spec.mean_minus, spec.sigma), (spec.mean_plus, spec.sigma)
-    return _two_classes(spec.seed, spec.per_class, minus, plus)
+def gaussian_blobs(
+    mean_minus: tuple[float, ...],
+    mean_plus: tuple[float, ...],
+    sigma: float,
+    per_class: int,
+    seed: int,
+) -> Dataset:
+    """Balanced two-class sample of two isotropic Gaussian blobs with a shared
+    standard deviation; class -1 rows first."""
+    if len(mean_minus) != len(mean_plus) or not len(mean_minus):
+        raise ValueError("class means must share a positive dimension")
+    return _two_classes(seed, per_class, (mean_minus, sigma), (mean_plus, sigma))
 
 
 def gaussian_1d_pair(
@@ -67,9 +56,5 @@ def gaussian_1d_pair(
     seed: int,
 ) -> Dataset:
     """One-dimensional two-class sample with per-class scale parameters."""
-    if not (sigma_minus > 0.0 and sigma_plus > 0.0):
-        raise ValueError("standard deviations must be positive")
-    if per_class < 1:
-        raise ValueError("per_class must be at least 1")
     minus, plus = ((float(mu_minus),), sigma_minus), ((float(mu_plus),), sigma_plus)
     return _two_classes(seed, per_class, minus, plus)

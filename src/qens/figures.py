@@ -7,8 +7,11 @@ into the output directory, and returns the summary.  The summary's
 conjunction and drives the process exit code.
 
 Determinism: every artifact is a pure function of the config.  Floats in
-curve CSVs carry 12 significant digits; raster work is chunked with a
-fixed chunk size so the thread count cannot move a reduction boundary.
+curve CSVs carry 12 significant digits.  fig6's raster is scored in chunks
+of a fixed _CHUNK points whatever the thread count.  No sum crosses a
+chunk (a point's committee sum runs over the models), but the chunk sets
+the shape of predict_many's BLAS blocks, and that shape can move the last
+bit of a two-input perceptron's margin.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, committee, simulator, weighting
-from .datagen import BlobSpec, gaussian_1d_pair, gaussian_blobs
+from .datagen import gaussian_1d_pair, gaussian_blobs
 from .model import Dataset, ModelFamily, ParameterGrid, correct_counts, decode_all
 from .model import grid_accuracies, grid_correct_counts, lattice, predict_many
 from .svgplot import render_curves
@@ -200,7 +203,7 @@ def dataset_from_config(d: dict) -> Dataset:
     if "points" in d:
         return Dataset(**_fields(d["points"], x=_float_array, y=_float_array))
     if "blobs" in d:
-        return gaussian_blobs(BlobSpec(**_fields(d["blobs"], **_BLOB_FIELDS)))
+        return gaussian_blobs(**_fields(d["blobs"], **_BLOB_FIELDS))
     if "pair" in d:
         spec = _fields(
             d["pair"],
@@ -414,7 +417,7 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
         raster_hi=_float,
         raster_step=_float,
     )
-    spec = BlobSpec(**{key: values[key] for key in _BLOB_FIELDS})
+    dataset = gaussian_blobs(**{key: values[key] for key in _BLOB_FIELDS})
     lo, hi, step = values["raster_lo"], values["raster_hi"], values["raster_step"]
     if not (0.0 < step < math.inf and 0.0 <= hi - lo < math.inf):
         raise ConfigError("raster needs finite raster_step > 0 and raster_lo <= raster_hi")
@@ -426,7 +429,6 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
         raise ConfigError("fig6 needs values_per_parameter >= 1")
     if values["values_per_parameter"] ** 3 > FIG6_MODEL_CAP:
         raise weighting.EnumerationCapError(f"fig6 lattice has over {FIG6_MODEL_CAP} models")
-    dataset = gaussian_blobs(spec)
     family = ModelFamily("perceptron", 2)
     ticks = np.linspace(*values["parameter_interval"], values["values_per_parameter"])
     thetas = lattice([ticks] * family.parameter_count)
@@ -449,8 +451,8 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     (out / "fig6_raster.csv").write_text("\n".join(lines) + "\n", newline="\n")
     dataset.to_csv(out / "fig6_dataset.csv")
 
-    mean_minus = np.asarray(spec.mean_minus)
-    mean_plus = np.asarray(spec.mean_plus)
+    mean_minus = np.asarray(values["mean_minus"])
+    mean_plus = np.asarray(values["mean_plus"])
     mean_scores = scores_at(np.stack([mean_minus, mean_plus]))
     midpoint = 0.5 * (mean_minus + mean_plus)
 
@@ -593,6 +595,9 @@ def run_classify(cfg: dict, out: Path) -> dict:
     layout = simulator.RegisterLayout(grid.total_bits)
     if shots > SHOTS_CAP:
         raise weighting.EnumerationCapError(f"classify shots are over {SHOTS_CAP}")
+    # grid_accuracies, grid_correct_counts and ensemble_decide each walk the
+    # grid: bench/selftest/test_bench.py pins model.evals_per_unique at 2.96,
+    # these three walks, so merging them waits for a change to that pin
     acc = grid_accuracies(family, grid, dataset)
     alt_weights = None  # set before the statevector: log_odds refuses accuracy 0 or 1
     if scheme is not weighting.WeightScheme.ACCURACY:

@@ -27,7 +27,7 @@ from qens.analytic import (
     expectation_quadrature,
 )
 from qens.committee import condorcet_curve, condorcet_error
-from qens.datagen import BlobSpec, gaussian_1d_pair, gaussian_blobs
+from qens.datagen import gaussian_1d_pair, gaussian_blobs
 from qens.figures import merged_config, run_fig6, run_fig7
 from qens.model import (
     Dataset,
@@ -84,7 +84,7 @@ FIXTURES = [
     (
         ModelFamily("perceptron", 2),
         ParameterGrid(((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), 4),
-        gaussian_blobs(BlobSpec((-1.0, 1.0), (1.0, -1.0), 0.5, 6, seed=2)),
+        gaussian_blobs((-1.0, 1.0), (1.0, -1.0), sigma=0.5, per_class=6, seed=2),
         [np.array([0.1, -0.2]), np.array([-1.0, 1.0])],
     ),
 ]
@@ -173,7 +173,7 @@ def test_criterion_3_accurate_half_reduction():
         (
             ModelFamily("perceptron", 2),
             ParameterGrid(((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), 3),
-            gaussian_blobs(BlobSpec((-1.0, 1.0), (1.0, -1.0), 0.6, 8, seed=4)),
+            gaussian_blobs((-1.0, 1.0), (1.0, -1.0), sigma=0.6, per_class=8, seed=4),
         ),
         (
             # distinct magnitudes per layer keep the discrete +-w +-w sums

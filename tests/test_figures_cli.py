@@ -163,6 +163,32 @@ def test_bad_label_in_dataset_is_domain_error(tmp_path):
     assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_DOMAIN
 
 
+BAD_GAUSSIAN_CONFIGS = {
+    # the dataset is refused ahead of the raster's own exit 2
+    "fig6-negative-sigma-zero-step": ("fig6", {"sigma": -0.5, "raster_step": 0}),
+    "classify-pair-zero-sigma": (
+        "classify",
+        {"dataset": {"pair": {"mu_minus": -1, "sigma_minus": 0, "mu_plus": 1,
+                              "sigma_plus": 0.5, "per_class": 4, "seed": 1}}},
+    ),
+    "classify-blobs-unequal-means": (
+        "classify",
+        {"dataset": {"blobs": {"mean_minus": [-1], "mean_plus": [1, 0], "sigma": 0.5,
+                               "per_class": 4, "seed": 1}}},
+    ),
+}
+
+
+@pytest.mark.parametrize("command, override", BAD_GAUSSIAN_CONFIGS.values(), ids=BAD_GAUSSIAN_CONFIGS)
+def test_bad_gaussian_dataset_is_domain_error(tmp_path, capsys, command, override):
+    cfg = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    assert run_cli(command, "--out", str(out), "--config", str(cfg)) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_oversized_grid_is_cap_error(tmp_path, monkeypatch):
     # 2^26 models and up: enumerating them would take gigabytes, so the cap
     # must come first, also where the ticks of so many bits would overflow

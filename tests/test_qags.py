@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from qens import _qags
-from qens._qags import qags
+from qens._qags import qags_each
 from qens.analytic import BOX, GAUSSIAN, LAPLACE, ClassDensity, DecisionProblem1D
 
 # scipy's message for each nonzero ier, by its first words
@@ -54,7 +54,7 @@ def compare_with_scipy(g, a, b, f=None):
     (on g) give the same result and error bits, ier and interval count over
     [a, b]; return (exit, ier), exit saying how dqagse ended: after the
     first rule, with the sum over the intervals or with dqelg's value."""
-    result, abserr, ier, last = qags(f or on_rule(g), a, b)
+    result, abserr, ier, last = qags_each(f or on_rule(g), [(a, b)])[0]
     expected, expected_err, expected_ier, expected_last, rlist = scipy_qags(g, a, b)
     assert (bits(result), bits(abserr), ier, last) == (
         bits(expected), bits(expected_err), expected_ier, expected_last
@@ -149,7 +149,7 @@ def test_each_call_holds_whole_rules_on_scipys_abscissae():
         scipy_seen.append(x)
         return math.sqrt(abs(x - 0.3))
 
-    last = qags(f, -1.0, 2.0)[3]
+    last = qags_each(f, [(-1.0, 2.0)])[0][3]
     scipy_qags(g, -1.0, 2.0)
     # the first rule, then both halves of each bisection in one call
     assert [x.shape for x in seen] == [(21,)] + [(42,)] * (last - 1)
@@ -172,13 +172,13 @@ def test_one_batch_runs_each_interval_as_alone():
 
         return f
 
-    alone = [qags(recording(k, g), a, b) for k, (g, a, b) in enumerate(table)]
+    alone = [qags_each(recording(k, g), [(a, b)])[0] for k, (g, a, b) in enumerate(table)]
     assert {ier for *_, ier, _ in alone} == {0, 1, 2, 3, 4, 5}
 
     def f_all(x):
         return np.array([table[owner[bits(v)]][0](v) for v in x.tolist()])
 
-    together = _qags.qags_each(f_all, [(a, b) for _, a, b in table])
+    together = qags_each(f_all, [(a, b) for _, a, b in table])
     assert [(bits(r), bits(e), ier, last) for r, e, ier, last in together] == [
         (bits(r), bits(e), ier, last) for r, e, ier, last in alone
     ]
