@@ -13,9 +13,11 @@ import numpy as np
 
 from . import prng
 from .model import Dataset
+from .weighting import EnumerationCapError
 
 _LANE_MINUS = 0
 _LANE_PLUS = 1
+VALUES_PER_CLASS_CAP = 1 << 20  # per_class * dimension, 8 MiB of float64 per class
 
 
 def _two_classes(seed: int, per_class: int, minus: tuple, plus: tuple) -> Dataset:
@@ -24,6 +26,8 @@ def _two_classes(seed: int, per_class: int, minus: tuple, plus: tuple) -> Datase
         raise ValueError("sigma must be positive")
     if per_class < 1:
         raise ValueError("per_class must be at least 1")
+    if per_class * len(minus[0]) > VALUES_PER_CLASS_CAP:
+        raise EnumerationCapError(f"per_class * dimension is over {VALUES_PER_CLASS_CAP}")
     parts = []
     for lane, (mean, sigma) in ((_LANE_MINUS, minus), (_LANE_PLUS, plus)):
         dim = len(mean)

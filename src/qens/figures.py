@@ -446,8 +446,12 @@ def run_fig6(cfg: dict, out: Path, threads: int = 1) -> dict:
     raster_labels = np.where(raster_scores >= 0, 1, -1)
 
     lines = ["x1,x2,raw_score,label"]
-    for (x1, x2), score, label in zip(raster_points, raster_scores, raster_labels):
-        lines.append(f"{x1:.12g},{x2:.12g},{score:.12g},{label}")
+    for start in range(0, raster_scores.size, 4096):  # Python scalars, as in write_curve_csv
+        rows = slice(start, start + 4096)
+        block = zip(
+            raster_points[rows].tolist(), raster_scores[rows].tolist(), raster_labels[rows].tolist()
+        )
+        lines += [f"{x1:.12g},{x2:.12g},{score:.12g},{label}" for (x1, x2), score, label in block]
     (out / "fig6_raster.csv").write_text("\n".join(lines) + "\n", newline="\n")
     dataset.to_csv(out / "fig6_dataset.csv")
 
@@ -607,9 +611,7 @@ def run_classify(cfg: dict, out: Path) -> dict:
     if rotation == "exact":
         simulator.apply_accuracy_rotation_exact(state, acc)
     else:
-        simulator.apply_accuracy_rotation_sequential(
-            state, predict_many(family, decode_all(grid), dataset.x), dataset.y, delta
-        )
+        simulator.apply_accuracy_rotation_sequential(state, counts, m, delta)
         rotation_p0 = state.accuracy_zero_probabilities()
     state, post = simulator.postselect_accuracy_zero(state)
     labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]

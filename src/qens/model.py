@@ -32,9 +32,9 @@ A ParameterGrid discretizes each parameter interval into 2**bits evenly
 spaced values (endpoints included) and identifies the grid with basis
 indices 0 .. 2**(bits * P) - 1, most significant parameter first.  That
 index space is what both the exhaustive committee vote and the simulated
-register use.  decode_theta defines the index -> parameter map by bit
-slicing; decode_all is its lattice form, the Cartesian product of the
-per-parameter ticks, and tests hold it to decode_theta row by row.
+register use.  decode_all gives the map as a table, row i the parameter
+vector of index i: the Cartesian product of the per-parameter ticks, which
+tests hold to a bit-slicing decode of each index row by row.
 
 Datasets are in-memory float64 matrices with labels in {-1, +1} and
 round-trip through a strict CSV format (header x1,...,xN,y, label
@@ -218,19 +218,6 @@ def _tick_values(lo: float, hi: float, bits: int, ticks: np.ndarray) -> np.ndarr
     return (lo * (k - ticks) + hi * ticks) / k
 
 
-def decode_theta(index: int, grid: ParameterGrid) -> np.ndarray:
-    """Parameter vector of basis state `index`, most significant parameter first."""
-    if not 0 <= index < grid.size:
-        raise ValueError(f"index {index} outside 0..{grid.size - 1}")
-    mask = (1 << grid.bits) - 1
-    p = grid.parameter_count
-    out = np.empty(p, dtype=np.float64)
-    for j, (lo, hi) in enumerate(grid.intervals):
-        slice_j = (index >> (grid.bits * (p - 1 - j))) & mask
-        out[j] = _tick_values(lo, hi, grid.bits, np.float64(slice_j))
-    return out
-
-
 def lattice(axes: list[np.ndarray]) -> np.ndarray:
     """Every point of the Cartesian product of 1-D tick arrays as rows of one
     (prod n_i, d) float64 array, the last axis varying fastest."""
@@ -242,7 +229,7 @@ def lattice(axes: list[np.ndarray]) -> np.ndarray:
 
 
 def decode_all(grid: ParameterGrid) -> np.ndarray:
-    """All grid parameter vectors as an (E, P) matrix, row i = decode_theta(i)."""
+    """All grid parameter vectors as an (E, P) matrix, row i basis state i's."""
     ticks = np.arange(2**grid.bits)
     return lattice([_tick_values(lo, hi, grid.bits, ticks) for lo, hi in grid.intervals])
 

@@ -2,7 +2,7 @@
 
 The register holds, most significant first:
 
-  parameter   tau*P qubits, basis state i <-> grid model decode_theta(i)
+  parameter   tau*P qubits, basis state i <-> row i of model.decode_all
   output      1 qubit, |0> <-> label -1, |1> <-> label +1
   accuracy    1 qubit, postselected on |0>
   count       ceil(log2(M+1)) qubits, only for the amplitude
@@ -20,11 +20,12 @@ the state takes 8 * 2**n bytes, 512 MiB at the 26-qubit cap.
 
 The weighting routine brings the accuracy qubit, conditioned on the
 parameter basis state, to sqrt(a)|0> + sqrt(1-a)|1>, either exactly or
-through the sequential per-training-point rotation approximation whose
-conditional probability is cos^2(pi/4 - (2c - M) * delta).  Its gates
-are the two fixed Ry(-2 delta) and Ry(2 delta), so cos delta and sin
-delta are evaluated once, and per chunk of models each point's
-right/wrong flags pick the sign of the sine.  Postselection is analytic:
+through the sequential per-training-point rotation approximation.  That
+route's gates, a Hadamard and then one Ry(-+2 delta) per training point,
+all turn about one axis, so it is applied as the one net rotation to
+cos t|0> + sin t|1>, t = pi/4 - (2c - M) * delta for a model with correct
+count c: both routes multiply the accuracy-|0> amplitudes by one value per
+model and write the |1> amplitudes from them.  Postselection is analytic:
 the rejected branch is projected out and the survivor is renormalized,
 and the report carries the acceptance probability and expected number of
 repetitions 1/p_acc rather than simulating retries.
@@ -36,15 +37,13 @@ labels, per-model sums) and at most one chunk of _NORM_CHUNK = 2**16
 float64 values (512 KiB) of squares or temporaries.  Grover evolves only
 its E support amplitudes and writes the statevector once.  The elementwise steps
 work in place along the model axis, so numpy's inner loops run over E
-models rather than over the 2 values of one model: the exact rotation one
+models rather than over the 2 values of one model: the rotation one
 output value at a time, the classifier as masked copies of each model's
 run of 2 * 2**c amplitudes, taken as one raw-byte element, and the
-postselection on views that already merge into one long axis.  Only the
-sequential rotation, which needs two temporaries and a flag per model
-row, runs over model rows one chunk at a time.  Every readout has the
-bits of np.sum over a squared copy of (part of) the state, because it
-adds the chunks in the order numpy 2.4 uses (tests/test_state_sums.py
-holds those numpy expressions as references):
+postselection on views that already merge into one long axis.  Every
+readout has the bits of np.sum over a squared copy of (part of) the
+state, because it adds the chunks in the order numpy 2.4 uses
+(tests/test_state_sums.py holds those numpy expressions as references):
 
   contiguous operand  one pairwise sum over its whole length, which numpy
                       splits at n/2 - (n/2 mod 8) down to blocks of 128;
@@ -204,11 +203,6 @@ def _model_sums(branch: np.ndarray) -> np.ndarray:
     return out
 
 
-def _model_rows(layout: RegisterLayout) -> int:
-    """Models whose whole register fits in one chunk, at least one."""
-    return max(1, _NORM_CHUNK // (4 * layout.count_values))
-
-
 def prepare_uniform(layout: RegisterLayout) -> EnsembleState:
     """Uniform superposition over the parameter register, work qubits |0>."""
     state = EnsembleState(layout)
@@ -224,6 +218,17 @@ def _require_clear(state: EnsembleState, run: int, message: str) -> None:
         raise StateError(message)
 
 
+def _rotate(state: EnsembleState, cos: np.ndarray, sin: np.ndarray) -> EnsembleState:
+    """Take each model's accuracy qubit from |0> to cos[i]|0> + sin[i]|1>."""
+    _require_clear(state, state.layout.count_values, _ACCURACY_NOT_CLEAR)
+    view = state.view()
+    c, s = cos[:, None], sin[:, None]
+    for output in (0, 1):  # per output value, so for c = 0 numpy's inner loop runs along E
+        np.multiply(view[:, output, 0, :], s, out=view[:, output, 1, :])
+        view[:, output, 0, :] *= c
+    return state
+
+
 def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) -> EnsembleState:
     """Rotate the accuracy qubit to sqrt(a)|0> + sqrt(1-a)|1> per model."""
     a = np.asarray(accuracies, dtype=np.float64)
@@ -231,62 +236,28 @@ def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) 
         raise ValueError("one accuracy per parameter basis state is required")
     if a.size and (a.min() < 0.0 or a.max() > 1.0):
         raise ValueError("accuracies outside [0, 1]")
-    _require_clear(state, state.layout.count_values, _ACCURACY_NOT_CLEAR)
-    view = state.view()
-    c = np.sqrt(a)[:, None]
-    s = np.sqrt(1.0 - a)[:, None]
-    for output in (0, 1):  # per output value, so for c = 0 numpy's inner loop runs along E
-        np.multiply(view[:, output, 0, :], s, out=view[:, output, 1, :])
-        view[:, output, 0, :] *= c
-    return state
+    return _rotate(state, np.sqrt(a), np.sqrt(1.0 - a))
 
 
 def apply_accuracy_rotation_sequential(
-    state: EnsembleState, predictions: np.ndarray, labels: np.ndarray, delta: float
+    state: EnsembleState, correct_counts: np.ndarray, dataset_size: int, delta: float
 ) -> EnsembleState:
-    """Hadamard the accuracy qubit, then for each training point j rotate
-    it, per parameter basis state, by the fixed gate Ry(-2 delta) toward |0>
-    where predict_many's (E, M) table `predictions` matches labels[j], else
-    by Ry(2 delta) toward |1>; per chunk of models the flags pick sin's sign.
-
-    The rotations share one axis, so the conditional probability lands at
-    cos^2(pi/4 - (2 c_theta - M) delta), monotone in the correct count
-    c_theta whenever 0 < delta <= pi/(4M)."""
-    if predictions.ndim != 2 or predictions.shape[0] != state.layout.model_count:
-        raise ValueError("one row of predictions per parameter basis state is required")
-    m = predictions.shape[1]
-    if labels.shape != (m,):
-        raise ValueError("one label per prediction column is required")
+    """The Hadamard on the accuracy qubit, then per training point Ry(-2 delta)
+    toward |0> where the model is right and Ry(2 delta) toward |1> where it is
+    wrong, applied as the one net rotation they make: the gates share one
+    axis, so a model with correct count c lands at cos t|0> + sin t|1>,
+    t = pi/4 - (2c - M) delta, monotone in c whenever 0 < delta <= pi/(4M).
+    The M + 1 values of cos t and sin t are evaluated once."""
+    counts = np.asarray(correct_counts, dtype=np.int64)
+    m = int(dataset_size)
+    if counts.shape != (state.layout.model_count,):
+        raise ValueError("one correct count per parameter basis state is required")
+    if counts.min() < 0 or counts.max() > m:
+        raise ValueError("counts outside 0..dataset_size")
     if not 0.0 < delta <= math.pi / (4.0 * m):
         raise ValueError(f"delta must lie in (0, pi/(4*{m})]")
-    _require_clear(state, state.layout.count_values, _ACCURACY_NOT_CLEAR)
-    view = state.view()
-    e = state.layout.model_count
-    cos_d, sin_d = float(np.cos(delta)), float(np.sin(delta))
-    # one chunk of model rows at a time, through every point: the two
-    # temporaries hold half a chunk each, the flags one value per row
-    rows = _model_rows(state.layout)
-    new0 = np.empty((min(rows, e), 2, state.layout.count_values))
-    tmp = np.empty_like(new0)
-    flags = np.empty(len(new0), dtype=bool)
-    inv = 1.0 / math.sqrt(2.0)
-    for r in range(0, e, rows):
-        a0, a1 = view[r : r + rows, :, 0, :], view[r : r + rows, :, 1, :]
-        n0, t, right = new0[: a0.shape[0]], tmp[: a0.shape[0]], flags[: a0.shape[0]]
-        np.add(a0, a1, out=n0)
-        n0 *= inv
-        np.subtract(a0, a1, out=a1)
-        a1 *= inv
-        a0[...] = n0
-        for point, label in enumerate(labels.tolist()):
-            np.equal(predictions[r : r + rows, point], label, out=right)
-            s = np.where(right, -sin_d, sin_d)[:, None, None]
-            np.multiply(a0, cos_d, out=n0)
-            n0 -= np.multiply(s, a1, out=t)
-            a1 *= cos_d
-            a1 += np.multiply(s, a0, out=t)
-            a0[...] = n0
-    return state
+    t = math.pi / 4.0 - (2.0 * np.arange(m + 1) - m) * delta
+    return _rotate(state, np.cos(t)[counts], np.sin(t)[counts])
 
 
 @dataclass(frozen=True)

@@ -344,8 +344,7 @@ def test_criterion_9_sequential_rotation_fidelity():
         assert len(ds) == m
         counts = grid_correct_counts(family, grid, ds)
         state = prepare_uniform(RegisterLayout(grid.total_bits))
-        predictions = predict_many(family, decode_all(grid), ds.x)
-        apply_accuracy_rotation_sequential(state, predictions, ds.y, delta)
+        apply_accuracy_rotation_sequential(state, counts, m, delta)
         p0 = state.accuracy_zero_probabilities()
         want = np.cos(math.pi / 4 - (2 * counts - m) * delta) ** 2
         worst = max(worst, float(np.max(np.abs(p0 - want))))
@@ -403,8 +402,8 @@ GOLDEN_SHA256 = {
         "classify_summary.json": "42eb85c34901858dc4b318b82b5c13b81e34291cba3fa1b1f65168783ae491c2",
     },
     "classify_sequential": {
-        "classify_report.json": "44ac34c342b217941abd101d27aaf8c430c74da35286be531f0608a38e8ce467",
-        "classify_summary.json": "44ac34c342b217941abd101d27aaf8c430c74da35286be531f0608a38e8ce467",
+        "classify_report.json": "8424313965462eff300a56f0c322d4717672b69c3f55bc89d07712ac8e4ed819",
+        "classify_summary.json": "8424313965462eff300a56f0c322d4717672b69c3f55bc89d07712ac8e4ed819",
     },
     "grover": {
         "grover_report.json": "f87ad3520fdf2eae52b56d07c1c4f0fc9875c5f0c74b75a5d69fc708b5fcc06a",
@@ -433,8 +432,8 @@ GOLDEN_SHA256 = {
         "classify_summary.json": "106070fdfb228bfbb7c595d2863ff6d321d6d20966551f4f8658180dfbd4d57b",
     },
     "classify_sequential_blocks": {
-        "classify_report.json": "f896ca031fd6d1ba6b07ee7a4eab9d59f063d257e259b058d894502e4c67910b",
-        "classify_summary.json": "f896ca031fd6d1ba6b07ee7a4eab9d59f063d257e259b058d894502e4c67910b",
+        "classify_report.json": "7a5990fc0d2d7174276cc47d2e97ecc77cd66bd859f052e852339b718634cdae",
+        "classify_summary.json": "7a5990fc0d2d7174276cc47d2e97ecc77cd66bd859f052e852339b718634cdae",
     },
 }
 
@@ -482,7 +481,9 @@ GOLDEN_CASES = {
         },
     ),
     "classify_log_odds": ("classify", LOG_ODDS_OVERRIDES),
-    # 65,536 models: the sequential rotation's 4 chunks of model rows
+    # 65,536 models: the net rotation's gathered cos and sin over a state of
+    # 4 chunks, read out by the chunked sums, with counts from several
+    # predict_many row blocks
     "classify_sequential_blocks": (
         "classify",
         {"rotation": "sequential", "grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 8}},

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qens.datagen import gaussian_1d_pair, gaussian_blobs
+from qens.datagen import VALUES_PER_CLASS_CAP, gaussian_1d_pair, gaussian_blobs
+from qens.weighting import EnumerationCapError
 from qens import prng
 
 
@@ -90,3 +91,13 @@ def test_pair_csv_stable_bytes(tmp_path):
     ds.to_csv(p1)
     gaussian_1d_pair(-1.0, 0.5, 1.0, 0.5, 3, seed=5).to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_values_per_class_over_cap_is_refused():
+    # the cap is on per_class * dimension, so 2-D blobs reach it at half the
+    # per_class of the 1-D pair; both are refused before a class is drawn
+    with pytest.raises(EnumerationCapError):
+        pair(per_class=VALUES_PER_CLASS_CAP + 1)
+    half = VALUES_PER_CLASS_CAP // 2 + 1
+    with pytest.raises(EnumerationCapError):
+        gaussian_blobs((-1.0, 0.0), (1.0, 0.0), sigma=0.5, per_class=half, seed=0)

@@ -105,8 +105,8 @@ def test_classify_sequential_rotation(tmp_path):
 
 
 def test_classify_sequential_memory_bound(tmp_path, peak_bytes):
-    # M = 400 points, so predict_many's (E, M) int8 table dominates: the
-    # rotation reads it as passed and builds no (E, M) flags beside it
+    # M = 400 points, so the correct-count walks' (E, M) int8 predict_many
+    # table dominates; the rotation takes the counts and adds O(E) beside it
     overrides = {
         "rotation": "sequential",
         "grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 8},
@@ -166,6 +166,8 @@ def test_bad_label_in_dataset_is_domain_error(tmp_path):
 BAD_GAUSSIAN_CONFIGS = {
     # the dataset is refused ahead of the raster's own exit 2
     "fig6-negative-sigma-zero-step": ("fig6", {"sigma": -0.5, "raster_step": 0}),
+    # and ahead of the per_class cap's exit 4
+    "fig6-negative-sigma-per-class-over-cap": ("fig6", {"sigma": -0.5, "per_class": 2_000_000}),
     "classify-pair-zero-sigma": (
         "classify",
         {"dataset": {"pair": {"mu_minus": -1, "sigma_minus": 0, "mu_plus": 1,
@@ -571,6 +573,17 @@ def test_fig6_lattice_over_model_cap_is_cap_error(tmp_path, monkeypatch):
     monkeypatch.setattr(figures, "correct_counts", refuse)
     cfg = write_config(tmp_path, {"values_per_parameter": 65})
     assert run_cli("fig6", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_CAP
+
+
+def test_fig6_per_class_over_cap_is_refused_before_drawing(tmp_path, peak_bytes):
+    # 2,000,000 points of dimension 2 per class: refused before either class
+    # (32 MB each) is drawn, and ahead of the raster's own cap
+    cfg = write_config(tmp_path, {"per_class": 2_000_000, "raster_step": 1e-4})
+    codes = []
+    argv = ("fig6", "--out", str(tmp_path), "--config", str(cfg))
+    peak = peak_bytes(lambda: codes.append(run_cli(*argv)))
+    assert codes == [cli.EXIT_CAP]
+    assert peak < 1 << 20
 
 
 def test_fig2_over_size_cap_is_cap_error(tmp_path, monkeypatch):

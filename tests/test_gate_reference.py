@@ -12,7 +12,15 @@ that flips the output qubit where the model says +1, and the output
 marginal as p-, p+.  The sequential route is a Hadamard on the accuracy
 qubit, then per training point that oracle on the point, Ry(-2 delta) on
 the accuracy qubit where the output qubit holds the point's label, Ry(2
-delta) where it does not, and the oracle again to uncompute."""
+delta) where it does not, and the oracle again to uncompute; the simulator
+applies it as one net rotation per model from the correct counts, so this
+circuit is what checks that shortcut.
+
+Amplitude amplification adds the count register below the accuracy qubit.
+Its reference loads each model's correct count by X gates on the count
+qubits, conditioned on the parameter basis state; the oracle flips the
+phase of every count value v with 2v > M; the diffusion is the loading
+circuit undone, the reflection 2|0><0| - I, and the loading circuit again."""
 
 import math
 
@@ -26,6 +34,8 @@ from qens.simulator import (
     apply_accuracy_rotation_exact,
     apply_accuracy_rotation_sequential,
     apply_classifier,
+    count_bits_for,
+    grover_amplify_counts,
     measure_label_distribution,
     postselect_accuracy_zero,
     prepare_uniform,
@@ -145,6 +155,54 @@ def test_sequential_rotation_matches_gates(case, scale):
     correct = np.count_nonzero(predictions == dataset.y[None, :], axis=1)
     assert 0 < correct.min() < correct.max() < len(dataset)  # right and wrong both rotate
     state = prepare_uniform(RegisterLayout(grid.total_bits))
-    apply_accuracy_rotation_sequential(state, predictions, dataset.y, delta)
+    apply_accuracy_rotation_sequential(state, correct, len(dataset), delta)
     want = gate_sequential(grid.total_bits, predictions, dataset.y, delta)
     assert np.max(np.abs(state.accuracy_zero_probabilities() - want)) <= 1e-13
+
+
+def load_counts(counts, c):
+    """|i>|o>|a>|v> -> |i>|o>|a>|v xor counts[i]>: an X on each count qubit
+    whose bit of counts[i] is set, conditioned on the parameter register."""
+    e = len(counts)
+    out = np.zeros((4 * e << c, 4 * e << c))
+    for i, k in enumerate(counts.tolist()):
+        select = np.zeros((e, e))
+        select[i, i] = 1.0
+        flips = [X if k >> (c - 1 - q) & 1 else I2 for q in range(c)]
+        out += kron(select, I2, I2, *flips)
+    return out
+
+
+def gate_grover(p, counts, m, iterations):
+    """(amplitudes, marked probability) after the loading circuit and
+    `iterations` rounds of oracle then diffusion, one dense gate at a time."""
+    c = count_bits_for(m)
+    w = 1 << c
+    e = 1 << p
+    load = load_counts(counts, c) @ kron(*[H] * p, I2, I2, np.eye(w))
+    oracle = kron(np.eye(4 * e), np.diag([-1.0 if 2 * v > m else 1.0 for v in range(w)]))
+    reflect = -np.eye(4 * e * w)
+    reflect[0, 0] = 1.0  # 2|0><0| - I
+    diffusion = load @ reflect @ load.T
+    psi = load[:, 0].copy()  # the loading circuit on |0>
+    for _ in range(iterations):
+        psi = diffusion @ (oracle @ psi)
+    marked = 2 * (np.arange(psi.size) % w) > m
+    return psi, float(np.sum(np.square(psi[marked])))
+
+
+@pytest.mark.parametrize("m", [3, 6, 7])
+@pytest.mark.parametrize("iterations", [None, 3], ids=["default", "three"])
+def test_grover_matches_gates(m, iterations):
+    # 4 parameter qubits and 2 or 3 count qubits: at most 9 qubits.  Two
+    # marked models, and for M = 6 the tie count 3, which is not marked.
+    p = 4
+    counts = np.random.default_rng(m).integers(0, m // 2 + 1, 1 << p)
+    counts[[0, 1, 2, 5]] = [0, m, m // 2, m // 2 + 1]
+    assert np.count_nonzero(2 * counts > m) == 2
+    rounds = math.floor(math.pi / 4.0 * math.sqrt((1 << p) / 2)) if iterations is None else iterations
+    state, rep = grover_amplify_counts(counts, m, iterations)
+    assert rep.iterations == rounds
+    psi, want = gate_grover(p, counts, m, rounds)
+    assert abs(rep.marked_probability - want) <= 1e-13
+    assert np.max(np.abs(state.amplitudes - psi)) <= 1e-13

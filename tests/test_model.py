@@ -14,7 +14,6 @@ from qens.model import (
     ParameterGrid,
     correct_counts,
     decode_all,
-    decode_theta,
     grid_accuracies,
     grid_correct_counts,
     lattice,
@@ -107,6 +106,19 @@ def test_threshold_not_point_symmetric():
 
 
 # --- grid coding ----------------------------------------------------------
+
+def decode_theta(index, grid):
+    """Parameter vector of basis state `index` by bit slicing, most
+    significant parameter first: the row-by-row reference for decode_all."""
+    assert 0 <= index < grid.size
+    mask = (1 << grid.bits) - 1
+    p = grid.parameter_count
+    out = np.empty(p, dtype=np.float64)
+    for j, (lo, hi) in enumerate(grid.intervals):
+        slice_j = (index >> (grid.bits * (p - 1 - j))) & mask
+        out[j] = model._tick_values(lo, hi, grid.bits, np.float64(slice_j))
+    return out
+
 
 def test_decode_three_bit_interval():
     grid = ParameterGrid(((-1.0, 1.0),), 3)

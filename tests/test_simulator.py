@@ -43,9 +43,9 @@ def query_labels(family, grid, x):
 
 
 def rotation_inputs(family, grid, ds):
-    """(predictions, labels): the grid models' (E, M) predictions and the
-    training labels, as the sequential rotation takes them."""
-    return predict_many(family, decode_all(grid), ds.x), ds.y
+    """(counts, M): the grid models' correct counts and the training set
+    size, as the sequential rotation takes them."""
+    return grid_correct_counts(family, grid, ds), len(ds)
 
 
 def two_model_state(amp0=math.sqrt(0.84), amp1=math.sqrt(0.16)):
@@ -336,20 +336,16 @@ def test_sequential_rotation_exact_at_extreme_and_half_counts():
 
 @pytest.mark.parametrize("param_bits, count_bits", [(16, 0), (14, 4)])
 def test_sequential_rotation_memory_bound(param_bits, count_bits, peak_bytes):
-    # one chunk of model rows at a time through every point: two
-    # half-chunk temporaries, the rows' flags, the signed sines of this
-    # point and the last, and numpy's iterator buffers on the strided views;
-    # no state-sized term and no (E, M) term beside the predictions passed in
+    # O(E): the gathered cos and sin columns, the M + 1 angles and their
+    # values, and one chunk of squares for the clear check; no state-sized
+    # term and nothing per training point
     layout = RegisterLayout(param_bits, count_bits)
     state = prepare_uniform(layout)
     e, m = layout.model_count, 24
-    rng = np.random.default_rng(3)
-    predictions = np.where(rng.random((e, m)) < 0.6, 1, -1).astype(np.int8)
-    labels = np.ones(m, dtype=np.int64)
+    counts = np.random.default_rng(3).integers(0, m + 1, e)
     delta = math.pi / (4 * m)
-    rows = simulator._model_rows(layout)
-    bound = CHUNK + rows * (1 + 2 * 8) + 2 * SLACK
-    assert peak_bytes(apply_accuracy_rotation_sequential, state, predictions, labels, delta) <= bound
+    bound = 16 * e + CHUNK + SLACK
+    assert peak_bytes(apply_accuracy_rotation_sequential, state, counts, m, delta) <= bound
 
 
 def test_sequential_delta_validation():
@@ -368,31 +364,19 @@ def test_sequential_layout_mismatch():
         apply_accuracy_rotation_sequential(state, *rotation_inputs(fam, grid, ds), math.pi / 8)
 
 
-def test_cosine_is_even_and_sine_odd_bit_for_bit():
-    # the rotation evaluates cos and sin once, at +delta; the per-element
-    # form it replaced evaluated them at -delta wherever a model is right.
-    # Both give the same bits only while this libm's cos is even and its
-    # sin odd, on arrays and on the one scalar the rotation passes.
-    rng = np.random.default_rng(17)
-    steps = math.pi / (4.0 * np.arange(1, 5000))  # every default delta for M < 5000
-    deltas = np.concatenate([steps, rng.uniform(0.0, math.pi / 4, 200_000)])
-    deltas = deltas[deltas > 0.0]
-    cos, sin = np.cos(deltas), np.sin(deltas)
-    odd_cos = np.flatnonzero(np.cos(-deltas).view(np.int64) != cos.view(np.int64))
-    even_sin = np.flatnonzero(np.sin(-deltas).view(np.int64) != (-sin).view(np.int64))
-    assert odd_cos.size == 0, f"cos(-d) != cos(d) at {deltas[odd_cos[:5]].tolist()}"
-    assert even_sin.size == 0, f"sin(-d) != -sin(d) at {deltas[even_sin[:5]].tolist()}"
-    assert [float(np.cos(d)) for d in steps] == cos[: steps.size].tolist()
-    assert [float(np.sin(d)) for d in steps] == sin[: steps.size].tolist()
-
-
-def test_sequential_labels_must_match_prediction_columns():
+def test_sequential_counts_must_be_one_per_model_within_0_to_m():
     fam, grid, ds = seq_fixture([-1, 1])
     state = prepare_uniform(RegisterLayout(grid.total_bits))
-    predictions, labels = rotation_inputs(fam, grid, ds)
-    for bad in (labels[:1], np.append(labels, 1), labels[None, :]):
-        with pytest.raises(ValueError, match="one label per prediction column"):
-            apply_accuracy_rotation_sequential(state, predictions, bad, math.pi / 8)
+    counts, m = rotation_inputs(fam, grid, ds)
+    for bad in (counts[:1], np.append(counts, 1), counts[None, :]):
+        with pytest.raises(ValueError, match="one correct count per parameter basis state"):
+            apply_accuracy_rotation_sequential(state, bad, m, math.pi / 8)
+    for model, value in ((1, -1), (0, m + 1)):
+        bad = counts.copy()
+        bad[model] = value
+        with pytest.raises(ValueError, match="counts outside 0..dataset_size"):
+            apply_accuracy_rotation_sequential(state, bad, m, math.pi / 8)
+    assert not state.view()[:, :, 1].any()  # refused before any amplitude moved
 
 
 # --- amplitude amplification --------------------------------------------------------

@@ -90,24 +90,12 @@ def ref_rotation_exact(state, accuracies):
     view[:, :, 0, :] *= c
 
 
-def ref_sequential(state, correct, delta):
+def ref_sequential(state, counts, m, delta):
+    """The net rotation, its angle and cos and sin taken per model."""
+    t = math.pi / 4.0 - (2.0 * counts - m) * delta
     view = state.view()
-    a0, a1 = view[:, :, 0, :], view[:, :, 1, :]
-    inv = 1.0 / math.sqrt(2.0)
-    new0 = a0 + a1
-    new0 *= inv
-    np.subtract(a0, a1, out=a1)
-    a1 *= inv
-    a0[...] = new0
-    for point in range(correct.shape[1]):
-        phi = np.where(correct[:, point], -delta, delta)
-        c = np.cos(phi)[:, None, None]
-        s = np.sin(phi)[:, None, None]
-        new0 = c * a0
-        new0 -= s * a1
-        a1 *= c
-        a1 += s * a0
-        a0[...] = new0
+    np.multiply(view[:, :, 0, :], np.sin(t)[:, None, None], out=view[:, :, 1, :])
+    view[:, :, 0, :] *= np.cos(t)[:, None, None]
 
 
 # --- helpers and cases -------------------------------------------------------------
@@ -280,18 +268,16 @@ def test_classifier_matches_gather(layout):
 
 @pytest.mark.parametrize("param_bits, count_bits, m", [(0, 0, 1), (3, 2, 5), (10, 5, 7), (15, 0, 3), (16, 0, 2), (11, 4, 4), (17, 0, 3)])
 def test_sequential_rotation_matches_numpy(param_bits, count_bits, m):
-    # the reference evaluates cos and sin at every (model, point) pair; the
-    # rotation evaluates them once at delta and flips the sine's sign
+    # the reference evaluates the angle, cos and sin for every model; the
+    # rotation evaluates them once per count 0..M and gathers them
     layout = RegisterLayout(param_bits, count_bits)
-    rng = np.random.default_rng(10)
-    predictions = np.where(rng.random((layout.model_count, m)) < 0.5, -1, 1).astype(np.int8)
-    labels = np.where(rng.random(m) < 0.5, -1, 1)
+    counts = np.random.default_rng(10).integers(0, m + 1, layout.model_count)
     for delta in (math.pi / (4 * m), 0.01):
         state = random_state(layout, 9, zero_models(layout))
         state.view()[:, :, 1] = 0.0
         want = state_with(layout, state.amplitudes)
-        ref_sequential(want, predictions == labels, delta)
-        apply_accuracy_rotation_sequential(state, predictions, labels, delta)
+        ref_sequential(want, counts, m, delta)
+        apply_accuracy_rotation_sequential(state, counts, m, delta)
         assert bits(state.amplitudes) == bits(want.amplitudes)
 
 
