@@ -21,10 +21,11 @@ from the erf antiderivative gamma (see gamma_antiderivative).  E is
 positive where the committee votes +1; its zero is the decision boundary.
 
 Class densities come in three families (gaussian, box, laplace), each
-with exact closed-form pdf and cdf.  erf is scipy.special.erf, scipy's
-own implementation rather than the C library's: math.erf, which calls
-the latter, gives different bits on a tenth to a fifth of inputs, so
-every erf here is scipy's.
+with exact closed-form pdf and cdf.  erf is _special.erf, a port of the
+Cephes erf that scipy.special.erf runs, with its bits, rather than the C
+library's: math.erf gives different bits on a tenth to a fifth of inputs.
+The port costs mostly per call, so DecisionProblem1D.cdfs evaluates two
+Gaussian classes in one call.
 
 The quadrature is QUADPACK's QAGS, ported to Python floats in _qags with
 the bits of scipy's quad(f, a, b, limit=200).  It integrates the segments
@@ -44,9 +45,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import erf
 
 from qens._qags import qags_each
+from qens._special import erf
 
 GAUSSIAN = "gaussian"
 BOX = "box"
@@ -106,7 +107,7 @@ class ClassDensity:
     def cdf(self, x):
         z = (np.asarray(x, dtype=np.float64) - self.loc) / self.scale
         if self.kind == GAUSSIAN:
-            out = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+            out = _phi(z)
         elif self.kind == BOX:
             out = np.clip(z + 0.5, 0.0, 1.0)
         else:
@@ -136,11 +137,28 @@ class DecisionProblem1D:
     def mean_midpoint(self) -> float:
         return 0.5 * (self.minus.loc + self.plus.loc)
 
+    def cdfs(self, w):
+        """(G_minus(w), G_plus(w)), each with its cdf's bits; two Gaussian
+        classes share one erf call."""
+        minus, plus = self.minus, self.plus
+        if minus.kind != GAUSSIAN or plus.kind != GAUSSIAN:
+            return minus.cdf(w), plus.cdf(w)
+        w = np.asarray(w, dtype=np.float64)
+        column = (2,) + (1,) * w.ndim
+        z = (w - np.reshape([minus.loc, plus.loc], column)) / np.reshape([minus.scale, plus.scale], column)
+        return tuple(g if g.ndim else float(g) for g in _phi(z))
+
+
+def _phi(z):
+    """The standard normal cdf."""
+    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+
 
 def accuracy_continuous(problem: DecisionProblem1D, w0):
     """Expected accuracy a(w0, +1) of the threshold at w0 with orientation
     +1; orientation -1 has accuracy 1 - a(w0, +1)."""
-    return 0.5 * problem.minus.cdf(w0) + 0.5 * (1.0 - problem.plus.cdf(w0))
+    g_minus, g_plus = problem.cdfs(w0)
+    return 0.5 * g_minus + 0.5 * (1.0 - g_plus)
 
 
 def gamma_antiderivative(x, mu: float, sigma: float):
@@ -172,7 +190,8 @@ def _scorer(problem: DecisionProblem1D):
         """The integrand before the sign factor, 2 (G- - G+)."""
         # near float64's top w - loc overflows to ±inf, where each cdf is 0 or 1
         with np.errstate(over="ignore"):
-            return 2.0 * (problem.minus.cdf(w) - problem.plus.cdf(w))
+            g_minus, g_plus = problem.cdfs(w)
+            return 2.0 * (g_minus - g_plus)
 
     gap_lo, gap_hi = np.abs(fn(np.array([lo, hi]))).tolist()
     if max(gap_lo, gap_hi) > DEFAULT_TAIL_TOL:

@@ -11,12 +11,14 @@ neither overflow nor underflow:
 
     a_k = G(n+1) - G(k+1) - G(n-k+1) + k*log1p(-p) + (n-k)*log(p)
 
-with G = gammaln read from one table over 0, 1, ..., n_max + 1.  Each size's
-terms are then summed with the arithmetic of scipy's `logsumexp` on a real
-1-D array: a_max is their maximum, m counts the terms equal to it, those
-are set to -inf, s = np.sum(exp(a_k - a_max)) over that size's terms alone
-(numpy's pairwise order, so no padding or shared reduction), s /= m unless
-s == 0, and the error is min(1, exp(log1p(s) + log(m) + a_max)).  A curve
+with G = log Gamma read from one table over 0, 1, ..., n_max + 1, which
+_special.log_gamma_range fills with the bits of scipy.special.gammaln.
+Each size's terms are then summed with the arithmetic of scipy's
+`logsumexp` on a real 1-D array: a_max is their maximum, m counts the terms
+equal to it, those are set to -inf, s = np.sum(exp(a_k - a_max)) over that
+size's terms alone (numpy's pairwise order, so no padding or shared
+reduction), s /= m unless s == 0, and the error is
+min(1, exp(log1p(s) + log(m) + a_max)).  A curve
 evaluates all its odd sizes in one vectorised pass, which gives the same
 bits as one call per size.  The pass holds the terms of whole sizes in
 chunks of at most _CHUNK_TERMS = 2^19 values, in plain numpy temporaries
@@ -27,7 +29,8 @@ terms, so memory stays bounded while the work grows with n_max^2.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
+
+from qens._special import log_gamma_range
 
 _CHUNK_TERMS = 1 << 19  # log terms held at once; a size's terms are never split
 
@@ -40,7 +43,7 @@ def _majority_errors(sizes, p: float) -> np.ndarray:
     sizes = np.asarray(sizes, dtype=np.int64)
     if p == 0.0 or p == 1.0:
         return np.full(len(sizes), float(p == 0.0))
-    g = gammaln(np.arange(sizes[-1] + 2.0))
+    g = log_gamma_range(int(sizes[-1]) + 2)
     log_q, log_p = np.log1p(-p), np.log(p)
     widths = (sizes + 1) // 2  # the terms k = n//2 + 1, ..., n
     ends = np.cumsum(widths)

@@ -612,7 +612,12 @@ def run_classify(cfg: dict, out: Path) -> dict:
         simulator.apply_accuracy_rotation_exact(state, acc)
     else:
         simulator.apply_accuracy_rotation_sequential(state, counts, m, delta)
+        # checked here, so that no (E,) array of the check outlives the rotation
         rotation_p0 = state.accuracy_zero_probabilities()
+        expected_p0 = np.cos(math.pi / 4.0 - (2.0 * counts - m) * delta) ** 2
+        dev_formula = float(np.max(np.abs(rotation_p0 - expected_p0)))
+        dev_accuracy = float(np.max(np.abs(rotation_p0 - acc)))
+        del rotation_p0, expected_p0
     state, post = simulator.postselect_accuracy_zero(state)
     labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
     simulator.apply_classifier(state, labels)
@@ -661,9 +666,6 @@ def run_classify(cfg: dict, out: Path) -> dict:
             abs(post.acceptance_probability - float(np.mean(acc))) < 1e-12
         )
     else:
-        expected_p0 = np.cos(math.pi / 4.0 - (2.0 * counts - m) * delta) ** 2
-        dev_formula = float(np.max(np.abs(rotation_p0 - expected_p0)))
-        dev_accuracy = float(np.max(np.abs(rotation_p0 - acc)))
         metrics["delta"] = delta
         metrics["rotation_formula_deviation"] = dev_formula
         metrics["rotation_accuracy_deviation"] = dev_accuracy

@@ -10,22 +10,25 @@ splitmix64 output permutation.
 Child streams are derived with an extra mix round (see derive_key), which
 keeps per-class lanes decorrelated from the counter chain of the parent.
 
-Gaussian variates use the inverse normal CDF (scipy's ndtri, which follows
-Cephes' ndtri, not Wichura's AS241) applied to centered 53-bit uniforms.
-Unlike polar or ziggurat methods this consumes exactly one word per
-variate and gives identical output on every platform and thread schedule.
+Gaussian variates use the inverse normal CDF applied to 53-bit uniforms:
+Cephes' ndtri, not Wichura's AS241, in the port in _special that has the
+bits of scipy.special.ndtri.  Unlike polar or ziggurat methods this
+consumes exactly one word per variate and gives identical output on every
+platform and thread schedule.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
+
+from qens._special import ndtri
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _LANE = 0xD1342543DE82EF95
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest float64 below 1
 
 
 def mix64(z):
@@ -55,14 +58,24 @@ def words(key: int, count: int) -> np.ndarray:
     return mix64(np.uint64(key & _MASK) + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
 
 
-def uniforms(key: int, count: int) -> np.ndarray:
-    """Uniform float64 samples in the open interval (0, 1).
+def uniforms_from_words(w: np.ndarray) -> np.ndarray:
+    """float64 values in the open interval (0, 1) from uint64 words.
 
-    The top 53 bits of each word are centered by half a step, so 0.0 and
-    1.0 are never produced and ndtri stays finite.
+    The top 53 bits k of each word give (k + 1/2) 2^-53, rounded to float64.
+    Below 1/2 that is exact, the midpoint of k's step.  From 1/2 up,
+    float64's spacing is 2^-53 itself and the half rounds to even: the value
+    is whichever of k 2^-53 and (k + 1) 2^-53 is an even multiple.  The top
+    k = 2^53 - 1 would so give 1.0, where ndtri is infinite; it is held at
+    1 - 2^-53 instead, and every other word keeps those bits.
     """
-    w = words(key, count)
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = ((w >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def uniforms(key: int, count: int) -> np.ndarray:
+    """Uniform float64 samples in the open interval (0, 1), from the
+    stream's first `count` words."""
+    return uniforms_from_words(words(key, count))
 
 
 def normals(key: int, count: int) -> np.ndarray:

@@ -548,10 +548,11 @@ print(json.dumps({"hashes": hashes, "simd": groups}))
 # levels and glibc libm variants: one-input perceptrons (elementwise margins
 # along the model axis), exact integer counts, a simulator that multiplies and
 # copies elementwise, the log-odds weights, and the analytic figures fig4,
-# fig5 and fig7 (scipy's erf and quad on their inputs).  fig2 (log-space
-# gammaln sums), fig6 (two-input BLAS margins) and classify_mlp2 (einsum and
-# tanh) still move under these settings, so they stay out until their
-# arithmetic is made dispatch-invariant (ROADMAP item 5).
+# fig5 and fig7 (the erf port, on the C library's exp, and the QAGS port on
+# their inputs).  fig2 (log-space sums of the log-gamma table), fig6
+# (two-input BLAS margins) and classify_mlp2 (einsum and tanh) still move
+# under these settings, so they stay out until their arithmetic is made
+# dispatch-invariant (ROADMAP item 5).
 PORTABLE_CASES = (
     "classify",
     "classify_sequential",
@@ -565,16 +566,20 @@ PORTABLE_CASES = (
 )
 
 
-@pytest.mark.parametrize(
+OTHER_KERNELS = pytest.mark.parametrize(
     "env",
     [
         {"OPENBLAS_CORETYPE": "Prescott"},
         {"NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"},
-        # glibc's libm without its FMA variants: np.cos/np.sin and scipy.special
+        # glibc's libm without its FMA variants: np.cos/np.sin, math.exp and
+        # math.log, the cexp under the erf port, and scipy.special
         {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"},
     ],
     ids=["openblas-prescott", "numpy-baseline-simd", "glibc-no-fma"],
 )
+
+
+@OTHER_KERNELS
 def test_golden_cases_hold_on_other_kernels(tmp_path, env):
     cases = {name: GOLDEN_CASES[name] for name in PORTABLE_CASES}
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -590,6 +595,58 @@ def test_golden_cases_hold_on_other_kernels(tmp_path, env):
     if "NPY_DISABLE_CPU_FEATURES" in env:
         assert result["simd"] == []  # the setting took effect
     assert result["hashes"] == {name: GOLDEN_SHA256[name] for name in PORTABLE_CASES}
+
+
+# Compares the special-function ports with scipy.special, and their exp route
+# with math.exp, in a fresh interpreter; prints the mismatch counts as JSON.
+_SPECIAL_CHILD = """
+import json, math
+import numpy as np
+import scipy.special as sc
+from numpy._core._multiarray_umath import __cpu_features__
+from qens import _special, prng
+from qens.figures import FIG2_SIZE_CAP
+
+def differ(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return int(np.sum((got.view(np.uint64) != want.view(np.uint64)) & ~(np.isnan(got) & np.isnan(want))))
+
+rng = np.random.default_rng(11)
+x = np.concatenate([rng.normal(0.0, 3.0, 200_000), 10.0 ** rng.uniform(-310.0, 2.0, 20_000)])
+x = np.concatenate([x, -x])
+u = prng.uniforms(prng.derive_key(8, 0), 200_000)
+t = 10.0 ** -rng.uniform(0.0, 300.0, 20_000)
+y = np.concatenate([u, t, 1.0 - t])
+b = rng.uniform(0.0, 40.0, 100_000)
+groups = [g for g in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(g)]
+print(json.dumps({
+    "erf": differ(_special.erf(x), sc.erf(x)),
+    "ndtri": differ(_special.ndtri(y), sc.ndtri(y)),
+    "gammaln": differ(_special.log_gamma_range(FIG2_SIZE_CAP + 3), sc.gammaln(np.arange(FIG2_SIZE_CAP + 3.0))),
+    "exp": differ(_special._exp_neg(b), [math.exp(-v) for v in b.tolist()]),
+    "simd": groups,
+}))
+"""
+
+
+@OTHER_KERNELS
+def test_special_ports_hold_on_other_kernels(env):
+    # scipy follows the C library's exp and log wherever dispatch sends them,
+    # and so must the ports; numpy's own SIMD kernels must not reach them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _SPECIAL_CHILD],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    simd = result.pop("simd")
+    if "NPY_DISABLE_CPU_FEATURES" in env:
+        assert simd == []  # the setting took effect
+    assert result == {"erf": 0, "ndtri": 0, "gammaln": 0, "exp": 0}
 
 
 def test_second_scheme_votes_on_the_accuracies_already_held(tmp_path, monkeypatch):

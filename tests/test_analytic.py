@@ -79,6 +79,26 @@ def test_box_cdf_shape():
     assert box.pdf(1.5) == 0.0
 
 
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        gaussian_pair(0.5, 2.0, -1.0, 3.0),
+        DecisionProblem1D(ClassDensity.gaussian(0.0, 1.0), ClassDensity.laplace(0.5, 0.3)),
+    ],
+    ids=["two-gaussians", "gaussian-laplace"],
+)
+def test_class_cdfs_are_each_class_cdf_bit_for_bit(problem):
+    # two Gaussian classes share one erf call; nothing else may change
+    w = np.concatenate([np.linspace(-40.0, 40.0, 801), [0.0, -0.0, 1e308, -1e308, np.inf, -np.inf]])
+    with np.errstate(over="ignore"):
+        for x in (w, w.reshape(3, -1), 0.7, np.float64(-3.0)):
+            got = problem.cdfs(x)
+            want = (problem.minus.cdf(x), problem.plus.cdf(x))
+            for g, v in zip(got, want):
+                assert type(g) is type(v)
+                assert np.array_equal(np.asarray(g).view(np.uint64), np.asarray(v).view(np.uint64))
+
 def test_scale_must_be_positive():
     with pytest.raises(ValueError):
         ClassDensity.gaussian(0.0, 0.0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from qens import prng
+from qens._special import ndtri
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -102,3 +103,30 @@ def test_uniform_mean_quarter_million():
     u = prng.uniforms(prng.derive_key(1234, 0), 1 << 18)
     assert abs(float(np.mean(u)) - 0.5) < 2e-3
     assert math.isclose(float(np.var(u)), 1.0 / 12.0, rel_tol=2e-2)
+
+
+def test_top_words_stay_below_one_with_finite_normals():
+    # (k + 1/2) 2^-53 rounds half to even from 1/2 up: k = 2^53 - 1, the top
+    # 2^11 words, would give exactly 1.0 and an infinite normal
+    top = [MASK, MASK - (1 << 11) + 1]  # the first and last of them
+    u = prng.uniforms_from_words(np.array(top, dtype=np.uint64))
+    assert u.tolist() == [1.0 - 2.0**-53] * 2
+    assert np.all(np.isfinite(ndtri(u)))
+    below = prng.uniforms_from_words(np.array([MASK - (1 << 11)], dtype=np.uint64))
+    assert below.tolist() == [1.0 - 2.0**-52]  # k = 2^53 - 2, even, keeps its bits
+    assert prng.uniforms_from_words(np.array([0], dtype=np.uint64)).tolist() == [2.0**-54]
+
+
+@given(st.lists(st.integers(0, MASK), min_size=1, max_size=64))
+def test_uniforms_from_words_keep_the_bits_of_the_centred_expression(ws):
+    # the clamp moves only the top 2^11 words; every other word keeps
+    # ((w >> 11) + 0.5) * 2^-53 bit for bit
+    u = prng.uniforms_from_words(np.array(ws, dtype=np.uint64)).tolist()
+    for w, got in zip(ws, u):
+        want = ((w >> 11) + 0.5) * 2.0**-53
+        assert got == (want if want < 1.0 else 1.0 - 2.0**-53)
+
+
+def test_uniforms_are_the_uniforms_of_the_words():
+    key = prng.derive_key(21, 2)
+    assert np.array_equal(prng.uniforms(key, 4096), prng.uniforms_from_words(prng.words(key, 4096)))
