@@ -217,11 +217,10 @@ def ndtri(y):
     tail = np.flatnonzero(inside & (v <= _EXP_M2))
     t = np.sqrt(-2.0 * _log(v[tail]))
     z = 1.0 / t
-    t1 = np.where(
-        t < 8.0,
-        z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1),
-        z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2),
-    )
+    t1 = np.empty_like(z)
+    for rule, p, q in ((t < 8.0, _NDTRI_P1, _NDTRI_Q1), (t >= 8.0, _NDTRI_P2, _NDTRI_Q2)):
+        zr = z[rule]  # each rule on its own values only
+        t1[rule] = zr * _polevl(zr, p) / _p1evl(zr, q)
     t = t - _log(t) / t - t1
     out[tail] = np.where(upper[tail], t, -t)
     return out.reshape(y.shape)[()]

@@ -35,22 +35,25 @@ Operations mutate the passed state in place and return it.
 Memory: beside the statevector an operation holds O(E) values (angles,
 labels, per-model sums) and at most one chunk of _NORM_CHUNK = 2**16
 float64 values (512 KiB) of squares or temporaries.  Grover evolves only
-its E support amplitudes and writes the statevector once.  The elementwise steps
-work in place along the model axis, so numpy's inner loops run over E
-models rather than over the 2 values of one model: the rotation one
-output value at a time, the classifier as masked copies of each model's
-run of 2 * 2**c amplitudes, taken as one raw-byte element, and the
-postselection on views that already merge into one long axis.  Every
-readout has the bits of np.sum over a squared copy of (part of) the
-state, because it adds the chunks in the order numpy 2.4 uses
-(tests/test_state_sums.py holds those numpy expressions as references):
+its E support amplitudes and writes the statevector once, never reading it
+back.  The elementwise steps work in place along the model axis, so
+numpy's inner loops run over E models rather than over the 2 values of one
+model: the rotation one output value at a time, the classifier as masked
+copies of each model's run of 2 * 2**c amplitudes, taken as one raw-byte
+element, and the postselection on views that already merge into one long
+axis.  Every readout has the bits of np.sum over a squared copy of (part
+of) the state, because it adds the chunks in the order numpy 2.4 uses
+(tests/test_state_sums.py holds those numpy expressions as references).
+Grover's marked probability is such a sum, but it rebuilds each chunk of
+squares, zeros included, from the support amplitudes, not from the state:
 
   contiguous operand  one pairwise sum over its whole length, which numpy
                       splits at n/2 - (n/2 mod 8) down to blocks of 128;
                       _pairwise splits the same way down to chunks and
                       lets np.sum do the rest (the square of a strided
                       view is such an operand, in C order): the norm, the
-                      branch masses and the label readout's total
+                      branch masses, the label readout's total and Grover's
+                      marked mass, over numpy's gather of the marked values
   strided operand     buffered blocks of max(8192, contiguous run) values
                       (runs here are powers of two), each one pairwise
                       sum, added one after another: the label readout's
@@ -239,6 +242,18 @@ def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) 
     return _rotate(state, np.sqrt(a), np.sqrt(1.0 - a))
 
 
+def _whole_counts(counts: np.ndarray, dataset_size: int) -> np.ndarray:
+    """counts as int64; ValueError unless every value is a whole number in
+    0..dataset_size, so that no fraction or NaN is truncated to a count."""
+    if counts.dtype.kind not in "iu" and not (
+        counts.dtype.kind == "f" and np.array_equal(np.floor(counts), counts)
+    ):
+        raise ValueError("correct counts must be whole numbers")
+    if counts.min() < 0 or counts.max() > dataset_size:
+        raise ValueError("counts outside 0..dataset_size")
+    return counts.astype(np.int64, copy=False)
+
+
 def apply_accuracy_rotation_sequential(
     state: EnsembleState, correct_counts: np.ndarray, dataset_size: int, delta: float
 ) -> EnsembleState:
@@ -248,12 +263,11 @@ def apply_accuracy_rotation_sequential(
     axis, so a model with correct count c lands at cos t|0> + sin t|1>,
     t = pi/4 - (2c - M) delta, monotone in c whenever 0 < delta <= pi/(4M).
     The M + 1 values of cos t and sin t are evaluated once."""
-    counts = np.asarray(correct_counts, dtype=np.int64)
+    counts = np.asarray(correct_counts)
     m = int(dataset_size)
     if counts.shape != (state.layout.model_count,):
         raise ValueError("one correct count per parameter basis state is required")
-    if counts.min() < 0 or counts.max() > m:
-        raise ValueError("counts outside 0..dataset_size")
+    counts = _whole_counts(counts, m)
     if not 0.0 < delta <= math.pi / (4.0 * m):
         raise ValueError(f"delta must lie in (0, pi/(4*{m})]")
     t = math.pi / 4.0 - (2.0 * np.arange(m + 1) - m) * delta
@@ -359,14 +373,16 @@ def grover_amplify_counts(
     register's top qubit).  Diffusion reflects about the prepared state.
     The state stays on the E basis states (i, 0, 0, counts[i]): iterations
     run on those E amplitudes, O(E) each, and the statevector is written
-    once after them.  The default iteration count is floor(pi/4 sqrt(E/K)).
+    once after them and never read back: the marked probability, with the
+    bits of np.sum over the squared gather of the marked count values, is
+    replayed from the E amplitudes.  Counts must be whole numbers in 0..M.
+    The default iteration count is floor(pi/4 sqrt(E/K)).
     """
-    counts = np.asarray(correct_counts, dtype=np.int64)
+    counts = np.asarray(correct_counts)
     m = int(dataset_size)
     if counts.ndim != 1 or counts.size < 1 or (1 << int(np.log2(counts.size))) != counts.size:
         raise ValueError("correct_counts must have power-of-two length")
-    if counts.min() < 0 or counts.max() > m:
-        raise ValueError("counts outside 0..dataset_size")
+    counts = _whole_counts(counts, m)
     param_bits = int(np.log2(counts.size))
     layout = RegisterLayout(param_bits, count_bits_for(m))
     e = layout.model_count
@@ -391,8 +407,25 @@ def grover_amplify_counts(
     state.view()[np.arange(e), 0, 0, counts] = amps
 
     # the bits of np.sum over the squared boolean-mask gather of the marked
-    # values, which numpy lays out one count value's slab after another
-    amplified = _sum_squares(state.amplitudes.reshape(-1, layout.count_values)[:, m // 2 + 1 :].T)
+    # values, which numpy lays out one count value's slab of 4E values after
+    # another; its only nonzero squares are amps[i]**2, at 4 * (j E + i) for
+    # slab j = counts[i] - v0, so each chunk is rebuilt from the support.
+    # Chunk ends are multiples of 4: _pairwise halves at multiples of 8.
+    v0 = m // 2 + 1
+    gathered = (layout.count_values - v0) * 4 * e
+    buf = np.empty(min(gathered, _NORM_CHUNK))
+
+    def leaf(start: int, n: int) -> float:
+        out = buf[:n]
+        out[...] = 0.0
+        lo, hi = start // 4, (start + n) // 4  # the chunk's rows j E + i
+        for j in range(lo // e, -(-hi // e)):
+            first, stop = max(lo - j * e, 0), min(hi - j * e, e)
+            hits = np.flatnonzero(counts[first:stop] == v0 + j) + first
+            out[4 * (j * e + hits - lo)] = np.square(amps[hits])
+        return float(np.sum(out))
+
+    amplified = _pairwise(gathered, leaf)
     closed = math.sin((2 * iterations + 1) * math.asin(math.sqrt(k / e))) ** 2
     report = GroverReport(k, e, iterations, math.sqrt(e / k), amplified, closed)
     return state, report

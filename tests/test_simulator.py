@@ -379,6 +379,22 @@ def test_sequential_counts_must_be_one_per_model_within_0_to_m():
     assert not state.view()[:, :, 1].any()  # refused before any amplitude moved
 
 
+def test_sequential_counts_must_be_whole_numbers():
+    fam, grid, ds = seq_fixture([-1, 1])
+    state = prepare_uniform(RegisterLayout(grid.total_bits))
+    counts, m = rotation_inputs(fam, grid, ds)
+    for value in (0.5, np.nan):
+        bad = counts.astype(np.float64)
+        bad[0] = value
+        with pytest.raises(ValueError, match="whole numbers"):
+            apply_accuracy_rotation_sequential(state, bad, m, math.pi / 8)
+    assert not state.view()[:, :, 1].any()
+    apply_accuracy_rotation_sequential(state, counts.astype(np.float64), m, math.pi / 8)
+    want = prepare_uniform(RegisterLayout(grid.total_bits))
+    apply_accuracy_rotation_sequential(want, counts, m, math.pi / 8)
+    assert np.array_equal(state.amplitudes, want.amplitudes)
+
+
 # --- amplitude amplification --------------------------------------------------------
 
 def test_grover_quarter_fraction_reaches_certainty():
@@ -453,6 +469,20 @@ def test_grover_count_range_validated():
         grover_amplify_counts(np.array([3, 0, 0, 0]), 2)
 
 
+@pytest.mark.parametrize("bad", [[2.9, 0.2, 1.5, 0.0], [2.0, np.nan, 1.0, 0.0], [2.0, 0.0, 0.5, 0.0]])
+def test_grover_refuses_fractional_counts(bad):
+    # 2.9 would otherwise be truncated to a count of 2 and marked
+    with pytest.raises(ValueError, match="whole numbers"):
+        grover_amplify_counts(np.array(bad), 2)
+
+
+def test_grover_takes_whole_float_counts():
+    want = grover_amplify_counts(np.array([2, 0, 1, 0]), 2)[1]
+    assert grover_amplify_counts(np.array([2.0, 0.0, 1.0, 0.0]), 2)[1] == want
+    with pytest.raises(ValueError, match="counts outside"):
+        grover_amplify_counts(np.array([np.inf, 0.0, 0.0, 0.0]), 2)
+
+
 def dense_grover(counts, m, iterations):
     """Reference amplitude amplification on a complex statevector with the
     prepared state psi0 stored in full: (amplitudes, marked probability).
@@ -512,9 +542,25 @@ def test_norm_memory_bound(peak_bytes):
 
 def test_grover_memory_bound(peak_bytes):
     # the returned state plus (E,) support vectors and one chunk of marked
-    # squares, never a gather of the marked values (half the state at M = 14)
+    # squares rebuilt from the support, never a gather of the marked values
+    # (half the state at M = 14)
     e, m = 1 << 16, 14
     counts = np.zeros(e, dtype=np.int64)
     counts[: e // 64] = m  # K = E/64: six iterations
     state_bytes = 8 << RegisterLayout(16, count_bits_for(m)).total_qubits
     assert peak_bytes(grover_amplify_counts, counts, m) <= state_bytes + 64 * e + CHUNK
+
+
+def test_grover_reads_no_statevector(monkeypatch):
+    # the marked mass is replayed from the support amplitudes: no chunk of
+    # squares is taken from the state it writes
+    calls = []
+    squares = simulator._squares
+    monkeypatch.setattr(simulator, "_squares", lambda *args: calls.append(args[1]) or squares(*args))
+    e, m = 1 << 12, 14
+    counts = np.random.default_rng(3).integers(0, m + 1, e)
+    state, report = grover_amplify_counts(counts, m)
+    assert report.marked_count > 0 and report.iterations > 0
+    assert calls == []
+    state.norm()  # the counter does see a statevector pass
+    assert calls

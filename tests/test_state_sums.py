@@ -2,11 +2,15 @@
 
 The references below square the whole state, or a strided part of it, into
 a temporary and let numpy sum that; the simulator sums the same squares one
-chunk at a time in numpy's order.  Results are compared as struct bytes,
-so a signed zero or a last-bit difference counts.  The layouts cover
-parameter bits 0-16, the count registers of M in {1, 2, 7, 14, 24, 31}
-(M = 24 marks 19 count values, not a power of two) and states longer than
-one chunk on every path, so that the chunk recursion runs."""
+chunk at a time in numpy's order.  Grover's marked probability is replayed
+from the support amplitudes instead of the state, chunk by chunk in the
+order of numpy's gather of the marked count values, which one case pins
+against the other order of the same squares.  Results are compared as
+struct bytes, so a signed zero or a last-bit difference counts.  The
+layouts cover parameter bits 0-16, the count registers of M in
+{1, 2, 7, 14, 24, 31} (M = 24 marks 19 count values, not a power of two)
+and states longer than one chunk on every path, so that the chunk
+recursion runs."""
 
 import math
 import struct
@@ -232,6 +236,34 @@ def test_grover_marked_probability_matches_gather(param_bits):
             state, report = grover_amplify_counts(counts, m, iterations)
             want = ref_marked_probability(state, m)
             assert bits(report.marked_probability) == bits(want)
+
+
+def test_grover_replay_pins_the_slab_order():
+    # numpy's gather lays out one marked count value's 4E values after
+    # another; the untransposed, model-major order of the same squares
+    # rounds differently here, so a replay in that order cannot pass
+    m = 24
+    counts = np.random.default_rng(1).integers(0, m + 1, 1 << 11)
+    state, report = grover_amplify_counts(counts, m)
+    c = state.layout.count_values
+    model_major = float(np.sum(np.square(state.amplitudes.reshape(-1, c)[:, m // 2 + 1 :])))
+    want = ref_marked_probability(state, m)
+    assert bits(model_major) != bits(want)
+    assert bits(report.marked_probability) == bits(want)
+
+
+@pytest.mark.parametrize("chunk", [128, 1000])
+def test_grover_replay_across_slab_boundaries(chunk, monkeypatch):
+    # small chunks against slabs of 4E values: chunks that hold several
+    # slabs, chunks that end inside one and chunks that straddle two
+    monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
+    for param_bits in (0, 1, 3, 5, 8, 11):
+        for m in M_VALUES:
+            counts = np.random.default_rng(param_bits * 100 + m).integers(0, m + 1, 1 << param_bits)
+            counts[0] = m
+            for iterations in (None, 1):
+                state, report = grover_amplify_counts(counts, m, iterations)
+                assert bits(report.marked_probability) == bits(ref_marked_probability(state, m))
 
 
 # --- operations that rewrite the state ---------------------------------------------------
