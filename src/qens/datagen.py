@@ -32,7 +32,8 @@ def _two_classes(seed: int, per_class: int, minus: tuple, plus: tuple) -> Datase
     for lane, (mean, sigma) in ((_LANE_MINUS, minus), (_LANE_PLUS, plus)):
         dim = len(mean)
         z = prng.normals(prng.derive_key(seed, lane), per_class * dim).reshape(per_class, dim)
-        parts.append(np.asarray(mean, dtype=np.float64)[None, :] + sigma * z)
+        with np.errstate(over="ignore", invalid="ignore"):  # Dataset refuses what overflows
+            parts.append(np.asarray(mean, dtype=np.float64)[None, :] + sigma * z)
     y = np.repeat(np.array([-1, 1], dtype=np.int64), per_class)
     return Dataset(np.concatenate(parts, axis=0), y)
 

@@ -34,18 +34,19 @@ Operations mutate the passed state in place and return it.
 
 Memory: beside the statevector an operation holds O(E) values (angles,
 labels, per-model sums) and at most one chunk of _NORM_CHUNK = 2**16
-float64 values (512 KiB) of squares or temporaries.  Grover evolves only
-its E support amplitudes and writes the statevector once, never reading it
-back.  The elementwise steps work in place along the model axis, so
-numpy's inner loops run over E models rather than over the 2 values of one
-model: the rotation one output value at a time, the classifier as masked
-copies of each model's run of 2 * 2**c amplitudes, taken as one raw-byte
-element, and the postselection on views that already merge into one long
-axis.  Every readout has the bits of np.sum over a squared copy of (part
-of) the state, because it adds the chunks in the order numpy 2.4 uses
+float64 values (512 KiB) of squares or temporaries.  Grover never
+allocates the statevector: it evolves its E support amplitudes and returns
+them as a SupportState, the amplitudes and each model's count value.  The
+elementwise steps work in place along the model axis, so numpy's inner
+loops run over E models rather than over the 2 values of one model: the
+rotation one output value at a time, the classifier as masked copies of
+each model's run of 2 * 2**c amplitudes, taken as one raw-byte element,
+and the postselection on views that already merge into one long axis.
+Every readout has the bits of np.sum over a squared copy of (part of) the
+state, because it adds the chunks in the order numpy 2.4 uses
 (tests/test_state_sums.py holds those numpy expressions as references).
-Grover's marked probability is such a sum, but it rebuilds each chunk of
-squares, zeros included, from the support amplitudes, not from the state:
+Grover's two readouts, marked probability and norm, are such sums, each
+chunk of squares, zeros included, rebuilt from the support amplitudes:
 
   contiguous operand  one pairwise sum over its whole length, which numpy
                       splits at n/2 - (n/2 mod 8) down to blocks of 128;
@@ -53,7 +54,8 @@ squares, zeros included, from the support amplitudes, not from the state:
                       lets np.sum do the rest (the square of a strided
                       view is such an operand, in C order): the norm, the
                       branch masses, the label readout's total and Grover's
-                      marked mass, over numpy's gather of the marked values
+                      marked mass, over numpy's gather of the marked values,
+                      and a SupportState's norm, over the dense state
   strided operand     buffered blocks of max(8192, contiguous run) values
                       (runs here are powers of two), each one pairwise
                       sum, added one after another: the label readout's
@@ -190,6 +192,32 @@ def _sum_squares(seq: np.ndarray) -> float:
     sums that as one pairwise sum."""
     buf = np.empty(min(seq.size, _NORM_CHUNK))
     return _pairwise(seq.size, lambda s, n: float(np.sum(_squares(seq, s, n, buf))))
+
+
+def _support_sum(
+    amps: np.ndarray, counts: np.ndarray, run: int, width: int, v0: int, slabs: int
+) -> float:
+    """np.sum of `slabs` slabs of E runs of `run` values, whose only nonzero
+    values are amps[i]**2 at offset counts[i] - v0 - j of run i in slab j
+    where that offset lies in 0..width-1, bit for bit: each chunk of
+    squares, zeros included, is rebuilt from the support alone."""
+    e = amps.size
+    buf = np.empty(min(slabs * e * run, _NORM_CHUNK))
+
+    def leaf(start: int, n: int) -> float:
+        out = buf[:n]
+        out[...] = 0.0
+        lo, hi = start // run, -(-(start + n) // run)  # the runs j E + i the chunk touches
+        for j in range(lo // e, -(-hi // e)):
+            first, stop = max(lo - j * e, 0), min(hi - j * e, e)
+            offset = counts[first:stop] - (v0 + j)
+            rows = np.flatnonzero((offset >= 0) & (offset < width))
+            at = run * (j * e + first + rows) + offset[rows] - start
+            inside = (at >= 0) & (at < n)  # a chunk may cut the first and last run
+            out[at[inside]] = np.square(amps[first + rows[inside]])
+        return float(np.sum(out))
+
+    return _pairwise(slabs * e * run, leaf)
 
 
 def _model_sums(branch: np.ndarray) -> np.ndarray:
@@ -360,11 +388,26 @@ class GroverReport:
     closed_form_probability: float
 
 
+@dataclass(frozen=True)
+class SupportState:
+    """A state held as its support: its only nonzero amplitudes are
+    amplitudes[i], at basis state (i, 0, 0, counts[i])."""
+
+    layout: RegisterLayout
+    counts: np.ndarray
+    amplitudes: np.ndarray
+
+    def norm(self) -> float:
+        """With the bits of np.sqrt(np.sum(np.square(a))) over the dense state a."""
+        c = self.layout.count_values
+        return float(np.sqrt(_support_sum(self.amplitudes, self.counts, 4 * c, c, 0, 1)))
+
+
 def grover_amplify_counts(
     correct_counts: np.ndarray,
     dataset_size: int,
     iterations: int | None = None,
-) -> tuple[EnsembleState, GroverReport]:
+) -> tuple[SupportState, GroverReport]:
     """Amplitude amplification of the better-than-chance models.
 
     The count register is loaded with each model's correct count; the
@@ -372,10 +415,11 @@ def grover_amplify_counts(
     value v satisfies 2v > M (for M+1 a power of two this is exactly the
     register's top qubit).  Diffusion reflects about the prepared state.
     The state stays on the E basis states (i, 0, 0, counts[i]): iterations
-    run on those E amplitudes, O(E) each, and the statevector is written
-    once after them and never read back: the marked probability, with the
-    bits of np.sum over the squared gather of the marked count values, is
-    replayed from the E amplitudes.  Counts must be whole numbers in 0..M.
+    run on those E amplitudes, O(E) each, which are returned as a
+    SupportState, never as a 2**n statevector.  Both readouts are replayed
+    from them in numpy's order: the marked probability, with the bits of
+    np.sum over the squared gather of the dense state's marked count
+    values, and SupportState.norm.  Counts must be whole numbers in 0..M.
     The default iteration count is floor(pi/4 sqrt(E/K)).
     """
     counts = np.asarray(correct_counts)
@@ -403,29 +447,11 @@ def grover_amplify_counts(
         overlap = float(np.sum(amps * amp0))
         np.negative(amps, out=amps)
         amps += 2.0 * overlap * amp0
-    state = EnsembleState(layout)
-    state.view()[np.arange(e), 0, 0, counts] = amps
-
-    # the bits of np.sum over the squared boolean-mask gather of the marked
-    # values, which numpy lays out one count value's slab of 4E values after
-    # another; its only nonzero squares are amps[i]**2, at 4 * (j E + i) for
-    # slab j = counts[i] - v0, so each chunk is rebuilt from the support.
-    # Chunk ends are multiples of 4: _pairwise halves at multiples of 8.
+    # numpy's boolean-mask gather of the marked values lays out one count
+    # value's slab of E runs of 4 values after another: slab j holds
+    # amps[i]**2 at the start of model i's run where counts[i] = v0 + j
     v0 = m // 2 + 1
-    gathered = (layout.count_values - v0) * 4 * e
-    buf = np.empty(min(gathered, _NORM_CHUNK))
-
-    def leaf(start: int, n: int) -> float:
-        out = buf[:n]
-        out[...] = 0.0
-        lo, hi = start // 4, (start + n) // 4  # the chunk's rows j E + i
-        for j in range(lo // e, -(-hi // e)):
-            first, stop = max(lo - j * e, 0), min(hi - j * e, e)
-            hits = np.flatnonzero(counts[first:stop] == v0 + j) + first
-            out[4 * (j * e + hits - lo)] = np.square(amps[hits])
-        return float(np.sum(out))
-
-    amplified = _pairwise(gathered, leaf)
+    amplified = _support_sum(amps, counts, 4, 1, v0, layout.count_values - v0)
     closed = math.sin((2 * iterations + 1) * math.asin(math.sqrt(k / e))) ** 2
     report = GroverReport(k, e, iterations, math.sqrt(e / k), amplified, closed)
-    return state, report
+    return SupportState(layout, counts, amps), report

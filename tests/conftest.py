@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qens.model import Dataset, ModelFamily, ParameterGrid
+from qens.simulator import EnsembleState
 
 
 @pytest.fixture
@@ -44,3 +45,16 @@ def peak_bytes():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def scatter():
+    """scatter(support) is the dense EnsembleState that the SupportState
+    support stands for: zeros, and amplitudes[i] at (i, 0, 0, counts[i])."""
+
+    def dense(support) -> EnsembleState:
+        state = EnsembleState(support.layout)
+        state.view()[np.arange(support.layout.model_count), 0, 0, support.counts] = support.amplitudes
+        return state
+
+    return dense

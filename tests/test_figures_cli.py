@@ -218,9 +218,9 @@ def test_grid_whose_ticks_overflow_is_usage_error(tmp_path, command):
 
 
 def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
-    # 26 qubits: a 512 MiB real statevector.  800 MiB of address space is
-    # enough, since no step holds more than O(E) and one chunk beside the
-    # state; under 640 MiB the statevector allocation fails and must exit 4, not 1
+    # 26 qubits, whose real statevector alone would take 512 MiB.  Grover
+    # holds only its E = 2^20 support amplitudes and one chunk beside them,
+    # so it completes under 320 MiB of address space
     pair = {"mu_minus": -1.0, "sigma_minus": 0.5, "mu_plus": 1.0, "sigma_plus": 0.5}
     cfg = write_config(
         tmp_path,
@@ -232,27 +232,20 @@ def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
     src = str(Path(qens.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
 
-    def grover(limit_bytes):
-        def limit():  # in the child only
-            resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+    def limit():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (320 << 20, 320 << 20))
 
-        argv = ["grover", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        return subprocess.run(
-            [sys.executable, "-m", "qens.cli", *argv],
-            env=env,
-            preexec_fn=limit,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-
-    done = grover(800 << 20)
+    argv = ["grover", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-m", "qens.cli", *argv],
+        env=env,
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
     assert done.returncode == cli.EXIT_OK, done.stderr
     assert json.loads((tmp_path / "out" / "grover_summary.json").read_text())["ok"]
-    refused = grover(640 << 20)
-    assert refused.returncode == cli.EXIT_CAP, refused.stderr
-    assert "Traceback" not in refused.stderr
-    assert "out of memory" in refused.stderr
 
 
 def test_classify_at_qubit_cap_under_address_space_limit(tmp_path):
@@ -519,6 +512,28 @@ def test_fig5_with_an_overflowing_boundary_bracket_is_domain_error(tmp_path, ove
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli("fig5", "--out", str(out), "--config", str(cfg)) == cli.EXIT_DOMAIN
+    assert not out.exists() or read_dir_bytes(out) == {}
+
+
+@pytest.mark.parametrize(
+    ("command", "override"),
+    [
+        ("fig6", {"per_class": 2, "sigma": 1e308}),
+        ("classify", {"dataset": {"pair": {"mu_minus": -1, "sigma_minus": 1e308, "mu_plus": 1,
+                                           "sigma_plus": 1e308, "per_class": 2, "seed": 0}}}),
+    ],
+    ids=["fig6", "classify-pair"],
+)
+def test_overflowing_samples_are_domain_error(tmp_path, capsys, command, override):
+    # mean + sigma * z overflows to inf; the overflow used to raise a
+    # RuntimeWarning before the dataset refused its non-finite features
+    cfg = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, "--out", str(out), "--config", str(cfg)) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
     assert not out.exists() or read_dir_bytes(out) == {}
 
 

@@ -193,7 +193,7 @@ def gate_grover(p, counts, m, iterations):
 
 @pytest.mark.parametrize("m", [3, 6, 7])
 @pytest.mark.parametrize("iterations", [None, 3], ids=["default", "three"])
-def test_grover_matches_gates(m, iterations):
+def test_grover_matches_gates(m, iterations, scatter):
     # 4 parameter qubits and 2 or 3 count qubits: at most 9 qubits.  Two
     # marked models, and for M = 6 the tie count 3, which is not marked.
     p = 4
@@ -205,4 +205,4 @@ def test_grover_matches_gates(m, iterations):
     assert rep.iterations == rounds
     psi, want = gate_grover(p, counts, m, rounds)
     assert abs(rep.marked_probability - want) <= 1e-13
-    assert np.max(np.abs(state.amplitudes - psi)) <= 1e-13
+    assert np.max(np.abs(scatter(state).amplitudes - psi)) <= 1e-13

@@ -433,7 +433,10 @@ def test_grover_zero_marked_rejected(peak_bytes):
     with pytest.raises(ValueError):
         grover_amplify_counts(counts, 2)
 
-    # refused before the statevector is allocated: 32 MiB here
+    # refused before the support amplitudes are evolved, within 1/32 of the
+    # 32 MiB a dense state would take here.  A run that goes on holds only
+    # its E support values and replays both readouts from them in numpy's
+    # order, so it allocates no statevector either
     e, m = 1 << 16, 14
     counts = np.full(e, m // 2, dtype=np.int64)
     state_bytes = 8 << RegisterLayout(16, count_bits_for(m)).total_qubits
@@ -505,7 +508,7 @@ def dense_grover(counts, m, iterations):
 
 
 @pytest.mark.parametrize("param_bits", range(3, 14))
-def test_grover_matches_dense_reference(param_bits):
+def test_grover_matches_dense_reference(param_bits, scatter):
     # bit for bit at every width; the last case takes the default count on
     # five marked models, up to 31 iterations at 2^13 models
     rng = np.random.default_rng(param_bits)
@@ -521,7 +524,7 @@ def test_grover_matches_dense_reference(param_bits):
         state, report = grover_amplify_counts(counts, m, iterations)
         want_amps, want_p = dense_grover(counts, m, report.iterations)
         assert not np.any(want_amps.imag)
-        assert np.array_equal(state.amplitudes, want_amps.real)
+        assert np.array_equal(scatter(state).amplitudes, want_amps.real)
         assert report.marked_probability == want_p
 
 
@@ -541,19 +544,20 @@ def test_norm_memory_bound(peak_bytes):
 
 
 def test_grover_memory_bound(peak_bytes):
-    # the returned state plus (E,) support vectors and one chunk of marked
-    # squares rebuilt from the support, never a gather of the marked values
-    # (half the state at M = 14)
+    # (E,) support vectors and one chunk of squares rebuilt from them, for
+    # the run and for the norm: never the 32 MiB statevector, nor a gather
+    # of its marked values (half the state at M = 14)
     e, m = 1 << 16, 14
     counts = np.zeros(e, dtype=np.int64)
     counts[: e // 64] = m  # K = E/64: six iterations
-    state_bytes = 8 << RegisterLayout(16, count_bits_for(m)).total_qubits
-    assert peak_bytes(grover_amplify_counts, counts, m) <= state_bytes + 64 * e + CHUNK
+    assert peak_bytes(grover_amplify_counts, counts, m) <= 64 * e + CHUNK
+    state, _ = grover_amplify_counts(counts, m)
+    assert peak_bytes(state.norm) <= 64 * e + CHUNK
 
 
 def test_grover_reads_no_statevector(monkeypatch):
-    # the marked mass is replayed from the support amplitudes: no chunk of
-    # squares is taken from the state it writes
+    # both readouts are replayed from the support amplitudes: no chunk of
+    # squares is taken from a statevector, in the run or in its norm
     calls = []
     squares = simulator._squares
     monkeypatch.setattr(simulator, "_squares", lambda *args: calls.append(args[1]) or squares(*args))
@@ -561,6 +565,7 @@ def test_grover_reads_no_statevector(monkeypatch):
     counts = np.random.default_rng(3).integers(0, m + 1, e)
     state, report = grover_amplify_counts(counts, m)
     assert report.marked_count > 0 and report.iterations > 0
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
     assert calls == []
-    state.norm()  # the counter does see a statevector pass
+    prepare_uniform(state.layout).norm()  # the counter does see a statevector pass
     assert calls

@@ -2,10 +2,11 @@
 
 The references below square the whole state, or a strided part of it, into
 a temporary and let numpy sum that; the simulator sums the same squares one
-chunk at a time in numpy's order.  Grover's marked probability is replayed
-from the support amplitudes instead of the state, chunk by chunk in the
-order of numpy's gather of the marked count values, which one case pins
-against the other order of the same squares.  Results are compared as
+chunk at a time in numpy's order.  Grover holds no state, only its support
+amplitudes: its marked probability is replayed from them chunk by chunk
+in the order of numpy's gather of the marked count values, and its norm
+in the order of the dense state's sum, and one case each pins that order
+against another order of the same squares.  Results are compared as
 struct bytes, so a signed zero or a last-bit difference counts.  The
 layouts cover parameter bits 0-16, the count registers of M in
 {1, 2, 7, 14, 24, 31} (M = 24 marks 19 count values, not a power of two)
@@ -22,6 +23,7 @@ from qens import simulator
 from qens.simulator import (
     EnsembleState,
     RegisterLayout,
+    SupportState,
     apply_accuracy_rotation_exact,
     apply_accuracy_rotation_sequential,
     apply_classifier,
@@ -148,6 +150,16 @@ def zero_models(layout):
     return sorted({0, e // 3, e - 1}) if e > 2 else list(range(1, e))
 
 
+def random_support(param_bits, m, seed):
+    """A SupportState for the count register of M, with counts in 0..M and
+    amplitudes whose magnitudes span eight decades."""
+    layout = RegisterLayout(param_bits, count_bits_for(m))
+    rng = np.random.default_rng(seed)
+    e = layout.model_count
+    amps = rng.normal(size=e) * 10.0 ** rng.uniform(-4, 4, e)
+    return SupportState(layout, rng.integers(0, m + 1, e), amps)
+
+
 @pytest.fixture(params=LAYOUTS, ids=lambda pc: f"p{pc[0]}-c{pc[1]}")
 def layout(request):
     return RegisterLayout(*request.param)
@@ -225,7 +237,7 @@ def test_zero_mass_branches():
 
 
 @pytest.mark.parametrize("param_bits", range(17))
-def test_grover_marked_probability_matches_gather(param_bits):
+def test_grover_marked_probability_matches_gather(param_bits, scatter):
     for m in M_VALUES:
         if param_bits + 2 + count_bits_for(m) > 22:
             continue
@@ -234,26 +246,27 @@ def test_grover_marked_probability_matches_gather(param_bits):
         counts[0] = m
         for iterations in (None, 0, 1):
             state, report = grover_amplify_counts(counts, m, iterations)
-            want = ref_marked_probability(state, m)
+            want = ref_marked_probability(scatter(state), m)
             assert bits(report.marked_probability) == bits(want)
 
 
-def test_grover_replay_pins_the_slab_order():
+def test_grover_replay_pins_the_slab_order(scatter):
     # numpy's gather lays out one marked count value's 4E values after
     # another; the untransposed, model-major order of the same squares
     # rounds differently here, so a replay in that order cannot pass
     m = 24
     counts = np.random.default_rng(1).integers(0, m + 1, 1 << 11)
     state, report = grover_amplify_counts(counts, m)
+    dense = scatter(state)
     c = state.layout.count_values
-    model_major = float(np.sum(np.square(state.amplitudes.reshape(-1, c)[:, m // 2 + 1 :])))
-    want = ref_marked_probability(state, m)
+    model_major = float(np.sum(np.square(dense.amplitudes.reshape(-1, c)[:, m // 2 + 1 :])))
+    want = ref_marked_probability(dense, m)
     assert bits(model_major) != bits(want)
     assert bits(report.marked_probability) == bits(want)
 
 
 @pytest.mark.parametrize("chunk", [128, 1000])
-def test_grover_replay_across_slab_boundaries(chunk, monkeypatch):
+def test_grover_replay_across_slab_boundaries(chunk, monkeypatch, scatter):
     # small chunks against slabs of 4E values: chunks that hold several
     # slabs, chunks that end inside one and chunks that straddle two
     monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
@@ -263,7 +276,36 @@ def test_grover_replay_across_slab_boundaries(chunk, monkeypatch):
             counts[0] = m
             for iterations in (None, 1):
                 state, report = grover_amplify_counts(counts, m, iterations)
-                assert bits(report.marked_probability) == bits(ref_marked_probability(state, m))
+                assert bits(report.marked_probability) == bits(ref_marked_probability(scatter(state), m))
+
+
+@pytest.mark.parametrize("param_bits", range(17))
+def test_support_norm_matches_dense_norm(param_bits, scatter):
+    for m in M_VALUES:
+        support = random_support(param_bits, m, param_bits * 100 + m)
+        assert bits(support.norm()) == bits(ref_norm(scatter(support)))
+
+
+@pytest.mark.parametrize("chunk", [128, 1000])
+def test_support_norm_across_runs(chunk, monkeypatch, scatter):
+    # chunks of 128 and 1000 values start and end inside a model's run of
+    # 4C values (128 values at C = 32), so a run is split between leaves
+    monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
+    for param_bits in (0, 1, 3, 5, 8, 11):
+        for m in M_VALUES:
+            support = random_support(param_bits, m, param_bits * 100 + m)
+            assert bits(support.norm()) == bits(ref_norm(scatter(support)))
+
+
+def test_support_norm_pins_the_dense_order(scatter):
+    # summed alone, the E support squares pair up otherwise than among the
+    # dense state's zeros and round differently here, so a norm that skips
+    # the zeros cannot pass
+    support = random_support(10, 7, 0)
+    shortcut = float(np.sqrt(np.sum(np.square(support.amplitudes))))
+    want = ref_norm(scatter(support))
+    assert bits(shortcut) != bits(want)
+    assert bits(support.norm()) == bits(want)
 
 
 # --- operations that rewrite the state ---------------------------------------------------
