@@ -486,6 +486,19 @@ def test_grover_takes_whole_float_counts():
         grover_amplify_counts(np.array([np.inf, 0.0, 0.0, 0.0]), 2)
 
 
+@pytest.mark.parametrize("counts", [[2, 0, 1, 2], [2.0, 0.0, 1.0, 2.0]])
+def test_grover_support_is_read_only(counts):
+    # norm() replays both arrays, so nothing may change them under it; int64
+    # counts are kept as passed, so the caller's array is read-only too
+    counts = np.array(counts)
+    state, _ = grover_amplify_counts(counts, 2)
+    for a in (state.counts, state.amplitudes):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    assert counts.flags.writeable == (counts.dtype != np.int64)
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
 def dense_grover(counts, m, iterations):
     """Reference amplitude amplification on a complex statevector with the
     prepared state psi0 stored in full: (amplitudes, marked probability).
@@ -544,9 +557,9 @@ def test_norm_memory_bound(peak_bytes):
 
 
 def test_grover_memory_bound(peak_bytes):
-    # (E,) support vectors and one chunk of squares rebuilt from them, for
-    # the run and for the norm: never the 32 MiB statevector, nor a gather
-    # of its marked values (half the state at M = 14)
+    # (E,) support vectors and one node's table of lane sums of their
+    # squares, for the run and for the norm: never the 32 MiB statevector,
+    # nor a gather of its marked values (half the state at M = 14)
     e, m = 1 << 16, 14
     counts = np.zeros(e, dtype=np.int64)
     counts[: e // 64] = m  # K = E/64: six iterations

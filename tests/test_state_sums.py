@@ -3,21 +3,24 @@
 The references below square the whole state, or a strided part of it, into
 a temporary and let numpy sum that; the simulator sums the same squares one
 chunk at a time in numpy's order.  Grover holds no state, only its support
-amplitudes: its marked probability is replayed from them chunk by chunk
-in the order of numpy's gather of the marked count values, and its norm
-in the order of the dense state's sum, and one case each pins that order
-against another order of the same squares.  Results are compared as
-struct bytes, so a signed zero or a last-bit difference counts.  The
-layouts cover parameter bits 0-16, the count registers of M in
-{1, 2, 7, 14, 24, 31} (M = 24 marks 19 count values, not a power of two)
-and states longer than one chunk on every path, so that the chunk
-recursion runs."""
+amplitudes: its marked probability is summed from their nonzero squares
+alone in the order of numpy's gather of the marked count values, and its
+norm in the order of the dense state's sum, and one case each pins that
+order against another order of the same squares; the sparse sum itself
+is checked against np.sum of the dense vector on supports of every shape.
+Results are compared as struct bytes, so a signed zero or a last-bit
+difference counts.  The layouts cover parameter bits 0-16, the count
+registers of M in {1, 2, 7, 14, 24, 31} (M = 24 marks 19 count values, not
+a power of two), plus M in {13, 29, 33} for Grover, and states longer than
+one chunk on every path, so that the chunk recursion runs."""
 
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qens import simulator
 from qens.simulator import (
@@ -114,6 +117,10 @@ def bits(v) -> bytes:
 
 
 M_VALUES = (1, 2, 7, 14, 24, 31)
+# 9, 17 and 47 marked count values: leaves of 72 values, of 64 and 72
+# values, and of 88 and 96 values in blocks of 376 (M = 33 has a 6-qubit
+# count register, so the norm's runs are 256 values)
+IRREGULAR_M = (13, 29, 33)
 # every parameter width 0-16 with no count register and with the count
 # register of each M; up to 20 qubits, plus wide registers whose single
 # model run is longer than numpy's 8192-value reduction block
@@ -176,12 +183,11 @@ def test_layouts_reach_past_one_chunk():
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 129, 1000, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5, 19 << 14, 1 << 20])
-def test_pairwise_splits_as_numpy(n, monkeypatch):
+def test_pairwise_splits_as_numpy(n):
     x = np.random.default_rng(n).random(n) * 10.0 ** np.random.default_rng(n + 1).uniform(-6, 6, n)
     want = float(np.sum(x))
     for chunk in (128, 1000, simulator._NORM_CHUNK):
-        monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
-        got = simulator._pairwise(n, lambda s, k: float(np.sum(x[s : s + k])))
+        got = simulator._pairwise(n, chunk, lambda s, k: float(np.sum(x[s : s + k])))
         assert bits(got) == bits(want)
 
 
@@ -267,16 +273,28 @@ def test_grover_replay_pins_the_slab_order(scatter):
 
 @pytest.mark.parametrize("chunk", [128, 1000])
 def test_grover_replay_across_slab_boundaries(chunk, monkeypatch, scatter):
-    # small chunks against slabs of 4E values: chunks that hold several
-    # slabs, chunks that end inside one and chunks that straddle two
+    # nodes of 8 * chunk values against slabs of 4E values: nodes that hold
+    # several slabs, nodes that end inside one and nodes that straddle two
     monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
     for param_bits in (0, 1, 3, 5, 8, 11):
-        for m in M_VALUES:
+        for m in M_VALUES + IRREGULAR_M:
             counts = np.random.default_rng(param_bits * 100 + m).integers(0, m + 1, 1 << param_bits)
             counts[0] = m
             for iterations in (None, 1):
                 state, report = grover_amplify_counts(counts, m, iterations)
                 assert bits(report.marked_probability) == bits(ref_marked_probability(scatter(state), m))
+
+
+@pytest.mark.parametrize("param_bits", range(13))
+def test_grover_irregular_trees_match_dense(param_bits, scatter):
+    for m in IRREGULAR_M:
+        counts = np.random.default_rng(param_bits * 100 + m).integers(0, m + 1, 1 << param_bits)
+        counts[0] = m
+        for iterations in (None, 1):
+            state, report = grover_amplify_counts(counts, m, iterations)
+            dense = scatter(state)
+            assert bits(report.marked_probability) == bits(ref_marked_probability(dense, m))
+            assert bits(state.norm()) == bits(ref_norm(dense))
 
 
 @pytest.mark.parametrize("param_bits", range(17))
@@ -288,11 +306,15 @@ def test_support_norm_matches_dense_norm(param_bits, scatter):
 
 @pytest.mark.parametrize("chunk", [128, 1000])
 def test_support_norm_across_runs(chunk, monkeypatch, scatter):
-    # chunks of 128 and 1000 values start and end inside a model's run of
-    # 4C values (128 values at C = 32), so a run is split between leaves
+    # nodes of 1024 and 8000 values against models' runs of 4C values: up
+    # to M = 33 a node holds whole runs; at M = 600 and 5000 (runs of 4096
+    # and 32768 values) nodes start and end inside a run, so a run is split
+    # between nodes and a node may hold no nonzero value
     monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
     for param_bits in (0, 1, 3, 5, 8, 11):
-        for m in M_VALUES:
+        for m in M_VALUES + IRREGULAR_M + (600, 5000):
+            if param_bits + 2 + count_bits_for(m) > 22:
+                continue
             support = random_support(param_bits, m, param_bits * 100 + m)
             assert bits(support.norm()) == bits(ref_norm(scatter(support)))
 
@@ -306,6 +328,108 @@ def test_support_norm_pins_the_dense_order(scatter):
     want = ref_norm(scatter(support))
     assert bits(shortcut) != bits(want)
     assert bits(support.norm()) == bits(want)
+
+
+# --- sums over the nonzero values alone ---------------------------------------------------
+
+
+def ref_sparse_sum(n, at, sq):
+    dense = np.zeros(n)
+    dense[at] = sq
+    return float(np.sum(dense))
+
+
+def sparse_sum(n, at, sq):
+    """_sparse_pairwise_sum of n values that are zero but for sq at the
+    ascending positions at."""
+
+    def nonzeros(start, count):
+        lo, hi = np.searchsorted(at, (start, start + count))
+        return at[lo:hi] - start, sq[lo:hi]
+
+    return simulator._sparse_pairwise_sum(n, nonzeros)
+
+
+SUPPORTS = ("empty", "full", "sparse", "lane", "tail")
+
+
+def support(n, kind, seed, wide):
+    """Ascending positions and values >= +0.0 of a support of kind `kind`
+    in n values: none, all, a random subset, several values in one lane of
+    the first leaf and some in lanes near it, or the last n mod 8 values
+    and a few others.  Wide values span 2**-997 to 2**996 (1e-300 to
+    1e300); narrow ones three decades, so that the order of their additions
+    shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    if kind == "empty":
+        at = np.empty(0, dtype=np.int64)
+    elif kind == "full":
+        at = np.arange(n)
+    elif kind == "sparse":
+        at = rng.choice(n, rng.integers(1, n + 1), replace=False)
+    elif kind == "lane":
+        lane = rng.integers(8)
+        at = np.concatenate([np.arange(lane, 64, 8), rng.integers(0, 64, 12)])
+    else:
+        at = np.concatenate([np.arange(n - n % 8, n), rng.integers(0, n, 5)])
+    chosen = np.zeros(n, dtype=bool)
+    chosen[at[at < n]] = True
+    at = np.flatnonzero(chosen)
+    return at, np.ldexp(rng.random(at.size), rng.integers(-996, 997, at.size) if wide else rng.integers(0, 10, at.size))
+
+
+# n below one lane block, single leaves with and without a tail, odd n, and
+# lengths whose blocks split unevenly (47 * 2**k, 19 * 2**k)
+SPARSE_LENGTHS = [1, 2, 7, 8, 9, 15, 100, 127, 128, 129, 136, 200, 255, 1000, 1001, 4097, 65541]
+SPARSE_LENGTHS += [47 << 4, 47 << 10, 19 << 12, 1 << 16, 3 << 17, 1 << 20]
+
+
+@pytest.mark.parametrize("n", SPARSE_LENGTHS)
+def test_sparse_sum_matches_dense_sum(n):
+    for seed, kind in enumerate(SUPPORTS):
+        for wide in (False, True):
+            at, sq = support(n, kind, seed, wide)
+            assert bits(sparse_sum(n, at, sq)) == bits(ref_sparse_sum(n, at, sq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(1, 7),
+        st.integers(8, 128),
+        st.integers(129, 1 << 20),
+        st.integers(0, 14).map(lambda k: 47 << k),
+    ),
+    kind=st.sampled_from(SUPPORTS),
+    seed=st.integers(0, 2**32 - 1),
+    wide=st.booleans(),
+)
+def test_sparse_sum_matches_dense_sum_on_draws(n, kind, seed, wide):
+    at, sq = support(n, kind, seed, wide)
+    assert bits(sparse_sum(n, at, sq)) == bits(ref_sparse_sum(n, at, sq))
+
+
+def test_sparse_sum_pins_the_dense_order():
+    # these 40 values, added left to right or pairwise among themselves,
+    # round otherwise than among the 960 zeros, so neither shortcut passes
+    rng = np.random.default_rng(12)
+    at, sq = np.sort(rng.choice(1000, 40, replace=False)), rng.random(40)
+    left_to_right = 0.0
+    for value in sq:
+        left_to_right += value
+    want = ref_sparse_sum(1000, at, sq)
+    assert bits(left_to_right) != bits(want)
+    assert bits(float(np.sum(sq))) != bits(want)
+    assert bits(sparse_sum(1000, at, sq)) == bits(want)
+
+
+def test_sparse_sum_memory_bound(peak_bytes):
+    # 2**26 values, 2**19 leaves: the lane table of one node at a time,
+    # never a table over every leaf, nor one entry per leaf
+    n = 1 << 26
+    rng = np.random.default_rng(0)
+    at, sq = np.sort(rng.choice(n, 1 << 10, replace=False)), rng.random(1 << 10)
+    assert peak_bytes(sparse_sum, n, at, sq) <= 8 * simulator._NORM_CHUNK + (64 << 10)
 
 
 # --- operations that rewrite the state ---------------------------------------------------
