@@ -569,6 +569,22 @@ def run_fig7(cfg: dict, out: Path) -> dict:
     return _summary("fig7", cfg, outputs, metrics, checks)
 
 
+def _sequential_deviations(
+    state: simulator.EnsembleState, counts: np.ndarray, acc: np.ndarray, m: int, delta: float
+) -> tuple[float, float]:
+    """Largest |p0 - cos^2 t| and |p0 - accuracy| over the models, p0 the
+    rotated state's accuracy-|0> probability and t = pi/4 - (2c - M) delta,
+    taken a chunk of models at a time so that no (E,) array of the check is
+    made beside the state; a maximum does not depend on the order."""
+    formula, accuracy = [], []
+    for models in simulator.model_chunks(len(counts)):
+        p0 = state.accuracy_zero_probabilities(models)
+        expected = np.cos(math.pi / 4.0 - (2.0 * counts[models] - m) * delta) ** 2
+        formula.append(np.max(np.abs(p0 - expected)))
+        accuracy.append(np.max(np.abs(p0 - acc[models])))
+    return float(np.max(formula)), float(np.max(accuracy))
+
+
 def run_classify(cfg: dict, out: Path) -> dict:
     """Quantum-circuit path and exhaustive classical vote on one grid,
     compared model by model."""
@@ -607,30 +623,30 @@ def run_classify(cfg: dict, out: Path) -> dict:
     if scheme is not weighting.WeightScheme.ACCURACY:
         alt_weights = weighting.weights_for(scheme, acc)
     counts = grid_correct_counts(family, grid, dataset)
+    # the committee's grid pass, the largest transient, runs before the statevector exists
+    classical = weighting.ensemble_decide(
+        family, grid, dataset, weighting.WeightScheme.ACCURACY, query
+    )
+    if rotation == "exact":
+        del counts  # read only by the sequential rotation and its check
     state = simulator.prepare_uniform(layout)
     if rotation == "exact":
         simulator.apply_accuracy_rotation_exact(state, acc)
     else:
         simulator.apply_accuracy_rotation_sequential(state, counts, m, delta)
-        # checked here, so that no (E,) array of the check outlives the rotation
-        rotation_p0 = state.accuracy_zero_probabilities()
-        expected_p0 = np.cos(math.pi / 4.0 - (2.0 * counts - m) * delta) ** 2
-        dev_formula = float(np.max(np.abs(rotation_p0 - expected_p0)))
-        dev_accuracy = float(np.max(np.abs(rotation_p0 - acc)))
-        del rotation_p0, expected_p0
+        dev_formula, dev_accuracy = _sequential_deviations(state, counts, acc, m, delta)
     state, post = simulator.postselect_accuracy_zero(state)
     labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
     simulator.apply_classifier(state, labels)
     alt = None if alt_weights is None else weighting.vote(alt_weights, labels)
-    del labels  # kept alive, this (E,) array would pin the heap through ensemble_decide below
     p_minus, p_plus = simulator.measure_label_distribution(state)
     sigma_z = p_minus - p_plus  # expectation_sigma_z without a second read of the state
     sample = simulator.sample_measurements(p_plus, shots, seed)
-
-    classical = weighting.ensemble_decide(
-        family, grid, dataset, weighting.WeightScheme.ACCURACY, query
-    )
-    per_model_quantum = state.parameter_distribution()
+    if rotation == "exact":
+        deviation = state.parameter_distribution()
+        del state  # the model-by-model check needs only the (E,) distribution
+        deviation -= acc / weighting.tree_sum(acc)
+        max_dev = float(np.max(np.abs(deviation)))
 
     metrics: dict = {
         "models": grid.size,
@@ -654,8 +670,6 @@ def run_classify(cfg: dict, out: Path) -> dict:
         or math.isclose(p_plus, p_minus, abs_tol=1e-12),
     }
     if rotation == "exact":
-        expected_dist = acc / weighting.tree_sum(acc)
-        max_dev = float(np.max(np.abs(per_model_quantum - expected_dist)))
         metrics["max_model_probability_deviation"] = max_dev
         metrics["label_distribution_deviation"] = max(
             abs(p_minus - classical.p_minus), abs(p_plus - classical.p_plus)

@@ -32,12 +32,15 @@ repetitions 1/p_acc rather than simulating retries.
 
 Operations mutate the passed state in place and return it.
 
-Memory: beside the statevector an operation holds O(E) values (angles,
-labels, per-model sums) and at most one chunk of _NORM_CHUNK = 2**16
-float64 values (512 KiB) of squares or temporaries.  Grover never
-allocates the statevector: it evolves its E support amplitudes and returns
-them as a SupportState, the amplitudes and each model's count value.  The
-elementwise steps work in place along the model axis, so numpy's inner
+Memory: beside the statevector an operation holds O(E) values only where
+its input or result has one value per model (the classifier's labels, the
+per-model sums), and otherwise at most a few chunks of _NORM_CHUNK = 2**16
+float64 values (512 KiB each) of squares or temporaries.  The rotation
+asks for its cos and sin values one chunk of 2**16 models at a time
+(model_chunks), so neither route makes an (E,) array of angles beside the
+state.  Grover never allocates the statevector: it evolves its E support
+amplitudes and returns them as a SupportState, the amplitudes and each
+model's count value.  The elementwise steps work in place along the model axis, so numpy's inner
 loops run over E models rather than over the 2 values of one model: the
 rotation one output value at a time, the classifier as masked copies of
 each model's run of 2 * 2**c amplitudes, taken as one raw-byte element,
@@ -151,13 +154,14 @@ class EnsembleState:
         """Probability of each parameter basis state, shape (E,)."""
         return _model_sums(self.view())
 
-    def accuracy_zero_probabilities(self) -> np.ndarray:
-        """P(accuracy qubit = |0> conditioned on each parameter state)."""
-        view = self.view()
+    def accuracy_zero_probabilities(self, models: slice = slice(None)) -> np.ndarray:
+        """P(accuracy qubit = |0> conditioned on each parameter state), for
+        all of them or for the slice `models` of them."""
+        view = self.view()[models]
         zero_branch = _model_sums(view[:, :, 0, :])
         per_model = _model_sums(view[:, :, 1, :])
         per_model += zero_branch
-        out = np.full(self.layout.model_count, np.nan)
+        out = np.full(zero_branch.size, np.nan)
         return np.divide(zero_branch, per_model, out=out, where=per_model > 0.0)
 
 
@@ -283,15 +287,28 @@ def _require_clear(state: EnsembleState, run: int, message: str) -> None:
         raise StateError(message)
 
 
-def _rotate(state: EnsembleState, cos: np.ndarray, sin: np.ndarray) -> EnsembleState:
-    """Take each model's accuracy qubit from |0> to cos[i]|0> + sin[i]|1>."""
+def model_chunks(model_count: int):
+    """Slices of at most _NORM_CHUNK models covering 0..model_count-1 in
+    order: the unit in which per-model values are made beside the state."""
+    return (slice(start, start + _NORM_CHUNK) for start in range(0, model_count, _NORM_CHUNK))
+
+
+def _rotate(state: EnsembleState, angles) -> EnsembleState:
+    """Take each model's accuracy qubit from |0> to cos|0> + sin|1>, where
+    angles(models) gives the (cos, sin) arrays of the models in a slice,
+    asked for one chunk of models at a time."""
     _require_clear(state, state.layout.count_values, _ACCURACY_NOT_CLEAR)
     view = state.view()
-    c, s = cos[:, None], sin[:, None]
-    for output in (0, 1):  # per output value, so for c = 0 numpy's inner loop runs along E
-        np.multiply(view[:, output, 0, :], s, out=view[:, output, 1, :])
-        view[:, output, 0, :] *= c
+    for models in model_chunks(state.layout.model_count):
+        _rotate_chunk(view[models], *angles(models))  # a chunk's angles are freed before the next's
     return state
+
+
+def _rotate_chunk(part: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    c, s = cos[:, None], sin[:, None]
+    for output in (0, 1):  # per output value, so for c = 0 numpy's inner loop runs along the models
+        np.multiply(part[:, output, 0, :], s, out=part[:, output, 1, :])
+        part[:, output, 0, :] *= c
 
 
 def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) -> EnsembleState:
@@ -301,7 +318,7 @@ def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) 
         raise ValueError("one accuracy per parameter basis state is required")
     if a.size and (a.min() < 0.0 or a.max() > 1.0):
         raise ValueError("accuracies outside [0, 1]")
-    return _rotate(state, np.sqrt(a), np.sqrt(1.0 - a))
+    return _rotate(state, lambda models: (np.sqrt(a[models]), np.sqrt(1.0 - a[models])))
 
 
 def _whole_counts(counts: np.ndarray, dataset_size: int) -> np.ndarray:
@@ -333,7 +350,8 @@ def apply_accuracy_rotation_sequential(
     if not 0.0 < delta <= math.pi / (4.0 * m):
         raise ValueError(f"delta must lie in (0, pi/(4*{m})]")
     t = math.pi / 4.0 - (2.0 * np.arange(m + 1) - m) * delta
-    return _rotate(state, np.cos(t)[counts], np.sin(t)[counts])
+    cos, sin = np.cos(t), np.sin(t)
+    return _rotate(state, lambda models: (cos[counts[models]], sin[counts[models]]))
 
 
 @dataclass(frozen=True)

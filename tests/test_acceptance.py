@@ -13,12 +13,13 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qens import cli
+from qens import cli, figures
 from qens.analytic import (
     ClassDensity,
     DecisionProblem1D,
@@ -520,6 +521,91 @@ def test_criterion_10_byte_determinism(tmp_path):
         identical and golden,
         f"{len(GOLDEN_CASES)} cases x 3 runs, identical: {identical}, match recorded sha256: {golden}",
     )
+
+
+U = Fraction(1, 2**53)  # unit roundoff of float64: a rounding moves a value x by at most U * |x|
+
+
+def pairwise_depth(n: int) -> int:
+    """Most roundings a value meets in numpy's pairwise sum of n values:
+    under 8 values one by one; up to 128 in 8 lanes, the lanes combined in
+    3 rounds and the last n mod 8 values added one by one; above 128, one
+    round more per halving."""
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(pairwise_depth(half), pairwise_depth(n - half))
+
+
+def exact_route_bounds(e: int) -> dict[str, int]:
+    """Relative error bounds, in units of U and to first order, of the
+    exact rotation's readouts at E models (no count register); each is also
+    a bound in ulps, since U * |x| <= ulp(x).
+
+    Quantum label readout: an amplitude meets c/M (of which sqrt keeps half
+    the error), its sqrt, the product with 1/sqrt(E) and the product with
+    the renormalisation, 3.5 U beside factors common to every amplitude,
+    which cancel in p = (output-|0> mass) / total; its square has 8 U.  The
+    total is one pairwise sum over the 4 E values; the output-|0> mass adds
+    the pairwise sums of blocks of 8192 of its values one after another;
+    then one division.  Acceptance: beside the rotation's 2.5 U, 1/sqrt(E)
+    (a sqrt and a reciprocal, 2 U) cancels no longer, so a square has 10 U,
+    summed pairwise over the accuracy-|0> branch's 2 E values.  Classical
+    vote: each weight c/M, a fixed tree of ceil(log2 E) rounds for each of
+    the two sums, one division."""
+    block = min(4 * e, 2 * 8192)
+    minus = 8 + pairwise_depth(block // 2) + 4 * e // block - 1
+    return {
+        "quantum_p_minus": minus + 8 + pairwise_depth(4 * e) + 1,
+        "acceptance": 10 + pairwise_depth(2 * e),
+        "classical": 2 * (1 + math.ceil(math.log2(e))) + 1,
+    }
+
+
+def within(x: float, exact: Fraction, error: Fraction) -> tuple[float, float]:
+    """(distance of x from exact, allowed absolute error), in ulps of exact."""
+    unit = Fraction(math.ulp(float(exact)))
+    return float(abs(Fraction(x) - exact) / unit), float(error / unit)
+
+
+@pytest.mark.parametrize(
+    "name", ["classify", "classify_blocks", "classify_mlp2", "classify_log_odds"]
+)
+def test_exact_route_within_stated_ulps_of_the_integer_oracle(tmp_path, name):
+    # with accuracies c_i / M the exact values are ratios of integer sums:
+    # p(+-1) = sum over label +-1 of c_i / sum c_i, acceptance sum c_i / (M E)
+    command, overrides = GOLDEN_CASES[name]
+    cfg = merged_config(command, overrides)
+    family, grid, dataset = figures._ensemble(cfg)
+    counts = grid_correct_counts(family, grid, dataset)
+    query = np.asarray(cfg["query"], dtype=np.float64)
+    labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
+    plus, total = int(counts[labels == 1].sum()), int(counts.sum())
+    p_plus, p_minus = Fraction(plus, total), Fraction(total - plus, total)
+    acceptance = Fraction(total, len(dataset) * grid.size)
+    (tmp_path / "cfg.json").write_text(json.dumps(overrides or {}))
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out), "--config", str(tmp_path / "cfg.json")]) == 0
+    metrics = json.loads((out / "classify_report.json").read_text())["metrics"]
+
+    bound = exact_route_bounds(grid.size)
+    q, c = metrics["quantum"], metrics["classical"]
+    minus_error = bound["quantum_p_minus"] * U * p_minus
+    measured = {
+        "quantum p_minus": within(q["p_minus"], p_minus, minus_error),
+        # p_plus = 1 - p_minus keeps p_minus's absolute error and rounds once more
+        "quantum p_plus": within(
+            q["p_plus"], p_plus, minus_error + Fraction(math.ulp(float(p_plus)))
+        ),
+        "classical p_minus": within(c["p_minus"], p_minus, bound["classical"] * U * p_minus),
+        "classical p_plus": within(c["p_plus"], p_plus, bound["classical"] * U * p_plus),
+        "acceptance": within(
+            metrics["acceptance_probability"], acceptance, bound["acceptance"] * U * acceptance
+        ),
+    }
+    assert all(got <= limit for got, limit in measured.values()), measured
 
 
 # Runs golden cases in a fresh interpreter and prints their sha256 as JSON,

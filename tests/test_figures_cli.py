@@ -120,6 +120,34 @@ def test_classify_sequential_memory_bound(tmp_path, peak_bytes):
     assert peak_bytes(figures.run_classify, cfg, tmp_path) <= bound
 
 
+@pytest.mark.parametrize("rotation", ["exact", "sequential"])
+def test_classify_memory_budget(tmp_path, peak_bytes, rotation):
+    # M = 24 at E = 2^18 models: the committee's grid pass runs before the
+    # statevector exists and the rotation takes its angles a chunk of models
+    # at a time, so beside the state's 4 E float64 values the run holds at
+    # most 5 more E-sized float64 arrays: accuracies, counts, the decoded
+    # grid's 2 columns, and one for the int8 query labels and predict_many's
+    # fixed scratch
+    overrides = {"rotation": rotation, "grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 9}}
+    cfg = merged_config("classify", overrides)
+    e = simulator.RegisterLayout(18).model_count
+    assert peak_bytes(figures.run_classify, cfg, tmp_path) <= 8 * e * (4 + 5)
+
+
+def test_classify_all_models_wrong_is_domain_error(tmp_path, capsys):
+    # every model labels the one point +1 against its label -1, so every
+    # accuracy is 0; the classical committee, which runs first, refuses it
+    cfg = write_config(
+        tmp_path,
+        {
+            "grid": {"intervals": [[1, 2], [1, 2]], "bits": 2},
+            "dataset": {"points": {"x": [[10.0]], "y": [-1]}},
+        },
+    )
+    assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == cli.EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: all model weights are zero\n"
+
+
 def test_grover_report(tmp_path):
     assert run_cli("grover", "--out", str(tmp_path)) == 0
     report = json.loads((tmp_path / "grover_report.json").read_text())
@@ -246,6 +274,48 @@ def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
     )
     assert done.returncode == cli.EXIT_OK, done.stderr
     assert json.loads((tmp_path / "out" / "grover_summary.json").read_text())["ok"]
+
+
+def import_address_space(env) -> int:
+    """Peak address space, in bytes, of a child that has only imported the
+    command line: the interpreter, numpy and its BLAS, and glibc's mappings,
+    which differ between builds and hosts."""
+    probe = "import qens.cli\nprint(open('/proc/self/status').read())"
+    status = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    line = next(line for line in status.splitlines() if line.startswith("VmPeak:"))
+    return int(line.split()[1]) << 10
+
+
+@pytest.mark.parametrize("rotation", ["exact", "sequential"])
+def test_classify_under_address_space_limit(tmp_path, rotation):
+    # bits 11: E = 2^22 models, 24 qubits, a 128 MiB statevector (4 E-sized
+    # float64 arrays).  The committee's grid pass (decoded grid and int8
+    # predictions, 8 E-sized arrays) ends before the statevector exists,
+    # so above its imports the run peaks at 9 E-sized arrays (exact) or
+    # 9.75 (sequential); with that pass alive beside the state it needed 13.
+    # The limit grants 11 above what the imports take
+    grid = {"intervals": [[-1, 1], [-1, 1]], "bits": 11}
+    cfg = write_config(tmp_path, {"rotation": rotation, "grid": grid})
+    src = str(Path(qens.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    cap = import_address_space(env) + 11 * 8 * simulator.RegisterLayout(22).model_count
+
+    def limit():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    argv = ["classify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, "-m", "qens.cli", *argv],
+        env=env,
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert json.loads((tmp_path / "out" / "classify_summary.json").read_text())["ok"]
 
 
 def test_classify_at_qubit_cap_under_address_space_limit(tmp_path):

@@ -111,12 +111,23 @@ def test_exact_rotation_sets_zero_branch_probabilities():
 
 
 def test_exact_rotation_writes_in_place(peak_bytes):
-    # cos and sin columns plus one transient: no E x 2 complex temporary
-    layout = RegisterLayout(16)
+    # the cos and sin values and one transient for one chunk of models at a
+    # time, at E = 4 chunks: no (E,) angle array and no state-sized temporary
+    layout = RegisterLayout(18)
     state = prepare_uniform(layout)
     acc = np.linspace(0.0, 1.0, layout.model_count)
-    assert peak_bytes(apply_accuracy_rotation_exact, state, acc) <= 32 * layout.model_count
+    assert peak_bytes(apply_accuracy_rotation_exact, state, acc) <= 3 * CHUNK + SLACK
     assert np.allclose(state.accuracy_zero_probabilities(), acc, atol=1e-12)
+
+
+def test_exact_rotation_by_chunks_has_the_bits_of_one_pass():
+    # 4 chunks of models; each amplitude is one product, whatever the chunk
+    layout = RegisterLayout(18)
+    acc = np.linspace(0.0, 1.0, layout.model_count)
+    state = apply_accuracy_rotation_exact(prepare_uniform(layout), acc)
+    amp = prepare_uniform(layout).view()[:, 0, 0, 0]
+    assert state.view()[:, 0, 0, 0].tobytes() == (amp * np.sqrt(acc)).tobytes()
+    assert state.view()[:, 0, 1, 0].tobytes() == (amp * np.sqrt(1.0 - acc)).tobytes()
 
 
 def test_exact_rotation_validates_input():
@@ -234,10 +245,11 @@ def test_accuracy_zero_probabilities_nan_for_unpopulated():
     assert math.isnan(p0[1])
 
 
-# beside the state an operation holds O(E) values and one chunk of squares
-# or temporaries, plus numpy's iterator buffers (64 KiB each) and a few
-# Python objects; the two layouts put 8 MiB states behind 2^18 models and
-# behind 2^14 models with a 4-qubit count register
+# beside the state an operation holds O(E) values only where its input or
+# result is per model, and otherwise a few chunks of squares or temporaries,
+# plus numpy's iterator buffers (64 KiB each) and a few Python objects; the
+# two layouts put 8 MiB states behind 2^18 models and behind 2^14 models
+# with a 4-qubit count register
 CHUNK = 8 * simulator._NORM_CHUNK
 SLACK = 128 << 10
 MEMORY_LAYOUTS = pytest.mark.parametrize("param_bits, count_bits", [(18, 0), (14, 4)])
@@ -264,6 +276,17 @@ def test_accuracy_zero_probabilities_memory_bound_with_count_register(peak_bytes
     state = rotated_state(14, 4)
     e = state.layout.model_count
     assert peak_bytes(state.accuracy_zero_probabilities) <= 32 * e + CHUNK + SLACK
+
+
+@MEMORY_LAYOUTS
+def test_accuracy_zero_probabilities_of_slices_are_those_of_all(param_bits, count_bits):
+    # each model's sums are its own, so any slice has the bits of the whole
+    state = rotated_state(param_bits, count_bits)
+    whole = state.accuracy_zero_probabilities()
+    chunks = simulator.model_chunks(state.layout.model_count)
+    parts = [state.accuracy_zero_probabilities(models) for models in chunks]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert state.accuracy_zero_probabilities(slice(5, 9)).tobytes() == whole[5:9].tobytes()
 
 
 @MEMORY_LAYOUTS
@@ -334,17 +357,18 @@ def test_sequential_rotation_exact_at_extreme_and_half_counts():
     assert np.allclose(state.accuracy_zero_probabilities(), counts / 2.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("param_bits, count_bits", [(16, 0), (14, 4)])
+@pytest.mark.parametrize("param_bits, count_bits", [(16, 0), (18, 0), (14, 4)])
 def test_sequential_rotation_memory_bound(param_bits, count_bits, peak_bytes):
-    # O(E): the gathered cos and sin columns, the M + 1 angles and their
-    # values, and one chunk of squares for the clear check; no state-sized
-    # term and nothing per training point
+    # the M + 1 angles and their values, then the gathered cos and sin of
+    # one chunk of models at a time (or of all E models, if fewer), or one
+    # chunk of squares for the clear check: nothing that grows with E past
+    # a chunk, or with the training points
     layout = RegisterLayout(param_bits, count_bits)
     state = prepare_uniform(layout)
-    e, m = layout.model_count, 24
-    counts = np.random.default_rng(3).integers(0, m + 1, e)
+    m = 24
+    counts = np.random.default_rng(3).integers(0, m + 1, layout.model_count)
     delta = math.pi / (4 * m)
-    bound = 16 * e + CHUNK + SLACK
+    bound = 16 * min(layout.model_count, simulator._NORM_CHUNK) + CHUNK + SLACK
     assert peak_bytes(apply_accuracy_rotation_sequential, state, counts, m, delta) <= bound
 
 
