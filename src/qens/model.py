@@ -23,8 +23,9 @@ point): the margin, plus mlp2's h1 + h2 tanh activations, made in place.
 Their margins come from BLAS (perceptron matmul) or einsum (mlp2), so their
 last bits follow the host's kernels, which BLAS picks by the block's shape.
 correct_counts reduces the int8 table 2**16 values at a
-time, each block a float64 matrix-vector product with the labels: every dot
-product is an integer of magnitude at most M, exact in any summation order.
+time, each block a matrix-vector product with the labels in float32 while
+M <= 2**24 (float64 beyond): every partial sum is an integer of magnitude
+at most M, exact in that type in any summation order.
 Parameter vectors are flat float64 arrays; mlp2 packs W1 row-major, then
 W2 row-major, then the output weights.
 
@@ -56,7 +57,8 @@ MLP_TWO_HIDDEN = "mlp2"
 _KINDS = (THRESHOLD1D, PERCEPTRON, MLP_TWO_HIDDEN)
 _RUN = 1 << 14  # models per run of the one-input kernel
 _BLOCK_VALUES = 1 << 18  # float64 values per wide predict_many block: 2 MiB
-_COUNT_CHUNK = 1 << 16  # float64 prediction values per correct_counts block
+_COUNT_CHUNK = 1 << 16  # prediction values per correct_counts block
+_FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to this
 
 
 @dataclass(frozen=True)
@@ -306,10 +308,11 @@ def correct_counts(family: ModelFamily, thetas: np.ndarray, dataset: Dataset) ->
         raise ValueError("dataset is empty")
     preds = predict_many(family, thetas, dataset.x)
     e, m = preds.shape
-    y = dataset.y.astype(np.float64)
+    dtype = np.float32 if m <= _FLOAT32_EXACT else np.float64
+    y = dataset.y.astype(dtype)
     rows = max(1, _COUNT_CHUNK // m)
-    block = np.empty((min(rows, e), m))
-    dots = np.empty(len(block))  # sum of y * prediction: +1 where correct, -1 where wrong
+    block = np.empty((min(rows, e), m), dtype)
+    dots = np.empty(len(block), dtype)  # sum of y * prediction: +1 where correct, -1 where wrong
     out = np.empty(e, dtype=np.int64)
     for start in range(0, e, rows):
         k = min(rows, e - start)

@@ -38,36 +38,33 @@ per-model sums), and otherwise at most a few chunks of _NORM_CHUNK = 2**16
 float64 values (512 KiB each) of squares or temporaries.  The rotation
 asks for its cos and sin values one chunk of 2**16 models at a time
 (model_chunks), so neither route makes an (E,) array of angles beside the
-state.  Grover never allocates the statevector: it evolves its E support
-amplitudes and returns them as a SupportState, the amplitudes and each
-model's count value.  The elementwise steps work in place along the model axis, so numpy's inner
-loops run over E models rather than over the 2 values of one model: the
-rotation one output value at a time, the classifier as masked copies of
+state.  The elementwise steps work in place along the model axis, so numpy's
+inner loops run over E models rather than over the 2 values of one model:
+the rotation one output value at a time, the classifier as masked copies of
 each model's run of 2 * 2**c amplitudes, taken as one raw-byte element,
 and the postselection on views that already merge into one long axis.
 Every readout has the bits of np.sum over a squared copy of (part of) the
 state, because it adds the chunks in the order numpy 2.4 uses
-(tests/test_state_sums.py holds those numpy expressions as references).
-Grover's two readouts, marked probability and norm, are such sums over
-vectors that are zero but for at most one square per model; a zero changes
-no partial sum, so _sparse_pairwise_sum adds the nonzero squares alone, in
-the order of numpy's pairwise split and 8-lane blocks:
+(tests/test_state_sums.py holds those numpy expressions as references):
 
   contiguous operand  one pairwise sum over its whole length, which numpy
                       splits at n/2 - (n/2 mod 8) down to blocks of 128;
                       _pairwise splits the same way down to chunks and
                       lets np.sum do the rest (the square of a strided
                       view is such an operand, in C order): the norm, the
-                      branch masses and the label readout's total; and,
-                      from the support, Grover's marked mass, over numpy's
-                      gather of the marked values, and a SupportState's
-                      norm, over the dense state
+                      branch masses and the label readout's total
   strided operand     buffered blocks of max(8192, contiguous run) values
                       (runs here are powers of two), each one pairwise
                       sum, added one after another: the label readout's
                       output-|0> mass, over an already squared state
   per-model sums      each model's row is summed alone, so any number of
                       rows at a time gives the same sums
+
+Grover never allocates the statevector: each of its steps applies the same
+float operations to every marked amplitude and the same ones to every
+unmarked one, so from the uniform start its state is two values and the
+marked count K (Grover 1996; Boyer, Brassard, Hoyer & Tapp 1998).  Its sums
+of K equal and E - K equal terms are computed exactly and rounded once.
 """
 
 from __future__ import annotations
@@ -82,7 +79,6 @@ from . import prng
 DEFAULT_QUBIT_CAP = 26
 _ATOL = 1e-12
 _NORM_CHUNK = 1 << 16  # float64 values an operation holds beside the state
-_LEAF = 128  # numpy's pairwise block: a run this short is summed in 8 lanes
 _REDUCE_BLOCK = 8192  # numpy's default buffer: its block for a strided sum
 _ACCURACY_NOT_CLEAR = "accuracy qubit is not |0>; rotation already applied?"
 _OUTPUT_NOT_CLEAR = "output qubit is not |0>; classifier already applied?"
@@ -184,14 +180,14 @@ def _squares(seq: np.ndarray, start: int, n: int, buf: np.ndarray) -> np.ndarray
     return out
 
 
-def _pairwise(n: int, chunk: int, leaf, start: int = 0) -> float:
-    """numpy's pairwise sum of n values, from leaf(start, count) = the sum
-    of values start..start+count-1 in numpy's order for each count <= chunk,
-    called left to right; chunk must be at least numpy's block of 128."""
-    if n <= chunk:
+def _pairwise(n: int, leaf, start: int = 0) -> float:
+    """numpy's pairwise sum of n values, from leaf(start, count) = the
+    np.sum of values start..start+count-1 for each count <= _NORM_CHUNK,
+    called left to right."""
+    if n <= _NORM_CHUNK:
         return leaf(start, n)
     half = n // 2 - n // 2 % 8
-    return _pairwise(half, chunk, leaf, start) + _pairwise(n - half, chunk, leaf, start + half)
+    return _pairwise(half, leaf, start) + _pairwise(n - half, leaf, start + half)
 
 
 def _sum_squares(seq: np.ndarray) -> float:
@@ -199,63 +195,7 @@ def _sum_squares(seq: np.ndarray) -> float:
     squares at a time: numpy squares into a contiguous C-order array and
     sums that as one pairwise sum."""
     buf = np.empty(min(seq.size, _NORM_CHUNK))
-    return _pairwise(seq.size, _NORM_CHUNK, lambda s, n: float(np.sum(_squares(seq, s, n, buf))))
-
-
-def _sparse_pairwise_sum(n: int, nonzeros) -> float:
-    """np.sum of n float64 values >= +0.0, bit for bit, from their nonzero
-    values alone: nonzeros(start, count) gives the positions, ascending and
-    relative to start, and the values of those among values
-    start..start+count-1.  A zero changes no partial sum (x + 0.0 = x), so
-    only the order of numpy's additions matters: the pairwise split down to
-    leaves of at most 128 values, each summed in 8 lanes, lane k adding
-    values k, k + 8, ... in order, the lanes combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the leaf's last
-    length mod 8 values one by one.  The split is taken down to nodes of at
-    most 8 * _NORM_CHUNK values, each summed through one table of its
-    leaves' lane sums, half a chunk."""
-    return _pairwise(n, 8 * _NORM_CHUNK, lambda start, count: _node_sum(count, *nonzeros(start, count)))
-
-
-def _halve(sums: np.ndarray, levels: int) -> np.ndarray:
-    """`levels` rounds of adding neighbours, the top of a pairwise tree."""
-    for _ in range(levels):
-        sums = sums[0::2] + sums[1::2]
-    return sums
-
-
-def _node_sum(n: int, at: np.ndarray, sq: np.ndarray) -> float:
-    """numpy's pairwise sum of n values that are zero but for sq at the
-    ascending positions at, as _sparse_pairwise_sum describes."""
-    if not at.size:
-        return 0.0
-    # every split falls on a multiple of 8, so only the last leaf can end in
-    # n mod 8 values that are added one by one after its lanes
-    body = int(np.searchsorted(at, n - n % 8))
-    tail = sq[body:].tolist()
-    at, sq = at[:body], sq[:body]
-    # n halves exactly down to 2**levels blocks of one length; a block over
-    # 128 values splits unevenly, into leaves whose starts depend only on it
-    block, levels = n, 0
-    while block > _LEAF and block % 16 == 0:
-        block, levels = block // 2, levels + 1
-    starts: list[int] = []
-    _pairwise(block, _LEAF, lambda s, c: starts.append(s) or 0.0)
-    # a row of 8 lane sums per leaf; every leaf starts at a multiple of 8
-    row = at // block
-    if len(starts) > 1:
-        row *= len(starts)
-        row += np.searchsorted(starts, at % block, "right") - 1
-    row <<= 3
-    row |= at & 7
-    lanes = np.zeros((8 * len(starts)) << levels)
-    np.add.at(lanes, row, sq)  # unbuffered, so each lane adds in position order
-    sums = _halve(lanes, 3)
-    for value in tail:
-        sums[-1] += value
-    # each block's leaves paired as numpy splits the block, then the blocks
-    columns = dict(zip(starts, sums.reshape(-1, len(starts)).T))
-    return float(_halve(_pairwise(block, _LEAF, lambda s, c: columns[s]), levels)[0])
+    return _pairwise(seq.size, lambda s, n: float(np.sum(_squares(seq, s, n, buf))))
 
 
 def _model_sums(branch: np.ndarray) -> np.ndarray:
@@ -440,63 +380,58 @@ class GroverReport:
     closed_form_probability: float
 
 
+def _exact_sum(*terms: tuple[int, float]) -> float:
+    """sum(count * value) over the terms, exact and rounded once: each value
+    is p / q with q a power of two, and int / int rounds correctly."""
+    ratios = [value.as_integer_ratio() for _, value in terms]
+    den = max(q for _, q in ratios)
+    return sum(count * p * (den // q) for (count, _), (p, q) in zip(terms, ratios)) / den
+
+
 @dataclass(frozen=True)
 class SupportState:
-    """A state held as its support: its only nonzero amplitudes are
-    amplitudes[i], at basis state (i, 0, 0, counts[i]).  Grover returns
-    both arrays read-only."""
+    """Grover's state: marked_amplitude at basis state (i, 0, 0, counts[i])
+    where marked[i], else unmarked_amplitude; counts, marked are read-only."""
 
     layout: RegisterLayout
     counts: np.ndarray
-    amplitudes: np.ndarray
+    marked: np.ndarray
+    marked_amplitude: float
+    unmarked_amplitude: float
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The E support amplitudes in model order, as a new read-only array."""
+        amps = np.where(self.marked, self.marked_amplitude, self.unmarked_amplitude)
+        amps.setflags(write=False)
+        return amps
 
     def norm(self) -> float:
-        """With the bits of np.sqrt(np.sum(np.square(a))) over the dense state
-        a, summed from the E nonzero squares alone: model i's square lies at
-        run * i + counts[i] in its run of 4C values."""
-        amps, counts = self.amplitudes, self.counts
-        run = 4 * self.layout.count_values
-
-        def nonzeros(start: int, n: int):
-            lo, hi = start // run, -(-(start + n) // run)  # the models whose runs the node touches
-            at = np.arange(lo * run - start, hi * run - start, run)
-            at += counts[lo:hi]
-            first, stop = int(at[0] < 0), at.size - int(at[-1] >= n)  # a node may cut its end runs
-            return at[first:stop], np.square(amps[lo + first : lo + stop])
-
-        return float(np.sqrt(_sparse_pairwise_sum(run * amps.size, nonzeros)))
+        """sqrt of the exact sum of the squared amplitudes, rounded once."""
+        k, x_m, x_u = int(np.count_nonzero(self.marked)), self.marked_amplitude, self.unmarked_amplitude
+        return math.sqrt(_exact_sum((k, x_m * x_m), (self.layout.model_count - k, x_u * x_u)))
 
 
 def grover_amplify_counts(
-    correct_counts: np.ndarray,
-    dataset_size: int,
-    iterations: int | None = None,
+    correct_counts: np.ndarray, dataset_size: int, iterations: int | None = None
 ) -> tuple[SupportState, GroverReport]:
-    """Amplitude amplification of the better-than-chance models.
-
-    The count register is loaded with each model's correct count; the
-    oracle flips the phase of every basis state whose count register
-    value v satisfies 2v > M (for M+1 a power of two this is exactly the
-    register's top qubit).  Diffusion reflects about the prepared state.
-    The state stays on the E basis states (i, 0, 0, counts[i]): iterations
-    run on those E amplitudes, O(E) each, which are returned as a
-    read-only SupportState, never as a 2**n statevector (int64 counts are
-    kept as passed, so the caller's array turns read-only too).  Both
-    readouts are summed from the nonzero squares alone in numpy's order:
-    the marked probability, with the bits of np.sum over the squared
-    gather of the dense state's marked count values, and SupportState.norm.
-    Counts must be whole numbers in 0..M.  The default iteration count is
-    floor(pi/4 sqrt(E/K)).
-    """
+    """Amplitude amplification of the better-than-chance models: the oracle
+    flips the phase where the count register holds v with 2v > M, diffusion
+    reflects about the prepared state.  On the support (i, 0, 0, counts[i])
+    the K marked models share amplitude x_m and the rest x_u.  A step negates
+    x_m, takes overlap = round(K fl(x_m amp0) + (E - K) fl(x_u amp0)),
+    amp0 = 1/sqrt(E), and sets each x to -x + 2 overlap amp0, as a dense run
+    does; the marked probability is round(K fl(x_m^2)).  Counts must be
+    whole numbers in 0..M; int64 counts are kept and turn read-only.  The
+    default iteration count is floor(pi/4 sqrt(E/K))."""
     counts = np.asarray(correct_counts)
     m = int(dataset_size)
     if counts.ndim != 1 or counts.size < 1 or (1 << int(np.log2(counts.size))) != counts.size:
         raise ValueError("correct_counts must have power-of-two length")
     counts = _whole_counts(counts, m)
-    param_bits = int(np.log2(counts.size))
-    layout = RegisterLayout(param_bits, count_bits_for(m))
+    layout = RegisterLayout(int(np.log2(counts.size)), count_bits_for(m))
     e = layout.model_count
-    marked = 2 * counts > m
+    marked = counts > m // 2  # 2c > M for whole c, with no E-sized int64 temporary
     k = int(np.count_nonzero(marked))
     if k == 0:
         raise ValueError("no model is better than chance; nothing to amplify")
@@ -505,31 +440,16 @@ def grover_amplify_counts(
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
 
-    # amps[i] at (i, 0, 0, counts[i]); diffusion 2|psi0><psi0| - I: negate, add the projection
     amp0 = 1.0 / math.sqrt(e)
-    amps = np.full(e, amp0)
+    x_m = x_u = amp0
     for _ in range(iterations):
-        np.negative(amps, out=amps, where=marked)
-        overlap = float(np.sum(amps * amp0))
-        np.negative(amps, out=amps)
-        amps += 2.0 * overlap * amp0
-    # numpy's boolean-mask gather of the marked values lays out one count
-    # value's slab of E runs of 4 values after another: slab j holds
-    # amps[i]**2 at 4 (j E + i) where counts[i] = v0 + j
-    v0 = m // 2 + 1
-
-    def nonzeros(start: int, n: int):
-        at, sq = [], []
-        for j in range(start // (4 * e), -(-(start + n) // (4 * e))):  # the slabs the node touches
-            first, stop = max(start // 4 - j * e, 0), min((start + n) // 4 - j * e, e)
-            rows = np.flatnonzero(counts[first:stop] == v0 + j)
-            at.append(4 * (j * e + first + rows) - start)
-            sq.append(np.square(amps[first:stop][rows]))
-        return np.concatenate(at), np.concatenate(sq)
-
-    amplified = _sparse_pairwise_sum(4 * e * (layout.count_values - v0), nonzeros)
+        x_m = -x_m
+        overlap = _exact_sum((k, x_m * amp0), (e - k, x_u * amp0))
+        c = 2.0 * overlap * amp0
+        x_m, x_u = -x_m + c, -x_u + c
+    amplified = _exact_sum((k, x_m * x_m))
     closed = math.sin((2 * iterations + 1) * math.asin(math.sqrt(k / e))) ** 2
     report = GroverReport(k, e, iterations, math.sqrt(e / k), amplified, closed)
     counts.setflags(write=False)
-    amps.setflags(write=False)
-    return SupportState(layout, counts, amps), report
+    marked.setflags(write=False)
+    return SupportState(layout, counts, marked, x_m, x_u), report

@@ -16,8 +16,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qens import cli, figures
 from qens.analytic import (
@@ -606,6 +609,100 @@ def test_exact_route_within_stated_ulps_of_the_integer_oracle(tmp_path, name):
         ),
     }
     assert all(got <= limit for got, limit in measured.values()), measured
+
+
+def grover_error_bounds(e: int, t: int, p):
+    """(bound on |marked probability - p|, bound on |norm - 1|), absolute
+    and to first order, after t iterations at E models; p is the exact
+    marked probability.
+
+    In coordinates (sqrt(K) x_m, sqrt(E - K) x_u) the exact state is a unit
+    vector and each step an orthogonal map, so an error made in one step is
+    carried on without growth.  amp0 is (1 + eta)/sqrt(E), eta from its
+    sqrt and division (0 when E is a power of 4), so the start is |eta|
+    off.  A step uses amp0 twice where 1/sqrt(E) belongs (2 |eta|), rounds
+    the two products x amp0 (U, as they weigh at most 1 together), the
+    overlap (U) and 2 overlap amp0 (U), all along the prepared state, which
+    the step adds twice; and it rounds the two new values (U in norm):
+    2 (2 |eta| + 3 U) + U.  p = a^2 moves by at most twice the state's
+    error, and its readout rounds fl(x_m^2) and the sum (2 U p); the norm
+    moves by the state's error and rounds the squares, their sum and the
+    sqrt (3 U).  One U more covers the second-order terms, which stay far
+    below U at t <= 4096."""
+    with mpmath.workdps(50):
+        u = mpmath.mpf(2) ** -53
+        eta = abs(mpmath.mpf(1.0 / math.sqrt(e)) * mpmath.sqrt(e) - 1)
+        state = eta + t * (2 * (2 * eta + 3 * u) + u)
+        return 2 * state + 2 * u * p + u, state + 3 * u + u
+
+
+def grover_ulps(counts, m, iterations=None) -> dict[str, tuple[float, float]]:
+    """Distance of Grover's readouts from the mpmath oracle, and the bound
+    allowed, in units of U = 2^-53 (an ulp of values in [1/2, 1), so of the
+    norm and of a well amplified probability): the marked probability
+    against sin^2((2t + 1) asin sqrt(K/E)), with K counted here, and the
+    norm against 1."""
+    state, report = grover_amplify_counts(counts, m, iterations)
+    e, t = counts.size, report.iterations
+    k = int(np.count_nonzero(2 * np.asarray(counts) > m))
+    with mpmath.workdps(50):
+        u = mpmath.mpf(2) ** -53
+        p = mpmath.sin((2 * t + 1) * mpmath.asin(mpmath.sqrt(mpmath.mpf(k) / e))) ** 2
+        p_bound, norm_bound = grover_error_bounds(e, t, p)
+        return {
+            "marked_probability": (float(abs(report.marked_probability - p) / u), float(p_bound / u)),
+            "norm": (float(abs(state.norm() - 1) / u), float(norm_bound / u)),
+        }
+
+
+def assert_within_bounds(measured: dict[str, tuple[float, float]]) -> None:
+    worst = max(got for got, _ in measured.values())
+    assert all(got <= limit for got, limit in measured.values()), (
+        f"worst {worst:.3g} ulp from the mpmath oracle; (measured, allowed): {measured}"
+    )
+
+
+def _whole_register_case(e: int, m: int, marked: list[int]) -> np.ndarray:
+    counts = np.zeros(e, dtype=np.int64)
+    counts[marked] = m
+    return counts
+
+
+GROVER_ORACLE_CASES = {
+    # 26 qubits, one marked model of 2^22, the default 1608 iterations
+    "one_of_2^22": (lambda: _whole_register_case(1 << 22, 3, [12345]), 3, None),
+    # 4 models at M = 2^21 - 1: 2^20 marked count values; the default and 31
+    "m_2^21-1": (lambda: np.array([(1 << 21) - 1, 1 << 20, (1 << 20) - 1, 0]), (1 << 21) - 1, None),
+    "m_2^21-1_t31": (lambda: np.array([(1 << 21) - 1, 1 << 20, (1 << 20) - 1, 0]), (1 << 21) - 1, 31),
+}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, (command, _) in GOLDEN_CASES.items() if command == "grover"] + list(GROVER_ORACLE_CASES)
+)
+def test_grover_within_stated_ulps_of_the_mpmath_oracle(name):
+    if name in GROVER_ORACLE_CASES:
+        make, m, iterations = GROVER_ORACLE_CASES[name]
+        counts = make()
+    else:
+        command, overrides = GOLDEN_CASES[name]
+        cfg = merged_config(command, overrides)
+        family, grid, dataset = figures._ensemble(cfg)
+        counts, m, iterations = grid_correct_counts(family, grid, dataset), len(dataset), cfg["iterations"]
+    assert_within_bounds(grover_ulps(counts, m, iterations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    param_bits=st.integers(0, 12),
+    m=st.integers(1, 31),
+    iterations=st.one_of(st.none(), st.integers(0, 31)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grover_within_stated_ulps_of_the_mpmath_oracle_on_draws(param_bits, m, iterations, seed):
+    counts = np.random.default_rng(seed).integers(0, m + 1, 1 << param_bits)
+    counts[0] = m  # at least one marked model
+    assert_within_bounds(grover_ulps(counts, m, iterations))
 
 
 # Runs golden cases in a fresh interpreter and prints their sha256 as JSON,

@@ -247,8 +247,8 @@ def test_grid_whose_ticks_overflow_is_usage_error(tmp_path, command):
 
 def test_grover_at_qubit_cap_under_address_space_limit(tmp_path):
     # 26 qubits, whose real statevector alone would take 512 MiB.  Grover
-    # holds only its E = 2^20 support amplitudes and one chunk beside them,
-    # so it completes under 320 MiB of address space
+    # holds two values beside the E = 2^20 counts and marked mask, so it
+    # completes under 320 MiB of address space
     pair = {"mu_minus": -1.0, "sigma_minus": 0.5, "mu_plus": 1.0, "sigma_plus": 0.5}
     cfg = write_config(
         tmp_path,

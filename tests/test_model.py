@@ -571,3 +571,23 @@ def test_correct_counts_memory_bound(fam, peak_bytes):
     thetas = rng.normal(size=(e, fam.parameter_count))
     ds = Dataset(rng.normal(size=(m, fam.input_dim)), rng.choice([-1, 1], size=m))
     assert peak_bytes(correct_counts, fam, thetas, ds) <= e * m + 8 * e + block + (128 << 10)
+
+
+@pytest.mark.parametrize("below, dtype", [(0, np.float32), (1, np.float64)], ids=["float32", "float64"])
+@pytest.mark.parametrize("m", [1, 24, 3001])
+def test_correct_counts_in_both_reduction_types(below, dtype, m, monkeypatch):
+    # float32 while M is at most the limit, float64 above it; every partial
+    # sum is an integer of magnitude at most M, exact in either type
+    monkeypatch.setattr(model, "_FLOAT32_EXACT", m - below)
+    seen = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: seen.append(a.dtype) or matmul(a, b, **kw))
+    fam = ModelFamily("perceptron", 1)
+    rng = np.random.default_rng(m)
+    ds = Dataset(rng.normal(size=(m, 1)), rng.choice([-1, 1], size=m))
+    thetas = rng.normal(size=(2 * (model._COUNT_CHUNK // m) + 3, 2))
+    for y in (ds.y, np.ones(m, dtype=np.int64), -np.ones(m, dtype=np.int64)):
+        both = Dataset(ds.x, y)
+        want = np.count_nonzero(predict_many(fam, thetas, both.x) == both.y, axis=1)
+        assert np.array_equal(correct_counts(fam, thetas, both), want)
+    assert seen and set(seen) == {np.dtype(dtype)}

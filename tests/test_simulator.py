@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qens import simulator
 from qens.model import (
@@ -457,10 +459,9 @@ def test_grover_zero_marked_rejected(peak_bytes):
     with pytest.raises(ValueError):
         grover_amplify_counts(counts, 2)
 
-    # refused before the support amplitudes are evolved, within 1/32 of the
-    # 32 MiB a dense state would take here.  A run that goes on holds only
-    # its E support values and replays both readouts from them in numpy's
-    # order, so it allocates no statevector either
+    # refused before any amplitude is evolved, within 1/32 of the 32 MiB a
+    # dense state would take here.  A run that goes on holds two values and
+    # the marked mask, so it allocates no statevector either
     e, m = 1 << 16, 14
     counts = np.full(e, m // 2, dtype=np.int64)
     state_bytes = 8 << RegisterLayout(16, count_bits_for(m)).total_qubits
@@ -512,23 +513,38 @@ def test_grover_takes_whole_float_counts():
 
 @pytest.mark.parametrize("counts", [[2, 0, 1, 2], [2.0, 0.0, 1.0, 2.0]])
 def test_grover_support_is_read_only(counts):
-    # norm() replays both arrays, so nothing may change them under it; int64
-    # counts are kept as passed, so the caller's array is read-only too
+    # two values stand for every amplitude, so nothing may change the mask
+    # or the counts under them; int64 counts are kept as passed, so the
+    # caller's array is read-only too, and the expanded amplitudes are a
+    # read-only copy
     counts = np.array(counts)
     state, _ = grover_amplify_counts(counts, 2)
-    for a in (state.counts, state.amplitudes):
+    for a in (state.counts, state.marked, state.amplitudes):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
+    with pytest.raises(AttributeError):
+        state.marked_amplitude = 0.0
     assert counts.flags.writeable == (counts.dtype != np.int64)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_grover_result_has_what_the_benchmark_tracer_reads():
+    # bench/tracer.py observes Grover's result as a state: it reads
+    # layout.total_qubits and amplitudes.nbytes, one float64 per model
+    e, m = 1 << 12, 14
+    counts = np.random.default_rng(5).integers(0, m + 1, e)
+    state, _ = grover_amplify_counts(counts, m)
+    assert state.layout.total_qubits == 12 + 2 + count_bits_for(m)
+    assert state.amplitudes.nbytes == 8 * e
+    assert set(state.amplitudes[state.marked]) == {state.marked_amplitude}
+
+
 def dense_grover(counts, m, iterations):
     """Reference amplitude amplification on a complex statevector with the
-    prepared state psi0 stored in full: (amplitudes, marked probability).
-    The overlap <psi0|amps> is summed over psi0's support in index order,
-    as one float64 pairwise sum; a dot product over the whole state adds in
-    another order and rounds differently once the amplitudes are inexact."""
+    prepared state psi0 stored in full: (amplitudes, marked probability,
+    norm).  The overlap <psi0|amps>, the marked mass and the norm's square
+    are each summed exactly and rounded once (math.fsum), over the float
+    products and squares that numpy forms."""
     e = counts.size
     layout = RegisterLayout(int(np.log2(e)), count_bits_for(m))
     amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
@@ -539,9 +555,11 @@ def dense_grover(counts, m, iterations):
     marked = 2 * np.arange(layout.count_values) > m
     for _ in range(iterations):
         view[:, :, :, marked] *= -1.0
-        overlap = np.sum(psi0[support].real * amps[support].real)
+        overlap = math.fsum(psi0[support].real * amps[support].real)
         amps[:] = 2.0 * overlap * psi0 - amps
-    return amps, float(np.sum(np.abs(view[:, :, :, marked]) ** 2))
+    squares = np.abs(amps) ** 2
+    marked_mass = math.fsum(squares.reshape(view.shape)[:, :, :, marked].ravel())
+    return amps, marked_mass, math.sqrt(math.fsum(squares))
 
 
 @pytest.mark.parametrize("param_bits", range(3, 14))
@@ -559,12 +577,50 @@ def test_grover_matches_dense_reference(param_bits, scatter):
     cases.append((few, 14, None))
     for counts, m, iterations in cases:
         state, report = grover_amplify_counts(counts, m, iterations)
-        want_amps, want_p = dense_grover(counts, m, report.iterations)
+        want_amps, want_p, want_norm = dense_grover(counts, m, report.iterations)
         assert not np.any(want_amps.imag)
         assert np.array_equal(scatter(state).amplitudes, want_amps.real)
         assert report.marked_probability == want_p
+        assert state.norm() == want_norm
 
 
+def test_grover_sums_round_once():
+    # K fl(x) rounded, then added in float, differs here from the exact sum
+    # rounded once, so an overlap or readout evaluated in float cannot pass
+    k, v, w = 65, float.fromhex("0x1.0530d08f17f5cp-2"), float.fromhex("0x1.fb5355e16737ap-2")
+    want = math.fsum([v] * k + [w] * (1000 - k))
+    assert k * v + (1000 - k) * w != want
+    assert simulator._exact_sum((k, v), (1000 - k, w)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    param_bits=st.integers(0, 10),
+    m=st.integers(1, 31),
+    iterations=st.integers(0, 31),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_run_keeps_one_marked_and_one_unmarked_value(param_bits, m, iterations, seed):
+    # a plain float64 run on the whole statevector, its overlap numpy's
+    # pairwise dot over all 2^n values: after every step the marked
+    # amplitudes are bitwise equal, and so are the unmarked ones, which is
+    # why Grover may hold the state as two values
+    e = 1 << param_bits
+    counts = np.random.default_rng(seed).integers(0, m + 1, e)
+    layout = RegisterLayout(param_bits, count_bits_for(m))
+    amps = np.zeros(1 << layout.total_qubits)
+    view = amps.reshape(e, 2, 2, layout.count_values)
+    view[np.arange(e), 0, 0, counts] = 1.0 / math.sqrt(e)
+    psi0 = amps.copy()
+    marked = 2 * counts > m
+    for _ in range(iterations):
+        view[:, :, :, m // 2 + 1 :] *= -1.0
+        overlap = float(np.sum(psi0 * amps))
+        amps[:] = 2.0 * overlap * psi0 - amps
+        support = view[np.arange(e), 0, 0, counts]
+        for part in (support[marked], support[~marked]):
+            assert np.unique(part.view(np.int64)).size <= 1
+        assert np.count_nonzero(amps) <= e
 @pytest.mark.parametrize("qubits", range(1, 23))
 def test_norm_is_numpy_sum_bit_for_bit(qubits):
     # chunk sums paired as numpy's pairwise sum pairs its halves; a state
@@ -581,20 +637,19 @@ def test_norm_memory_bound(peak_bytes):
 
 
 def test_grover_memory_bound(peak_bytes):
-    # (E,) support vectors and one node's table of lane sums of their
-    # squares, for the run and for the norm: never the 32 MiB statevector,
-    # nor a gather of its marked values (half the state at M = 14)
-    e, m = 1 << 16, 14
+    # the run makes the (E,) bool mask beside the caller's int64 counts and
+    # no E-sized float or int64 array; the norm makes nothing of size E
+    e, m = 1 << 18, 14
     counts = np.zeros(e, dtype=np.int64)
     counts[: e // 64] = m  # K = E/64: six iterations
-    assert peak_bytes(grover_amplify_counts, counts, m) <= 64 * e + CHUNK
+    assert peak_bytes(grover_amplify_counts, counts, m) <= 2 * e + (64 << 10)
     state, _ = grover_amplify_counts(counts, m)
-    assert peak_bytes(state.norm) <= 64 * e + CHUNK
+    assert peak_bytes(state.norm) <= 4 << 10
 
 
 def test_grover_reads_no_statevector(monkeypatch):
-    # both readouts are replayed from the support amplitudes: no chunk of
-    # squares is taken from a statevector, in the run or in its norm
+    # both readouts are sums of two values: no chunk of squares is taken
+    # from a statevector, in the run or in its norm
     calls = []
     squares = simulator._squares
     monkeypatch.setattr(simulator, "_squares", lambda *args: calls.append(args[1]) or squares(*args))

@@ -2,17 +2,13 @@
 
 The references below square the whole state, or a strided part of it, into
 a temporary and let numpy sum that; the simulator sums the same squares one
-chunk at a time in numpy's order.  Grover holds no state, only its support
-amplitudes: its marked probability is summed from their nonzero squares
-alone in the order of numpy's gather of the marked count values, and its
-norm in the order of the dense state's sum, and one case each pins that
-order against another order of the same squares; the sparse sum itself
-is checked against np.sum of the dense vector on supports of every shape.
-Results are compared as struct bytes, so a signed zero or a last-bit
-difference counts.  The layouts cover parameter bits 0-16, the count
-registers of M in {1, 2, 7, 14, 24, 31} (M = 24 marks 19 count values, not
-a power of two), plus M in {13, 29, 33} for Grover, and states longer than
-one chunk on every path, so that the chunk recursion runs."""
+chunk at a time in numpy's order.  Grover holds two values, and its sums
+are exact sums rounded once, so its references are math.fsum over the
+dense state.  Results are compared as struct bytes, so a signed zero or a
+last-bit difference counts.  The layouts cover parameter bits 0-16, the
+count registers of M in {1, 2, 7, 14, 24, 31} (M = 24 marks 19 count
+values, not a power of two), and states longer than one chunk on every
+path, so that the chunk recursion runs."""
 
 import math
 import struct
@@ -117,10 +113,6 @@ def bits(v) -> bytes:
 
 
 M_VALUES = (1, 2, 7, 14, 24, 31)
-# 9, 17 and 47 marked count values: leaves of 72 values, of 64 and 72
-# values, and of 88 and 96 values in blocks of 376 (M = 33 has a 6-qubit
-# count register, so the norm's runs are 256 values)
-IRREGULAR_M = (13, 29, 33)
 # every parameter width 0-16 with no count register and with the count
 # register of each M; up to 20 qubits, plus wide registers whose single
 # model run is longer than numpy's 8192-value reduction block
@@ -157,16 +149,6 @@ def zero_models(layout):
     return sorted({0, e // 3, e - 1}) if e > 2 else list(range(1, e))
 
 
-def random_support(param_bits, m, seed):
-    """A SupportState for the count register of M, with counts in 0..M and
-    amplitudes whose magnitudes span eight decades."""
-    layout = RegisterLayout(param_bits, count_bits_for(m))
-    rng = np.random.default_rng(seed)
-    e = layout.model_count
-    amps = rng.normal(size=e) * 10.0 ** rng.uniform(-4, 4, e)
-    return SupportState(layout, rng.integers(0, m + 1, e), amps)
-
-
 @pytest.fixture(params=LAYOUTS, ids=lambda pc: f"p{pc[0]}-c{pc[1]}")
 def layout(request):
     return RegisterLayout(*request.param)
@@ -183,11 +165,12 @@ def test_layouts_reach_past_one_chunk():
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 129, 1000, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5, 19 << 14, 1 << 20])
-def test_pairwise_splits_as_numpy(n):
+def test_pairwise_splits_as_numpy(n, monkeypatch):
     x = np.random.default_rng(n).random(n) * 10.0 ** np.random.default_rng(n + 1).uniform(-6, 6, n)
     want = float(np.sum(x))
     for chunk in (128, 1000, simulator._NORM_CHUNK):
-        got = simulator._pairwise(n, chunk, lambda s, k: float(np.sum(x[s : s + k])))
+        monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
+        got = simulator._pairwise(n, lambda s, k: float(np.sum(x[s : s + k])))
         assert bits(got) == bits(want)
 
 
@@ -242,9 +225,18 @@ def test_zero_mass_branches():
         postselect_accuracy_zero(state)
 
 
+def fsum_squares(values):
+    """The exactly rounded sum of the squares of values (zeros add nothing)."""
+    squares = np.square(values).ravel()
+    return math.fsum(squares[squares != 0.0])
+
+
 @pytest.mark.parametrize("param_bits", range(17))
 def test_grover_marked_probability_matches_gather(param_bits, scatter):
-    for m in M_VALUES:
+    # Grover's readouts are exact sums rounded once: those of the dense
+    # state's gathered marked squares and of all its squares; M = 13, 29
+    # and 33 mark 9, 17 and 47 count values, no power of two
+    for m in M_VALUES + (13, 29, 33):
         if param_bits + 2 + count_bits_for(m) > 22:
             continue
         rng = np.random.default_rng(param_bits * 100 + m)
@@ -252,184 +244,59 @@ def test_grover_marked_probability_matches_gather(param_bits, scatter):
         counts[0] = m
         for iterations in (None, 0, 1):
             state, report = grover_amplify_counts(counts, m, iterations)
-            want = ref_marked_probability(scatter(state), m)
-            assert bits(report.marked_probability) == bits(want)
-
-
-def test_grover_replay_pins_the_slab_order(scatter):
-    # numpy's gather lays out one marked count value's 4E values after
-    # another; the untransposed, model-major order of the same squares
-    # rounds differently here, so a replay in that order cannot pass
-    m = 24
-    counts = np.random.default_rng(1).integers(0, m + 1, 1 << 11)
-    state, report = grover_amplify_counts(counts, m)
-    dense = scatter(state)
-    c = state.layout.count_values
-    model_major = float(np.sum(np.square(dense.amplitudes.reshape(-1, c)[:, m // 2 + 1 :])))
-    want = ref_marked_probability(dense, m)
-    assert bits(model_major) != bits(want)
-    assert bits(report.marked_probability) == bits(want)
-
-
-@pytest.mark.parametrize("chunk", [128, 1000])
-def test_grover_replay_across_slab_boundaries(chunk, monkeypatch, scatter):
-    # nodes of 8 * chunk values against slabs of 4E values: nodes that hold
-    # several slabs, nodes that end inside one and nodes that straddle two
-    monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
-    for param_bits in (0, 1, 3, 5, 8, 11):
-        for m in M_VALUES + IRREGULAR_M:
-            counts = np.random.default_rng(param_bits * 100 + m).integers(0, m + 1, 1 << param_bits)
-            counts[0] = m
-            for iterations in (None, 1):
-                state, report = grover_amplify_counts(counts, m, iterations)
-                assert bits(report.marked_probability) == bits(ref_marked_probability(scatter(state), m))
-
-
-@pytest.mark.parametrize("param_bits", range(13))
-def test_grover_irregular_trees_match_dense(param_bits, scatter):
-    for m in IRREGULAR_M:
-        counts = np.random.default_rng(param_bits * 100 + m).integers(0, m + 1, 1 << param_bits)
-        counts[0] = m
-        for iterations in (None, 1):
-            state, report = grover_amplify_counts(counts, m, iterations)
             dense = scatter(state)
-            assert bits(report.marked_probability) == bits(ref_marked_probability(dense, m))
-            assert bits(state.norm()) == bits(ref_norm(dense))
+            assert bits(report.marked_probability) == bits(fsum_squares(dense.view()[:, :, :, m // 2 + 1 :]))
+            assert bits(state.norm()) == bits(math.sqrt(fsum_squares(dense.amplitudes)))
 
 
 @pytest.mark.parametrize("param_bits", range(17))
 def test_support_norm_matches_dense_norm(param_bits, scatter):
+    # any two values, also far from a normalized state, on any marked set
     for m in M_VALUES:
-        support = random_support(param_bits, m, param_bits * 100 + m)
-        assert bits(support.norm()) == bits(ref_norm(scatter(support)))
+        layout = RegisterLayout(param_bits, count_bits_for(m))
+        rng = np.random.default_rng(param_bits * 100 + m)
+        counts = rng.integers(0, m + 1, layout.model_count)
+        x_m, x_u = rng.normal(size=2) * 10.0 ** rng.uniform(-150, 150, 2)
+        support = SupportState(layout, counts, 2 * counts > m, float(x_m), float(x_u))
+        assert bits(support.norm()) == bits(math.sqrt(fsum_squares(scatter(support).amplitudes)))
 
 
-@pytest.mark.parametrize("chunk", [128, 1000])
-def test_support_norm_across_runs(chunk, monkeypatch, scatter):
-    # nodes of 1024 and 8000 values against models' runs of 4C values: up
-    # to M = 33 a node holds whole runs; at M = 600 and 5000 (runs of 4096
-    # and 32768 values) nodes start and end inside a run, so a run is split
-    # between nodes and a node may hold no nonzero value
-    monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
-    for param_bits in (0, 1, 3, 5, 8, 11):
-        for m in M_VALUES + IRREGULAR_M + (600, 5000):
-            if param_bits + 2 + count_bits_for(m) > 22:
-                continue
-            support = random_support(param_bits, m, param_bits * 100 + m)
-            assert bits(support.norm()) == bits(ref_norm(scatter(support)))
+# --- sums taken from the nonzero values alone ----------------------------------------------
 
 
-def test_support_norm_pins_the_dense_order(scatter):
-    # summed alone, the E support squares pair up otherwise than among the
-    # dense state's zeros and round differently here, so a norm that skips
-    # the zeros cannot pass
-    support = random_support(10, 7, 0)
-    shortcut = float(np.sqrt(np.sum(np.square(support.amplitudes))))
-    want = ref_norm(scatter(support))
-    assert bits(shortcut) != bits(want)
-    assert bits(support.norm()) == bits(want)
-
-
-# --- sums over the nonzero values alone ---------------------------------------------------
-
-
-def ref_sparse_sum(n, at, sq):
-    dense = np.zeros(n)
-    dense[at] = sq
-    return float(np.sum(dense))
-
-
-def sparse_sum(n, at, sq):
-    """_sparse_pairwise_sum of n values that are zero but for sq at the
-    ascending positions at."""
-
-    def nonzeros(start, count):
-        lo, hi = np.searchsorted(at, (start, start + count))
-        return at[lo:hi] - start, sq[lo:hi]
-
-    return simulator._sparse_pairwise_sum(n, nonzeros)
-
-
-SUPPORTS = ("empty", "full", "sparse", "lane", "tail")
-
-
-def support(n, kind, seed, wide):
-    """Ascending positions and values >= +0.0 of a support of kind `kind`
-    in n values: none, all, a random subset, several values in one lane of
-    the first leaf and some in lanes near it, or the last n mod 8 values
-    and a few others.  Wide values span 2**-997 to 2**996 (1e-300 to
-    1e300); narrow ones three decades, so that the order of their additions
-    shows in the last bits."""
+def check_sparse_sum(n, k, j, seed, wide):
+    """The sum of v k times, w j times and n - k - j zeros from its two
+    terms alone against math.fsum; v, w span 2**+-1000 if wide."""
     rng = np.random.default_rng(seed)
-    if kind == "empty":
-        at = np.empty(0, dtype=np.int64)
-    elif kind == "full":
-        at = np.arange(n)
-    elif kind == "sparse":
-        at = rng.choice(n, rng.integers(1, n + 1), replace=False)
-    elif kind == "lane":
-        lane = rng.integers(8)
-        at = np.concatenate([np.arange(lane, 64, 8), rng.integers(0, 64, 12)])
-    else:
-        at = np.concatenate([np.arange(n - n % 8, n), rng.integers(0, n, 5)])
-    chosen = np.zeros(n, dtype=bool)
-    chosen[at[at < n]] = True
-    at = np.flatnonzero(chosen)
-    return at, np.ldexp(rng.random(at.size), rng.integers(-996, 997, at.size) if wide else rng.integers(0, 10, at.size))
+    exponents = rng.integers(-1000, 1001, 2) if wide else rng.integers(0, 10, 2)
+    v, w = (rng.choice([-1.0, 1.0], 2) * np.ldexp(rng.random(2) + 0.5, exponents)).tolist()
+    dense = np.zeros(n)
+    dense[:k], dense[k : k + j] = v, w
+    assert bits(simulator._exact_sum((k, v), (j, w))) == bits(math.fsum(dense))
 
 
-# n below one lane block, single leaves with and without a tail, odd n, and
-# lengths whose blocks split unevenly (47 * 2**k, 19 * 2**k)
 SPARSE_LENGTHS = [1, 2, 7, 8, 9, 15, 100, 127, 128, 129, 136, 200, 255, 1000, 1001, 4097, 65541]
 SPARSE_LENGTHS += [47 << 4, 47 << 10, 19 << 12, 1 << 16, 3 << 17, 1 << 20]
 
 
 @pytest.mark.parametrize("n", SPARSE_LENGTHS)
 def test_sparse_sum_matches_dense_sum(n):
-    for seed, kind in enumerate(SUPPORTS):
+    for seed, (k, j) in enumerate([(0, 0), (1, 0), (0, 1), (n, 0), (n // 3, n - n // 3), (n // 7, n // 2)]):
         for wide in (False, True):
-            at, sq = support(n, kind, seed, wide)
-            assert bits(sparse_sum(n, at, sq)) == bits(ref_sparse_sum(n, at, sq))
+            check_sparse_sum(n, k, j, seed, wide)
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    n=st.one_of(
-        st.integers(1, 7),
-        st.integers(8, 128),
-        st.integers(129, 1 << 20),
-        st.integers(0, 14).map(lambda k: 47 << k),
-    ),
-    kind=st.sampled_from(SUPPORTS),
-    seed=st.integers(0, 2**32 - 1),
-    wide=st.booleans(),
-)
-def test_sparse_sum_matches_dense_sum_on_draws(n, kind, seed, wide):
-    at, sq = support(n, kind, seed, wide)
-    assert bits(sparse_sum(n, at, sq)) == bits(ref_sparse_sum(n, at, sq))
-
-
-def test_sparse_sum_pins_the_dense_order():
-    # these 40 values, added left to right or pairwise among themselves,
-    # round otherwise than among the 960 zeros, so neither shortcut passes
-    rng = np.random.default_rng(12)
-    at, sq = np.sort(rng.choice(1000, 40, replace=False)), rng.random(40)
-    left_to_right = 0.0
-    for value in sq:
-        left_to_right += value
-    want = ref_sparse_sum(1000, at, sq)
-    assert bits(left_to_right) != bits(want)
-    assert bits(float(np.sum(sq))) != bits(want)
-    assert bits(sparse_sum(1000, at, sq)) == bits(want)
+@given(n=st.integers(1, 1 << 20), data=st.data(), seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+def test_sparse_sum_matches_dense_sum_on_draws(n, data, seed, wide):
+    k = data.draw(st.integers(0, n))
+    check_sparse_sum(n, k, data.draw(st.integers(0, n - k)), seed, wide)
 
 
 def test_sparse_sum_memory_bound(peak_bytes):
-    # 2**26 values, 2**19 leaves: the lane table of one node at a time,
-    # never a table over every leaf, nor one entry per leaf
+    # 2**26 values from two terms: integers of a few words, never the vector
     n = 1 << 26
-    rng = np.random.default_rng(0)
-    at, sq = np.sort(rng.choice(n, 1 << 10, replace=False)), rng.random(1 << 10)
-    assert peak_bytes(sparse_sum, n, at, sq) <= 8 * simulator._NORM_CHUNK + (64 << 10)
+    assert peak_bytes(simulator._exact_sum, (n // 3, 2.0**-1000), (n - n // 3, 0.1)) <= 4 << 10
 
 
 # --- operations that rewrite the state ---------------------------------------------------
