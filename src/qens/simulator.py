@@ -1,18 +1,19 @@
 """Dense statevector simulation of weighted classifier superpositions.
 
-The register holds, most significant first:
+The statevector holds, most significant first:
 
   parameter   tau*P qubits, basis state i <-> row i of model.decode_all
   output      1 qubit, |0> <-> label -1, |1> <-> label +1
   accuracy    1 qubit, postselected on |0>
-  count       ceil(log2(M+1)) qubits, only for the amplitude
-              amplification path; holds the correct-classification count
 
-so a basis index is ((i_param * 2 + output) * 2 + accuracy) * 2**c + count.
-The data register that a hardware run would carry is deliberately not
-simulated: classifier outputs enter as classical basis-state-conditional
-bit flips, which leaves the statevector at 2**(tau*P + 2 + c) amplitudes
-and a 26-qubit cap instead of being dominated by training data.
+so a basis index is (i_param * 2 + output) * 2 + accuracy.  Amplitude
+amplification's layout adds a count register of ceil(log2(M+1)) qubits,
+holding the correct-classification count; those qubits count against the
+cap, but Grover never allocates a statevector (see below).  The data
+register that a hardware run would carry is deliberately not simulated:
+classifier outputs enter as classical basis-state-conditional bit flips,
+which leaves the statevector at 2**(tau*P + 2) amplitudes and a 26-qubit
+cap instead of being dominated by training data.
 
 Every operation of the circuit is real (Ry rotations, bit flips, phase
 flips and reflections about a real state), so the amplitudes are float64:
@@ -41,8 +42,9 @@ asks for its cos and sin values one chunk of 2**16 models at a time
 state.  The elementwise steps work in place along the model axis, so numpy's
 inner loops run over E models rather than over the 2 values of one model:
 the rotation one output value at a time, the classifier as masked copies of
-each model's run of 2 * 2**c amplitudes, taken as one raw-byte element,
-and the postselection on views that already merge into one long axis.
+each model's pair of amplitudes at one output, taken as one raw-byte
+element, and the postselection on views that already merge into one long
+axis.
 Every readout has the bits of np.sum over a squared copy of (part of) the
 state, because it adds the chunks in the order numpy 2.4 uses
 (tests/test_state_sums.py holds those numpy expressions as references):
@@ -53,8 +55,7 @@ state, because it adds the chunks in the order numpy 2.4 uses
                       lets np.sum do the rest (the square of a strided
                       view is such an operand, in C order): the norm, the
                       branch masses and the label readout's total
-  strided operand     buffered blocks of max(8192, contiguous run) values
-                      (runs here are powers of two), each one pairwise
+  strided operand     buffered blocks of 8192 values, each one pairwise
                       sum, added one after another: the label readout's
                       output-|0> mass, over an already squared state
   per-model sums      each model's row is summed alone, so any number of
@@ -117,10 +118,6 @@ class RegisterLayout:
     def model_count(self) -> int:
         return 1 << self.parameter_bits
 
-    @property
-    def count_values(self) -> int:
-        return 1 << self.count_bits
-
 
 def count_bits_for(dataset_size: int) -> int:
     """Width of a count register holding 0..dataset_size."""
@@ -128,23 +125,25 @@ def count_bits_for(dataset_size: int) -> int:
 
 
 class EnsembleState:
-    """Real statevector over the ensemble register, allocated as zeros;
-    every gate of the circuit is real, so the amplitudes are float64."""
+    """Real statevector over the parameter, output and accuracy qubits,
+    allocated as zeros; every gate of the circuit is real, so the
+    amplitudes are float64."""
 
     __slots__ = ("layout", "amplitudes")
 
     def __init__(self, layout: RegisterLayout) -> None:
+        if layout.count_bits:
+            raise ValueError("the statevector has no count register")
         self.layout = layout
         self.amplitudes = np.zeros(1 << layout.total_qubits, dtype=np.float64)
 
     def view(self) -> np.ndarray:
-        """Amplitudes reshaped to (models, output, accuracy, count values)."""
-        lay = self.layout
-        return self.amplitudes.reshape(lay.model_count, 2, 2, lay.count_values)
+        """Amplitudes reshaped to (models, output, accuracy)."""
+        return self.amplitudes.reshape(self.layout.model_count, 2, 2)
 
     def norm(self) -> float:
         """sqrt(sum(a^2)) with the bits of np.sqrt(np.sum(np.square(a)))."""
-        return float(np.sqrt(_sum_squares(self.amplitudes.reshape(1, -1))))
+        return float(np.sqrt(_sum_squares(self.amplitudes.reshape(-1, 2))))
 
     def parameter_distribution(self) -> np.ndarray:
         """Probability of each parameter basis state, shape (E,)."""
@@ -154,48 +153,37 @@ class EnsembleState:
         """P(accuracy qubit = |0> conditioned on each parameter state), for
         all of them or for the slice `models` of them."""
         view = self.view()[models]
-        zero_branch = _model_sums(view[:, :, 0, :])
-        per_model = _model_sums(view[:, :, 1, :])
+        zero_branch = _model_sums(view[:, :, 0])
+        per_model = _model_sums(view[:, :, 1])
         per_model += zero_branch
         out = np.full(zero_branch.size, np.nan)
         return np.divide(zero_branch, per_model, out=out, where=per_model > 0.0)
 
 
-def _squares(seq: np.ndarray, start: int, n: int, buf: np.ndarray) -> np.ndarray:
-    """buf[:n] set to the squares of values start..start+n-1 of the 2-D
-    view seq taken in C order (a partial row, whole rows, a partial row)."""
-    width = seq.shape[1]
-    row, col = divmod(start, width)
-    out = buf[:n]
-    done = 0
-    if col:
-        done = min(n, width - col)
-        np.square(seq[row, col : col + done], out=out[:done])
-        row += 1
-    full = (n - done) // width
-    np.square(seq[row : row + full], out=out[done : done + full * width].reshape(full, width))
-    done += full * width
-    if done < n:
-        np.square(seq[row + full, : n - done], out=out[done:])
-    return out
-
-
 def _pairwise(n: int, leaf, start: int = 0) -> float:
     """numpy's pairwise sum of n values, from leaf(start, count) = the
     np.sum of values start..start+count-1 for each count <= _NORM_CHUNK,
-    called left to right."""
+    called left to right.  It splits at multiples of 8 values, so every
+    leaf starts at a multiple of 8 and ends there or at n."""
     if n <= _NORM_CHUNK:
         return leaf(start, n)
     half = n // 2 - n // 2 % 8
     return _pairwise(half, leaf, start) + _pairwise(n - half, leaf, start + half)
 
 
-def _sum_squares(seq: np.ndarray) -> float:
-    """np.sum(np.square(seq)) bit for bit for a 2-D view seq, one chunk of
-    squares at a time: numpy squares into a contiguous C-order array and
-    sums that as one pairwise sum."""
-    buf = np.empty(min(seq.size, _NORM_CHUNK))
-    return _pairwise(seq.size, lambda s, n: float(np.sum(_squares(seq, s, n, buf))))
+def _sum_squares(rows: np.ndarray) -> float:
+    """np.sum(np.square(rows)) bit for bit for a 2-D view of 1 or 2
+    columns, one chunk of squares at a time: numpy squares into a
+    contiguous C-order array and sums that as one pairwise sum.  Every
+    _pairwise leaf holds whole rows, since 8 is a multiple of the width."""
+    w = rows.shape[1]
+    buf = np.empty(min(rows.size, _NORM_CHUNK))
+
+    def leaf(s: int, n: int) -> float:
+        np.square(rows[s // w : (s + n) // w], out=buf[:n].reshape(-1, w))
+        return float(np.sum(buf[:n]))
+
+    return _pairwise(rows.size, leaf)
 
 
 def _model_sums(branch: np.ndarray) -> np.ndarray:
@@ -215,15 +203,14 @@ def _model_sums(branch: np.ndarray) -> np.ndarray:
 def prepare_uniform(layout: RegisterLayout) -> EnsembleState:
     """Uniform superposition over the parameter register, work qubits |0>."""
     state = EnsembleState(layout)
-    view = state.view()
-    view[:, 0, 0, 0] = 1.0 / math.sqrt(layout.model_count)
+    state.view()[:, 0, 0] = 1.0 / math.sqrt(layout.model_count)
     return state
 
 
-def _require_clear(state: EnsembleState, run: int, message: str) -> None:
-    """StateError(message) unless the qubit of basis stride `run` is |0>: the
-    accuracy qubit has stride 2**c, the output qubit 2 * 2**c."""
-    if _sum_squares(state.amplitudes.reshape(-1, 2, run)[:, 1, :]) > _ATOL:
+def _require_clear(state: EnsembleState, stride: int, message: str) -> None:
+    """StateError(message) unless the qubit of basis stride `stride` is |0>:
+    the accuracy qubit has stride 1, the output qubit 2."""
+    if _sum_squares(state.amplitudes.reshape(-1, 2, stride)[:, 1]) > _ATOL:
         raise StateError(message)
 
 
@@ -237,7 +224,7 @@ def _rotate(state: EnsembleState, angles) -> EnsembleState:
     """Take each model's accuracy qubit from |0> to cos|0> + sin|1>, where
     angles(models) gives the (cos, sin) arrays of the models in a slice,
     asked for one chunk of models at a time."""
-    _require_clear(state, state.layout.count_values, _ACCURACY_NOT_CLEAR)
+    _require_clear(state, 1, _ACCURACY_NOT_CLEAR)
     view = state.view()
     for models in model_chunks(state.layout.model_count):
         _rotate_chunk(view[models], *angles(models))  # a chunk's angles are freed before the next's
@@ -245,10 +232,9 @@ def _rotate(state: EnsembleState, angles) -> EnsembleState:
 
 
 def _rotate_chunk(part: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
-    c, s = cos[:, None], sin[:, None]
-    for output in (0, 1):  # per output value, so for c = 0 numpy's inner loop runs along the models
-        np.multiply(part[:, output, 0, :], s, out=part[:, output, 1, :])
-        part[:, output, 0, :] *= c
+    for output in (0, 1):  # per output value, so numpy's inner loop runs along the models
+        np.multiply(part[:, output, 0], sin, out=part[:, output, 1])
+        part[:, output, 0] *= cos
 
 
 def apply_accuracy_rotation_exact(state: EnsembleState, accuracies: np.ndarray) -> EnsembleState:
@@ -303,14 +289,14 @@ class PostselectionReport:
 def postselect_accuracy_zero(state: EnsembleState) -> tuple[EnsembleState, PostselectionReport]:
     """Project onto accuracy = |0> and renormalize."""
     view = state.view()
-    p_acc = _sum_squares(state.amplitudes.reshape(-1, 2, state.layout.count_values)[:, 0, :])
+    p_acc = _sum_squares(view[:, :, 0])
     if p_acc <= _ATOL:
         raise PostselectionImpossibleError("accuracy-|0> branch has no mass")
-    view[:, :, 1, :] = 0.0
+    view[:, :, 1] = 0.0
     # times the reciprocal, not /=: the recorded artifacts were computed on
     # complex amplitudes, which numpy divides by a real scalar as x * (1/d);
     # a real division rounds differently and moves the readout's last bits
-    view[:, :, 0, :] *= 1.0 / math.sqrt(p_acc)
+    view[:, :, 0] *= 1.0 / math.sqrt(p_acc)
     return state, PostselectionReport(p_acc, 1.0 / p_acc)
 
 
@@ -320,12 +306,11 @@ def apply_classifier(state: EnsembleState, labels: np.ndarray) -> EnsembleState:
     labels = np.asarray(labels)
     if labels.shape != (state.layout.model_count,):
         raise ValueError("one label per parameter basis state is required")
-    _require_clear(state, 2 * state.layout.count_values, _OUTPUT_NOT_CLEAR)
+    _require_clear(state, 2, _OUTPUT_NOT_CLEAR)
     flip = labels == 1
-    # one element per model and output value: the run of its 2 * 2**c
-    # amplitudes as raw bytes, so each masked copy is one pass over E models
-    runs = state.amplitudes.view(np.dtype((np.void, 16 * state.layout.count_values)))
-    runs = runs.reshape(-1, 2)
+    # one element per model and output value: its two accuracy amplitudes
+    # as 16 raw bytes, so each masked copy is one pass over E models
+    runs = state.amplitudes.view(np.dtype((np.void, 16))).reshape(-1, 2)
     np.copyto(runs[:, 1], runs[:, 0], where=flip)
     np.copyto(runs[:, 0], np.zeros((), runs.dtype), where=flip)
     return state
@@ -335,19 +320,18 @@ def measure_label_distribution(state: EnsembleState) -> tuple[float, float]:
     """(p_minus, p_plus): output-qubit Born probabilities for labels -1, +1.
 
     Bit for bit p_minus = probs[:, 0].sum() / probs.sum() with probs the
-    squared state, in numpy's two orders: the total is one pairwise sum over
-    the whole state, and the strided output-|0> squares are summed in
-    buffered blocks of max(8192, run) values, run = one model's values at
-    one output, added one after another."""
+    squared (E, 2, 2) state, in numpy's two orders: the total is one
+    pairwise sum over the whole state, and the strided output-|0> squares
+    are summed in numpy's buffered blocks of 8192 values, each one pairwise
+    sum, added one after another."""
     a = state.amplitudes
-    total = _sum_squares(a.reshape(1, -1))
+    total = _sum_squares(a.reshape(-1, 2))
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise StateError("state is not normalized")
-    run = 2 * state.layout.count_values
-    block = 2 * max(_REDUCE_BLOCK, run)  # one buffered block with its output-|1> partners
+    block = 2 * _REDUCE_BLOCK  # one buffered block with its output-|1> partners
     p_minus = 0.0
     for start in range(0, a.size, block):
-        p_minus += _sum_squares(a[start : start + block].reshape(-1, 2, run)[:, 0, :])
+        p_minus += _sum_squares(a[start : start + block].reshape(-1, 2, 2)[:, 0])
     p_minus /= total
     return p_minus, 1.0 - p_minus
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qens.model import Dataset, ModelFamily, ParameterGrid
-from qens.simulator import EnsembleState
 
 
 @pytest.fixture
@@ -49,12 +48,15 @@ def peak_bytes():
 
 @pytest.fixture
 def scatter():
-    """scatter(support) is the dense EnsembleState that the SupportState
-    support stands for: zeros, and amplitudes[i] at (i, 0, 0, counts[i])."""
+    """scatter(support) is the dense (E, 2, 2, 2**c) float64 array that the
+    SupportState support stands for: zeros, and amplitudes[i] at
+    (i, 0, 0, counts[i]).  Plain numpy, so that the Grover checks do not
+    rest on the simulator's statevector."""
 
-    def dense(support) -> EnsembleState:
-        state = EnsembleState(support.layout)
-        state.view()[np.arange(support.layout.model_count), 0, 0, support.counts] = support.amplitudes
-        return state
+    def dense(support) -> np.ndarray:
+        e, c = support.layout.model_count, support.layout.count_bits
+        out = np.zeros((e, 2, 2, 1 << c))
+        out[np.arange(e), 0, 0, support.counts] = support.amplitudes
+        return out
 
     return dense

@@ -205,4 +205,4 @@ def test_grover_matches_gates(m, iterations, scatter):
     assert rep.iterations == rounds
     psi, want = gate_grover(p, counts, m, rounds)
     assert abs(rep.marked_probability - want) <= 1e-13
-    assert np.max(np.abs(scatter(state).amplitudes - psi)) <= 1e-13
+    assert np.max(np.abs(scatter(state).ravel() - psi)) <= 1e-13

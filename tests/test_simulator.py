@@ -56,8 +56,8 @@ def two_model_state(amp0=math.sqrt(0.84), amp1=math.sqrt(0.16)):
     state = prepare_uniform(layout)
     v = state.view()
     v[:] = 0
-    v[0, 1, 0, 0] = amp0
-    v[1, 0, 0, 0] = amp1
+    v[0, 1, 0] = amp0
+    v[1, 0, 0] = amp1
     return state
 
 
@@ -67,7 +67,6 @@ def test_layout_total_qubits():
     layout = RegisterLayout(4, count_bits=3)
     assert layout.total_qubits == 4 + 2 + 3
     assert layout.model_count == 16
-    assert layout.count_values == 8
 
 
 def test_layout_qubit_cap():
@@ -87,6 +86,15 @@ def test_count_bits_for():
 
 
 # --- preparation and rotation --------------------------------------------------
+
+def test_statevector_has_no_count_register():
+    # only Grover's layout has a count register, and Grover holds two values
+    assert prepare_uniform(RegisterLayout(4)).view().shape == (16, 2, 2)
+    layout = RegisterLayout(4, count_bits=3)
+    for build in (EnsembleState, prepare_uniform):
+        with pytest.raises(ValueError, match="no count register"):
+            build(layout)
+
 
 def test_state_is_real():
     layout = RegisterLayout(1)
@@ -127,9 +135,9 @@ def test_exact_rotation_by_chunks_has_the_bits_of_one_pass():
     layout = RegisterLayout(18)
     acc = np.linspace(0.0, 1.0, layout.model_count)
     state = apply_accuracy_rotation_exact(prepare_uniform(layout), acc)
-    amp = prepare_uniform(layout).view()[:, 0, 0, 0]
-    assert state.view()[:, 0, 0, 0].tobytes() == (amp * np.sqrt(acc)).tobytes()
-    assert state.view()[:, 0, 1, 0].tobytes() == (amp * np.sqrt(1.0 - acc)).tobytes()
+    amp = prepare_uniform(layout).view()[:, 0, 0]
+    assert state.view()[:, 0, 0].tobytes() == (amp * np.sqrt(acc)).tobytes()
+    assert state.view()[:, 0, 1].tobytes() == (amp * np.sqrt(1.0 - acc)).tobytes()
 
 
 def test_exact_rotation_validates_input():
@@ -250,15 +258,16 @@ def test_accuracy_zero_probabilities_nan_for_unpopulated():
 # beside the state an operation holds O(E) values only where its input or
 # result is per model, and otherwise a few chunks of squares or temporaries,
 # plus numpy's iterator buffers (64 KiB each) and a few Python objects; the
-# two layouts put 8 MiB states behind 2^18 models and behind 2^14 models
-# with a 4-qubit count register
+# cases keep the names of the count-register layouts the state once held
+# and run them without the count register: an 8 MiB state behind 2^18
+# models, and a 512 KiB one behind 2^14 models, fewer than one chunk
 CHUNK = 8 * simulator._NORM_CHUNK
 SLACK = 128 << 10
 MEMORY_LAYOUTS = pytest.mark.parametrize("param_bits, count_bits", [(18, 0), (14, 4)])
 
 
-def rotated_state(param_bits, count_bits):
-    layout = RegisterLayout(param_bits, count_bits)
+def rotated_state(param_bits):
+    layout = RegisterLayout(param_bits)
     state = prepare_uniform(layout)
     apply_accuracy_rotation_exact(state, np.linspace(0.0, 1.0, layout.model_count))
     return state
@@ -267,23 +276,26 @@ def rotated_state(param_bits, count_bits):
 def test_accuracy_zero_probabilities_memory_bound(peak_bytes):
     # per-model sums over one chunk of model rows at a time, never a
     # squared branch of the state
-    state = rotated_state(18, 0)
+    state = rotated_state(18)
     e = state.layout.model_count
     assert peak_bytes(state.accuracy_zero_probabilities) <= 32 * e + (64 << 10)
     assert np.allclose(state.accuracy_zero_probabilities(), np.linspace(0.0, 1.0, e), atol=1e-12)
 
 
 def test_accuracy_zero_probabilities_memory_bound_with_count_register(peak_bytes):
-    # 16 count values per model: a squared branch would be 32 values per model
-    state = rotated_state(14, 4)
-    e = state.layout.model_count
-    assert peak_bytes(state.accuracy_zero_probabilities) <= 32 * e + CHUNK + SLACK
+    # a count register is Grover's alone: a statevector for 2^14 models and
+    # 16 count values, 8 MiB, is refused before any of it is allocated
+    def build():
+        with pytest.raises(ValueError, match="no count register"):
+            EnsembleState(RegisterLayout(14, 4))
+
+    assert peak_bytes(build) <= 4 << 10
 
 
 @MEMORY_LAYOUTS
 def test_accuracy_zero_probabilities_of_slices_are_those_of_all(param_bits, count_bits):
     # each model's sums are its own, so any slice has the bits of the whole
-    state = rotated_state(param_bits, count_bits)
+    state = rotated_state(param_bits)
     whole = state.accuracy_zero_probabilities()
     chunks = simulator.model_chunks(state.layout.model_count)
     parts = [state.accuracy_zero_probabilities(models) for models in chunks]
@@ -293,7 +305,7 @@ def test_accuracy_zero_probabilities_of_slices_are_those_of_all(param_bits, coun
 
 @MEMORY_LAYOUTS
 def test_parameter_distribution_memory_bound(param_bits, count_bits, peak_bytes):
-    state = rotated_state(param_bits, count_bits)
+    state = rotated_state(param_bits)
     e = state.layout.model_count
     assert peak_bytes(state.parameter_distribution) <= 8 * e + CHUNK + SLACK
 
@@ -301,14 +313,14 @@ def test_parameter_distribution_memory_bound(param_bits, count_bits, peak_bytes)
 @MEMORY_LAYOUTS
 def test_postselection_memory_bound(param_bits, count_bits, peak_bytes):
     # no squared accuracy-|0> branch, and the renormalization is in place
-    state = rotated_state(param_bits, count_bits)
+    state = rotated_state(param_bits)
     assert peak_bytes(postselect_accuracy_zero, state) <= CHUNK + SLACK
 
 
 @MEMORY_LAYOUTS
 def test_measurement_memory_bound(param_bits, count_bits, peak_bytes):
     # no squared copy of the state for either sum
-    state = rotated_state(param_bits, count_bits)
+    state = rotated_state(param_bits)
     postselect_accuracy_zero(state)
     assert peak_bytes(measure_label_distribution, state) <= CHUNK + SLACK
 
@@ -316,7 +328,7 @@ def test_measurement_memory_bound(param_bits, count_bits, peak_bytes):
 @MEMORY_LAYOUTS
 def test_classifier_memory_bound(param_bits, count_bits, peak_bytes):
     # the (E,) flip mask and a gather of at most one chunk of model rows
-    state = rotated_state(param_bits, count_bits)
+    state = rotated_state(param_bits)
     e = state.layout.model_count
     labels = np.where(np.arange(e) % 3 == 0, 1, -1)
     assert peak_bytes(apply_classifier, state, labels) <= e + CHUNK + SLACK
@@ -364,8 +376,9 @@ def test_sequential_rotation_memory_bound(param_bits, count_bits, peak_bytes):
     # the M + 1 angles and their values, then the gathered cos and sin of
     # one chunk of models at a time (or of all E models, if fewer), or one
     # chunk of squares for the clear check: nothing that grows with E past
-    # a chunk, or with the training points
-    layout = RegisterLayout(param_bits, count_bits)
+    # a chunk, or with the training points; as in the memory cases above,
+    # 14-4 runs its 2^14 models without the count register
+    layout = RegisterLayout(param_bits)
     state = prepare_uniform(layout)
     m = 24
     counts = np.random.default_rng(3).integers(0, m + 1, layout.model_count)
@@ -545,14 +558,13 @@ def dense_grover(counts, m, iterations):
     norm).  The overlap <psi0|amps>, the marked mass and the norm's square
     are each summed exactly and rounded once (math.fsum), over the float
     products and squares that numpy forms."""
-    e = counts.size
-    layout = RegisterLayout(int(np.log2(e)), count_bits_for(m))
-    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    view = amps.reshape(e, 2, 2, layout.count_values)
+    e, w = counts.size, 1 << count_bits_for(m)
+    amps = np.zeros(4 * e * w, dtype=np.complex128)
+    view = amps.reshape(e, 2, 2, w)
     view[np.arange(e), 0, 0, counts] = 1.0 / math.sqrt(e)
     psi0 = amps.copy()
     support = psi0 != 0.0
-    marked = 2 * np.arange(layout.count_values) > m
+    marked = 2 * np.arange(w) > m
     for _ in range(iterations):
         view[:, :, :, marked] *= -1.0
         overlap = math.fsum(psi0[support].real * amps[support].real)
@@ -579,7 +591,7 @@ def test_grover_matches_dense_reference(param_bits, scatter):
         state, report = grover_amplify_counts(counts, m, iterations)
         want_amps, want_p, want_norm = dense_grover(counts, m, report.iterations)
         assert not np.any(want_amps.imag)
-        assert np.array_equal(scatter(state).amplitudes, want_amps.real)
+        assert np.array_equal(scatter(state).ravel(), want_amps.real)
         assert report.marked_probability == want_p
         assert state.norm() == want_norm
 
@@ -605,11 +617,10 @@ def test_dense_run_keeps_one_marked_and_one_unmarked_value(param_bits, m, iterat
     # pairwise dot over all 2^n values: after every step the marked
     # amplitudes are bitwise equal, and so are the unmarked ones, which is
     # why Grover may hold the state as two values
-    e = 1 << param_bits
+    e, w = 1 << param_bits, 1 << count_bits_for(m)
     counts = np.random.default_rng(seed).integers(0, m + 1, e)
-    layout = RegisterLayout(param_bits, count_bits_for(m))
-    amps = np.zeros(1 << layout.total_qubits)
-    view = amps.reshape(e, 2, 2, layout.count_values)
+    amps = np.zeros(4 * e * w)
+    view = amps.reshape(e, 2, 2, w)
     view[np.arange(e), 0, 0, counts] = 1.0 / math.sqrt(e)
     psi0 = amps.copy()
     marked = 2 * counts > m
@@ -621,6 +632,8 @@ def test_dense_run_keeps_one_marked_and_one_unmarked_value(param_bits, m, iterat
         for part in (support[marked], support[~marked]):
             assert np.unique(part.view(np.int64)).size <= 1
         assert np.count_nonzero(amps) <= e
+
+
 @pytest.mark.parametrize("qubits", range(1, 23))
 def test_norm_is_numpy_sum_bit_for_bit(qubits):
     # chunk sums paired as numpy's pairwise sum pairs its halves; a state
@@ -631,8 +644,8 @@ def test_norm_is_numpy_sum_bit_for_bit(qubits):
 
 
 def test_norm_memory_bound(peak_bytes):
-    # one squared chunk, never a squared copy of the 32 MiB state
-    state = prepare_uniform(RegisterLayout(20, 2))
+    # one squared chunk, never a squared copy of the 128 MiB state
+    state = prepare_uniform(RegisterLayout(22))
     assert peak_bytes(state.norm) <= 8 * simulator._NORM_CHUNK + (64 << 10)
 
 
@@ -648,16 +661,16 @@ def test_grover_memory_bound(peak_bytes):
 
 
 def test_grover_reads_no_statevector(monkeypatch):
-    # both readouts are sums of two values: no chunk of squares is taken
-    # from a statevector, in the run or in its norm
+    # both readouts are sums of two values: no sum of squares is taken
+    # over a statevector, in the run or in its norm
     calls = []
-    squares = simulator._squares
-    monkeypatch.setattr(simulator, "_squares", lambda *args: calls.append(args[1]) or squares(*args))
+    sum_squares = simulator._sum_squares
+    monkeypatch.setattr(simulator, "_sum_squares", lambda rows: calls.append(rows.size) or sum_squares(rows))
     e, m = 1 << 12, 14
     counts = np.random.default_rng(3).integers(0, m + 1, e)
     state, report = grover_amplify_counts(counts, m)
     assert report.marked_count > 0 and report.iterations > 0
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
     assert calls == []
-    prepare_uniform(state.layout).norm()  # the counter does see a statevector pass
+    prepare_uniform(RegisterLayout(12)).norm()  # the counter does see a statevector pass
     assert calls

@@ -1,14 +1,17 @@
 """Statevector readouts against the numpy expressions they replaced, bit for bit.
 
-The references below square the whole state, or a strided part of it, into
-a temporary and let numpy sum that; the simulator sums the same squares one
-chunk at a time in numpy's order.  Grover holds two values, and its sums
-are exact sums rounded once, so its references are math.fsum over the
-dense state.  Results are compared as struct bytes, so a signed zero or a
-last-bit difference counts.  The layouts cover parameter bits 0-16, the
-count registers of M in {1, 2, 7, 14, 24, 31} (M = 24 marks 19 count
-values, not a power of two), and states longer than one chunk on every
-path, so that the chunk recursion runs."""
+The references below square the whole (E, 2, 2) state, or a strided part
+of it, into a temporary and let numpy sum that; the simulator sums the same
+squares one chunk at a time in numpy's order.  Grover holds two values, and
+its sums are exact sums rounded once, so its references are math.fsum over
+the dense (E, 2, 2, count values) array that its support stands for, built
+in plain numpy.  Results are compared as struct bytes, so a signed zero or
+a last-bit difference counts.  The layouts cover parameter bits 0-18, so
+that states run longer than one chunk on every path and the label
+readout's output-|0> mass spans many of numpy's 8192-value blocks.  The
+cases keep the names of the count-register layouts (p, c) that the state
+once held: case p-c is that layout without its count register, p
+parameter bits, drawn from seeds of its own."""
 
 import math
 import struct
@@ -40,67 +43,53 @@ def ref_norm(state):
 
 
 def ref_parameter_distribution(state):
-    return np.square(state.view()).sum(axis=(1, 2, 3))
+    return np.square(state.view()).sum(axis=(1, 2))
 
 
 def ref_accuracy_zero_probabilities(state):
     view = state.view()
-    zero_branch = np.square(view[:, :, 0, :]).sum(axis=(1, 2))
-    per_model = zero_branch + np.square(view[:, :, 1, :]).sum(axis=(1, 2))
+    zero_branch = np.square(view[:, :, 0]).sum(axis=1)
+    per_model = zero_branch + np.square(view[:, :, 1]).sum(axis=1)
     out = np.full(state.layout.model_count, np.nan)
     return np.divide(zero_branch, per_model, out=out, where=per_model > 0.0)
-
-
-def ref_accuracy_mass(state, value):
-    return float(np.sum(np.square(state.view()[:, :, value, :])))
-
-
-def ref_output_mass(state):
-    return float(np.sum(np.square(state.view()[:, 1, :, :])))
 
 
 def ref_measure(state):
     probs = np.square(state.view())
     total = float(probs.sum())
-    p_minus = float(probs[:, 0, :, :].sum()) / total
+    p_minus = float(probs[:, 0, :].sum()) / total
     return p_minus, 1.0 - p_minus
-
-
-def ref_marked_probability(state, m):
-    gathered = state.view()[:, :, :, 2 * np.arange(state.layout.count_values) > m]
-    np.square(gathered, out=gathered)
-    return float(np.sum(gathered))
 
 
 def ref_postselect(state):
     view = state.view()
-    p_acc = float(np.sum(np.square(view[:, :, 0, :])))
-    view[:, :, 1, :] = 0.0
-    view[:, :, 0, :] *= 1.0 / math.sqrt(p_acc)
+    p_acc = float(np.sum(np.square(view[:, :, 0])))
+    view[:, :, 1] = 0.0
+    view[:, :, 0] *= 1.0 / math.sqrt(p_acc)
     return p_acc
 
 
 def ref_classifier(state, labels):
     flip = labels == 1
     view = state.view()
-    view[flip, 1, :, :] = view[flip, 0, :, :]
-    view[flip, 0, :, :] = 0.0
+    view[flip, 1, :] = view[flip, 0, :]
+    view[flip, 0, :] = 0.0
 
 
 def ref_rotation_exact(state, accuracies):
     view = state.view()
-    c = np.sqrt(accuracies)[:, None, None]
-    s = np.sqrt(1.0 - accuracies)[:, None, None]
-    np.multiply(view[:, :, 0, :], s, out=view[:, :, 1, :])
-    view[:, :, 0, :] *= c
+    c = np.sqrt(accuracies)[:, None]
+    s = np.sqrt(1.0 - accuracies)[:, None]
+    np.multiply(view[:, :, 0], s, out=view[:, :, 1])
+    view[:, :, 0] *= c
 
 
 def ref_sequential(state, counts, m, delta):
     """The net rotation, its angle and cos and sin taken per model."""
     t = math.pi / 4.0 - (2.0 * counts - m) * delta
     view = state.view()
-    np.multiply(view[:, :, 0, :], np.sin(t)[:, None, None], out=view[:, :, 1, :])
-    view[:, :, 0, :] *= np.cos(t)[:, None, None]
+    np.multiply(view[:, :, 0], np.sin(t)[:, None], out=view[:, :, 1])
+    view[:, :, 0] *= np.cos(t)[:, None]
 
 
 # --- helpers and cases -------------------------------------------------------------
@@ -112,15 +101,18 @@ def bits(v) -> bytes:
     return struct.pack("<d", v)
 
 
+# Grover's dataset sizes: M = 24 marks 19 count values, not a power of two
 M_VALUES = (1, 2, 7, 14, 24, 31)
-# every parameter width 0-16 with no count register and with the count
-# register of each M; up to 20 qubits, plus wide registers whose single
-# model run is longer than numpy's 8192-value reduction block
+# every parameter width 0-18, up to 20 qubits: a label readout summed in
+# blocks of 4096 values, half numpy's, first differs from numpy at width 14;
+# and the count register of each M beside widths 0-16, up to 20 qubits,
+# plus count registers longer than numpy's 8192-value reduction block
 LAYOUTS = sorted(
-    {(p, 0) for p in range(17)}
+    {(p, 0) for p in range(19)}
     | {(p, count_bits_for(m)) for p in range(17) for m in M_VALUES if p + 2 + count_bits_for(m) <= 20}
     | {(1, 15), (2, 13), (3, 12)}
 )
+LAYOUT_IDS = [f"p{p}-c{c}" for p, c in LAYOUTS]
 
 
 def state_with(layout, amps):
@@ -149,16 +141,20 @@ def zero_models(layout):
     return sorted({0, e // 3, e - 1}) if e > 2 else list(range(1, e))
 
 
-@pytest.fixture(params=LAYOUTS, ids=lambda pc: f"p{pc[0]}-c{pc[1]}")
-def layout(request):
-    return RegisterLayout(*request.param)
+@pytest.fixture(params=LAYOUTS, ids=LAYOUT_IDS)
+def case(request):
+    """(layout, salt): layout (p, c) without its count register, and 100 c
+    to add to each seed, so that the cases of one width differ."""
+    p, c = request.param
+    return RegisterLayout(p), 100 * c
 
 
 def test_layouts_reach_past_one_chunk():
-    sizes = [1 << RegisterLayout(*pc).total_qubits for pc in LAYOUTS]
+    sizes = [4 << p for p, c in LAYOUTS if c == 0]
     assert max(sizes) > 4 * simulator._NORM_CHUNK
+    assert max(sizes) > 64 * simulator._REDUCE_BLOCK
     assert {count_bits_for(m) for m in M_VALUES} <= {c for _, c in LAYOUTS}
-    assert {p for p, _ in LAYOUTS} == set(range(17))
+    assert {p for p, _ in LAYOUTS} == set(range(19))
 
 
 # --- readouts --------------------------------------------------------------------------
@@ -174,8 +170,9 @@ def test_pairwise_splits_as_numpy(n, monkeypatch):
         assert bits(got) == bits(want)
 
 
-def test_readouts_match_numpy(layout):
-    for seed, zero in ((1, ()), (2, zero_models(layout))):
+def test_readouts_match_numpy(case):
+    layout, salt = case
+    for seed, zero in ((salt + 1, ()), (salt + 2, zero_models(layout))):
         state = random_state(layout, seed, zero)
         before = state.amplitudes.copy()
         assert bits(state.norm()) == bits(ref_norm(state))
@@ -187,30 +184,27 @@ def test_readouts_match_numpy(layout):
         assert np.array_equal(state.amplitudes, before)
 
 
-def test_branch_masses_match_numpy(layout):
-    # the 2-D views that the postselection and the two register checks sum
-    c = layout.count_values
-    state = random_state(layout, 3, zero_models(layout))
-    a = state.amplitudes
+def test_branch_masses_match_numpy(case, monkeypatch):
+    # the views of 1 and 2 columns that the norm, the postselection and the
+    # two register checks sum, and the branches of a model range that is no
+    # power of two long, with chunks of 128, 1000 and the default: every
+    # leaf of the chunk recursion must hold whole rows
+    layout, salt = case
+    state = random_state(layout, salt + 3, zero_models(layout))
+    a, view = state.amplitudes, state.view()
+    part = view[: layout.model_count - layout.model_count // 3]
+    cases = [a.reshape(-1, 1), a.reshape(-1, 2), a.reshape(-1, 2, 2)[:, 1], view[:, 1], part[:, 1]]
     for value in (0, 1):
-        got = simulator._sum_squares(a.reshape(-1, 2, c)[:, value, :])
-        assert bits(got) == bits(ref_accuracy_mass(state, value))
-    assert bits(simulator._sum_squares(a.reshape(-1, 2, 2 * c)[:, 1, :])) == bits(ref_output_mass(state))
-
-
-def test_marked_mass_matches_gather(layout):
-    state = random_state(layout, 4, zero_models(layout))
-    c = layout.count_values
-    # M values whose count register this is: its ends, the M list, one more
-    ms = {c // 2, c // 2 + 1, 3 * c // 4 + 1, c - 1} | {m for m in M_VALUES if count_bits_for(m) == layout.count_bits}
-    for m in sorted(v for v in ms if c // 2 <= v < c):
-        got = simulator._sum_squares(state.amplitudes.reshape(-1, c)[:, m // 2 + 1 :].T)
-        assert bits(got) == bits(ref_marked_probability(state_with(layout, state.amplitudes), m))
+        cases += [a.reshape(-1, 2, 1)[:, value], view[:, :, value], part[:, :, value]]
+    for chunk in (128, 1000, simulator._NORM_CHUNK):
+        monkeypatch.setattr(simulator, "_NORM_CHUNK", chunk)
+        for rows in cases:
+            assert bits(simulator._sum_squares(rows)) == bits(float(np.sum(np.square(rows))))
 
 
 def test_zero_mass_branches():
     # all amplitude on output +1 and accuracy |1>: the other halves sum to +0.0
-    layout = RegisterLayout(15, 1)
+    layout = RegisterLayout(16)
     state = random_state(layout, 5)
     view = state.view()
     view[:, 0] = 0.0
@@ -220,7 +214,7 @@ def test_zero_mass_branches():
     state.amplitudes /= ref_norm(state)
     p0 = state.accuracy_zero_probabilities()
     assert bits(p0) == bits(ref_accuracy_zero_probabilities(state))
-    assert bits(simulator._sum_squares(state.amplitudes.reshape(-1, 2, 2)[:, 0, :])) == bits(0.0)
+    assert bits(simulator._sum_squares(state.amplitudes.reshape(-1, 2, 2)[:, 0])) == bits(0.0)
     with pytest.raises(simulator.PostselectionImpossibleError):
         postselect_accuracy_zero(state)
 
@@ -245,8 +239,30 @@ def test_grover_marked_probability_matches_gather(param_bits, scatter):
         for iterations in (None, 0, 1):
             state, report = grover_amplify_counts(counts, m, iterations)
             dense = scatter(state)
-            assert bits(report.marked_probability) == bits(fsum_squares(dense.view()[:, :, :, m // 2 + 1 :]))
-            assert bits(state.norm()) == bits(math.sqrt(fsum_squares(dense.amplitudes)))
+            assert bits(report.marked_probability) == bits(fsum_squares(dense[..., m // 2 + 1 :]))
+            assert bits(state.norm()) == bits(math.sqrt(fsum_squares(dense)))
+
+
+@pytest.mark.parametrize("p, c", LAYOUTS, ids=LAYOUT_IDS)
+def test_marked_mass_matches_gather(p, c, scatter):
+    # Grover on 2^p models for the M values whose count register is c
+    # qubits (its ends, the M list, one more), each marked mass against the
+    # dense array's gathered marked squares; with no count register M is 0,
+    # and no model is better than chance
+    if c == 0:
+        with pytest.raises(ValueError, match="better than chance"):
+            grover_amplify_counts(np.zeros(1 << p, dtype=np.int64), 0)
+        return
+    lo, hi = 1 << (c - 1), 1 << c
+    ms = {lo, lo + 1, 3 * hi // 4 + 1, hi - 1} | {m for m in M_VALUES if count_bits_for(m) == c}
+    for m in sorted(v for v in ms if lo <= v < hi):
+        rng = np.random.default_rng(p * 100 + m)
+        counts = rng.integers(0, m + 1, 1 << p)
+        counts[0] = m
+        for iterations in (None, 1):
+            state, report = grover_amplify_counts(counts, m, iterations)
+            assert state.layout == RegisterLayout(p, c)
+            assert bits(report.marked_probability) == bits(fsum_squares(scatter(state)[..., m // 2 + 1 :]))
 
 
 @pytest.mark.parametrize("param_bits", range(17))
@@ -258,7 +274,7 @@ def test_support_norm_matches_dense_norm(param_bits, scatter):
         counts = rng.integers(0, m + 1, layout.model_count)
         x_m, x_u = rng.normal(size=2) * 10.0 ** rng.uniform(-150, 150, 2)
         support = SupportState(layout, counts, 2 * counts > m, float(x_m), float(x_u))
-        assert bits(support.norm()) == bits(math.sqrt(fsum_squares(scatter(support).amplitudes)))
+        assert bits(support.norm()) == bits(math.sqrt(fsum_squares(scatter(support))))
 
 
 # --- sums taken from the nonzero values alone ----------------------------------------------
@@ -302,8 +318,9 @@ def test_sparse_sum_memory_bound(peak_bytes):
 # --- operations that rewrite the state ---------------------------------------------------
 
 
-def test_postselection_matches_numpy(layout):
-    state = random_state(layout, 6, zero_models(layout))
+def test_postselection_matches_numpy(case):
+    layout, salt = case
+    state = random_state(layout, salt + 6, zero_models(layout))
     want = state_with(layout, state.amplitudes)
     p_acc = ref_postselect(want)
     _, report = postselect_accuracy_zero(state)
@@ -321,10 +338,11 @@ def faint(target, seed):
     target[::3] = rng.choice([-1e-9, 1e-9], size=target[::3].shape) / math.sqrt(target.size)
 
 
-def test_classifier_matches_gather(layout):
-    state = random_state(layout, 7, zero_models(layout))
-    faint(state.view()[:, 1], 11)
-    labels = np.where(np.random.default_rng(8).random(layout.model_count) < 0.5, -1, 1)
+def test_classifier_matches_gather(case):
+    layout, salt = case
+    state = random_state(layout, salt + 7, zero_models(layout))
+    faint(state.view()[:, 1], salt + 11)
+    labels = np.where(np.random.default_rng(salt + 8).random(layout.model_count) < 0.5, -1, 1)
     want = state_with(layout, state.amplitudes)
     ref_classifier(want, labels)
     apply_classifier(state, labels)
@@ -334,11 +352,13 @@ def test_classifier_matches_gather(layout):
 @pytest.mark.parametrize("param_bits, count_bits, m", [(0, 0, 1), (3, 2, 5), (10, 5, 7), (15, 0, 3), (16, 0, 2), (11, 4, 4), (17, 0, 3)])
 def test_sequential_rotation_matches_numpy(param_bits, count_bits, m):
     # the reference evaluates the angle, cos and sin for every model; the
-    # rotation evaluates them once per count 0..M and gathers them
-    layout = RegisterLayout(param_bits, count_bits)
-    counts = np.random.default_rng(10).integers(0, m + 1, layout.model_count)
+    # rotation evaluates them once per count 0..M and gathers them; a case
+    # named with a count register runs without it, as the layout cases do
+    layout = RegisterLayout(param_bits)
+    salt = 100 * count_bits
+    counts = np.random.default_rng(salt + 10).integers(0, m + 1, layout.model_count)
     for delta in (math.pi / (4 * m), 0.01):
-        state = random_state(layout, 9, zero_models(layout))
+        state = random_state(layout, salt + 9, zero_models(layout))
         state.view()[:, :, 1] = 0.0
         want = state_with(layout, state.amplitudes)
         ref_sequential(want, counts, m, delta)
@@ -346,10 +366,11 @@ def test_sequential_rotation_matches_numpy(param_bits, count_bits, m):
         assert bits(state.amplitudes) == bits(want.amplitudes)
 
 
-def test_exact_rotation_matches_numpy(layout):
-    state = random_state(layout, 12, zero_models(layout))
-    faint(state.view()[:, :, 1], 13)
-    rng = np.random.default_rng(14)
+def test_exact_rotation_matches_numpy(case):
+    layout, salt = case
+    state = random_state(layout, salt + 12, zero_models(layout))
+    faint(state.view()[:, :, 1], salt + 13)
+    rng = np.random.default_rng(salt + 14)
     accuracies = rng.random(layout.model_count)
     accuracies[::5] = rng.choice([0.0, 1.0, 0.5], size=accuracies[::5].shape)
     want = state_with(layout, state.amplitudes)
