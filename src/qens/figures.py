@@ -617,18 +617,22 @@ def run_classify(cfg: dict, out: Path) -> dict:
         raise weighting.EnumerationCapError(f"classify shots are over {SHOTS_CAP}")
     # grid_accuracies, grid_correct_counts and ensemble_decide each walk the
     # grid: bench/selftest/test_bench.py pins model.evals_per_unique at 2.96,
-    # these three walks, so merging them waits for a change to that pin
+    # these three walks, so merging them waits for a change to that pin.
+    # Each walk's (E, M) predictions are, for one-input families, the
+    # transpose of a point-major table; the counts read them in that order
     acc = grid_accuracies(family, grid, dataset)
     alt_weights = None  # set before the statevector: log_odds refuses accuracy 0 or 1
     if scheme is not weighting.WeightScheme.ACCURACY:
         alt_weights = weighting.weights_for(scheme, acc)
     counts = grid_correct_counts(family, grid, dataset)
-    # the committee's grid pass, the largest transient, runs before the statevector exists
+    if rotation == "exact":
+        del counts  # read only by the sequential rotation and its check
+    # the committee's grid pass, the largest transient, and the query labels'
+    # decoded grid both come and go before the statevector exists
     classical = weighting.ensemble_decide(
         family, grid, dataset, weighting.WeightScheme.ACCURACY, query
     )
-    if rotation == "exact":
-        del counts  # read only by the sequential rotation and its check
+    labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
     state = simulator.prepare_uniform(layout)
     if rotation == "exact":
         simulator.apply_accuracy_rotation_exact(state, acc)
@@ -636,7 +640,6 @@ def run_classify(cfg: dict, out: Path) -> dict:
         simulator.apply_accuracy_rotation_sequential(state, counts, m, delta)
         dev_formula, dev_accuracy = _sequential_deviations(state, counts, acc, m, delta)
     state, post = simulator.postselect_accuracy_zero(state)
-    labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
     simulator.apply_classifier(state, labels)
     alt = None if alt_weights is None else weighting.vote(alt_weights, labels)
     p_minus, p_plus = simulator.measure_label_distribution(state)

@@ -10,12 +10,13 @@ Three families share one functional interface f(x; theta) -> {-1, +1}:
                 negating every weight negates the output
 
 sgn(0) is +1 throughout, so predictions are total and deterministic.
-predict_many writes margin >= 0 into its (E, M) int8 result and maps it to
-2b - 1 in place; beside those E*M bytes it holds one block of about 2 MiB
-of float64 scratch, whatever M is.  One-input families run along the model
-axis: a run of 2**14 models' two parameters sits in contiguous buffers, and
-one pass per point x_j computes fl(fl(x_j - w0) * o) (threshold1d) or
-fl(fl(w * x_j) + b) (perceptron) into column j, with no BLAS.  (A one-term
+predict_many writes margin >= 0 into an int8 table of E*M bytes and maps it
+to 2b - 1 in place; beside the table it holds one block of about 2 MiB of
+float64 scratch, whatever M is.  One-input families run along the model axis: a run
+of 2**14 models' two parameters sits in contiguous buffers, and one pass per
+point x_j computes fl(fl(x_j - w0) * o) (threshold1d) or fl(fl(w * x_j) + b)
+(perceptron) into row j of a point-major (M, E) table, so each pass writes
+contiguous bytes; the (E, M) result is that table's transpose.  (A one-term
 BLAS dot product also rounds once; it can differ only in the sign of a zero
 product, which sgn maps to +1 either way.)  Wide families score blocks of
 2**18 // (M * values) models, values being the float64 values per (model,
@@ -134,8 +135,8 @@ def _block_margins(family: ModelFamily, block: np.ndarray, xs: np.ndarray) -> np
 
 
 def _one_input_signs(family: ModelFamily, thetas: np.ndarray, x: np.ndarray, signs: np.ndarray) -> None:
-    """margin >= 0 of every one-input model at each point x_j into column j of
-    the bool signs, one run of models at a time along the model axis."""
+    """margin >= 0 of every one-input model at each point x_j into row j of
+    the (M, E) bool signs, one run of models at a time along the model axis."""
     buffers = np.empty((3, min(_RUN, len(thetas))))
     for start in range(0, len(thetas), _RUN):
         run = thetas[start : start + _RUN]
@@ -149,17 +150,21 @@ def _one_input_signs(family: ModelFamily, thetas: np.ndarray, x: np.ndarray, sig
             else:  # a = w, b = bias
                 np.multiply(a, xj, out=t)
                 t += b
-            np.greater_equal(t, 0.0, out=signs[start : start + len(run), j])
+            np.greater_equal(t, 0.0, out=signs[j, start : start + len(run)])
 
 
 def predict_many(family: ModelFamily, thetas: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Predictions for every (model, point) pair, shape (E, M), int8 in {-1, +1}."""
+    """Predictions for every (model, point) pair, shape (E, M), int8 in {-1, +1}.
+
+    The result's memory order is not part of the contract: one-input
+    families return the transpose of a point-major (M, E) table."""
     thetas = _as_theta_matrix(family, thetas)
     xs = _as_points(family, xs)
-    out = np.empty((len(thetas), len(xs)), dtype=np.int8)
+    one_input = family.kind != MLP_TWO_HIDDEN and family.input_dim == 1
+    out = np.empty((len(xs), len(thetas)) if one_input else (len(thetas), len(xs)), dtype=np.int8)
     # sgn(0) = sgn(-0.0) = +1 and NaN -> -1: margin >= 0 as 0/1, then 2b - 1
     signs = out.view(np.bool_)
-    if family.kind != MLP_TWO_HIDDEN and family.input_dim == 1:
+    if one_input:
         _one_input_signs(family, thetas, xs[:, 0], signs)
     else:  # float64 values per (model, point): the margin and mlp2's activations
         rows = max(1, _BLOCK_VALUES // (max(len(xs), 1) * (1 + sum(family.hidden))))
@@ -169,7 +174,7 @@ def predict_many(family: ModelFamily, thetas: np.ndarray, xs: np.ndarray) -> np.
             del margins  # freed before the next block's margins exist
     out *= 2
     out -= 1
-    return out
+    return out.T if one_input else out
 
 
 @dataclass(frozen=True)
@@ -311,7 +316,7 @@ def correct_counts(family: ModelFamily, thetas: np.ndarray, dataset: Dataset) ->
     dtype = np.float32 if m <= _FLOAT32_EXACT else np.float64
     y = dataset.y.astype(dtype)
     rows = max(1, _COUNT_CHUNK // m)
-    block = np.empty((min(rows, e), m), dtype)
+    block = np.empty_like(preds[:rows], dtype)  # preds' memory order: contiguous copies
     dots = np.empty(len(block), dtype)  # sum of y * prediction: +1 where correct, -1 where wrong
     out = np.empty(e, dtype=np.int64)
     for start in range(0, e, rows):

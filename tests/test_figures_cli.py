@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qens
-from qens import cli, figures, simulator, svgplot
+from qens import cli, figures, model, simulator, svgplot
 from qens.figures import DEFAULTS, ConfigError, dataset_from_config, merged_config, run_command
 
 
@@ -122,16 +122,21 @@ def test_classify_sequential_memory_bound(tmp_path, peak_bytes):
 
 @pytest.mark.parametrize("rotation", ["exact", "sequential"])
 def test_classify_memory_budget(tmp_path, peak_bytes, rotation):
-    # M = 24 at E = 2^18 models: the committee's grid pass runs before the
-    # statevector exists and the rotation takes its angles a chunk of models
-    # at a time, so beside the state's 4 E float64 values the run holds at
-    # most 5 more E-sized float64 arrays: accuracies, counts, the decoded
-    # grid's 2 columns, and one for the int8 query labels and predict_many's
-    # fixed scratch
+    # M = 24 at E = 2^18 models, so the (E, M) int8 predictions take 3 E
+    # float64 values.  The peak is the committee's grid pass, which runs
+    # before the statevector exists: the decoded grid's 2 columns, the
+    # predictions, the (E,) counts and one float32 count block, beside the
+    # run's accuracies and, on the sequential route only, its counts.  The
+    # query labels are taken before the state too, so the state's 4 E
+    # values meet only the accuracies, the counts and the E int8 labels.
+    # Taking the labels after postselection, or keeping the exact route's
+    # counts through the committee's pass, adds an E-sized array and breaks it
     overrides = {"rotation": rotation, "grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 9}}
     cfg = merged_config("classify", overrides)
     e = simulator.RegisterLayout(18).model_count
-    assert peak_bytes(figures.run_classify, cfg, tmp_path) <= 8 * e * (4 + 5)
+    arrays = 2 + 3 + 1 + 1 + (rotation == "sequential")
+    bound = 8 * e * arrays + 4 * model._COUNT_CHUNK + (128 << 10)
+    assert peak_bytes(figures.run_classify, cfg, tmp_path) <= bound
 
 
 def test_classify_all_models_wrong_is_domain_error(tmp_path, capsys):
@@ -293,8 +298,8 @@ def test_classify_under_address_space_limit(tmp_path, rotation):
     # bits 11: E = 2^22 models, 24 qubits, a 128 MiB statevector (4 E-sized
     # float64 arrays).  The committee's grid pass (decoded grid and int8
     # predictions, 8 E-sized arrays) ends before the statevector exists,
-    # so above its imports the run peaks at 9 E-sized arrays (exact) or
-    # 9.75 (sequential); with that pass alive beside the state it needed 13.
+    # so above its imports the run peaks at 8 E-sized arrays (exact) or
+    # 9 (sequential); with that pass alive beside the state it needed 13.
     # The limit grants 11 above what the imports take
     grid = {"intervals": [[-1, 1], [-1, 1]], "bits": 11}
     cfg = write_config(tmp_path, {"rotation": rotation, "grid": grid})

@@ -442,6 +442,60 @@ def test_one_input_runs_match_unblocked(kind, models, points, run):
     assert np.array_equal(got, want)
 
 
+# the one-input kernel against the unblocked reference, non-finite values included
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0, 1.7e308, -1.7e308]
+)
+_ANY = st.one_of(_SPECIAL, st.floats())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["threshold1d", "perceptron"]),
+    st.sampled_from([1, B - 1, B, B + 1, 3 * B + 5]),
+    st.lists(st.tuples(_ANY, _ANY), min_size=1, max_size=12),
+    st.lists(_ANY, min_size=1, max_size=12),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_input_kernel_matches_unblocked(kind, e, models, points, m, seed):
+    # the drawn models and points fill E rows and M points, the draws first
+    # (so a short run meets them) and then at random; E * M stays under 2^22
+    m = min(m, (1 << 22) // e)
+    rng = np.random.default_rng(seed)
+    models, points = np.array(models), np.array(points)
+    thetas = models[np.concatenate([np.arange(min(e, len(models))), rng.integers(0, len(models), max(0, e - len(models)))])]
+    xs = points[np.concatenate([np.arange(min(m, len(points))), rng.integers(0, len(points), max(0, m - len(points)))])]
+    fam = ModelFamily(kind, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = predict_many(fam, thetas, xs[:, None])
+        want = unblocked_predictions(fam, thetas, xs[:, None])
+    assert got.dtype == np.int8 and got.shape == (e, m)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["threshold1d", "perceptron"])
+def test_one_input_reductions_ignore_memory_order(kind, monkeypatch):
+    # correct_counts and signed_tree_sum read the predictions as returned
+    # and as C- and Fortran-ordered copies to the same bits
+    from qens.weighting import signed_sum_table, signed_tree_sum
+
+    fam = ModelFamily(kind, 1)
+    rng = np.random.default_rng(21)
+    e, m = 3 * B + 5, 24
+    thetas = rng.integers(-4, 5, size=(e, 2)) / 4.0
+    ds = Dataset(rng.integers(-4, 5, size=(m, 1)) / 4.0, rng.choice([-1, 1], size=m))
+    preds = predict_many(fam, thetas, ds.x)
+    table = signed_sum_table(rng.integers(0, 50, e) / 49.0)
+    want_counts = correct_counts(fam, thetas, ds)
+    want_sums = signed_tree_sum(table, preds).tobytes()
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        assert signed_tree_sum(table, layout(preds)).tobytes() == want_sums
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "predict_many", lambda *args: layout(predict_many(*args)))
+            assert np.array_equal(correct_counts(fam, thetas, ds), want_counts)
+
+
 # signed powers of two and zeros: every product of two of them, and every
 # product of one with a tanh value, is exact, and each margin or activation
 # sums two terms, so any BLAS or einsum order, fused or not, rounds it alike.
@@ -482,14 +536,17 @@ def test_nan_margin_predicts_minus_one():
 def test_block_evaluation_memory_bound(fam, peak_bytes):
     # the (E, M) int8 result plus one block of 2**18 float64 values (2 MiB),
     # whatever M is: a wide block's margins, and mlp2's activations a1 and
-    # a2 beside them, or the one-input kernel's three run buffers (384 KiB).
+    # a2 beside them, or the one-input kernel's three run buffers (384 KiB),
+    # which alone bound predict_many there: a float64 temporary of one
+    # point's E margins (512 KiB) breaks that bound.
     # Blocks of 2**14 models held 32 MiB of margins at M = 256
     e, m = 1 << 16, 256
     rng = np.random.default_rng(9)
     thetas = rng.normal(size=(e, fam.parameter_count))
     ds = Dataset(rng.normal(size=(m, fam.input_dim)), rng.choice([-1, 1], size=m))
     bound = e * m + 8 * model._BLOCK_VALUES + (256 << 10)
-    assert peak_bytes(predict_many, fam, thetas, ds.x) <= bound
+    one_input = fam.kind != "mlp2" and fam.input_dim == 1
+    assert peak_bytes(predict_many, fam, thetas, ds.x) <= (e * m + 3 * 8 * B + (16 << 10) if one_input else bound)
     assert peak_bytes(correct_counts, fam, thetas, ds) <= bound
 
 
