@@ -16,6 +16,7 @@ bit of a two-input perceptron's margin.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -569,25 +570,18 @@ def run_fig7(cfg: dict, out: Path) -> dict:
     return _summary("fig7", cfg, outputs, metrics, checks)
 
 
-def _sequential_deviations(
-    state: simulator.EnsembleState, counts: np.ndarray, acc: np.ndarray, m: int, delta: float
-) -> tuple[float, float]:
-    """Largest |p0 - cos^2 t| and |p0 - accuracy| over the models, p0 the
-    rotated state's accuracy-|0> probability and t = pi/4 - (2c - M) delta,
-    taken a chunk of models at a time so that no (E,) array of the check is
-    made beside the state; a maximum does not depend on the order."""
-    formula, accuracy = [], []
-    for models in simulator.model_chunks(len(counts)):
-        p0 = state.accuracy_zero_probabilities(models)
-        expected = np.cos(math.pi / 4.0 - (2.0 * counts[models] - m) * delta) ** 2
-        formula.append(np.max(np.abs(p0 - expected)))
-        accuracy.append(np.max(np.abs(p0 - acc[models])))
-    return float(np.max(formula)), float(np.max(accuracy))
-
-
 def run_classify(cfg: dict, out: Path) -> dict:
     """Quantum-circuit path and exhaustive classical vote on one grid,
-    compared model by model."""
+    compared model by model.
+
+    Each rotation is checked against its own committee: the weight that its
+    state preparation gives each model, and the vote of those weights at the
+    query.  The exact rotation's committee is the accuracy-weighted vote; the
+    sequential rotation's weights each model by cos^2 t, t = pi/4 - (2c - M)
+    delta, and reports it as "committee".  On both, "classical" is the
+    accuracy-weighted vote, the reference the sequential circuit
+    approximates, and "acceptance_matches_mean_accuracy" compares the
+    acceptance with the mean committee weight."""
     family, grid, dataset = _ensemble(cfg)
     query, rotation, delta, shots, seed, scheme = _fields(
         cfg,
@@ -621,35 +615,51 @@ def run_classify(cfg: dict, out: Path) -> dict:
     # Each walk's (E, M) predictions are, for one-input families, the
     # transpose of a point-major table; the counts read them in that order
     acc = grid_accuracies(family, grid, dataset)
-    alt_weights = None  # set before the statevector: log_odds refuses accuracy 0 or 1
+    alt_weights = None  # set early: log_odds refuses accuracy 0 or 1
     if scheme is not weighting.WeightScheme.ACCURACY:
         alt_weights = weighting.weights_for(scheme, acc)
     counts = grid_correct_counts(family, grid, dataset)
     if rotation == "exact":
-        del counts  # read only by the sequential rotation and its check
+        del counts  # read only by the sequential rotation
     # the committee's grid pass, the largest transient, and the query labels'
     # decoded grid both come and go before the statevector exists
     classical = weighting.ensemble_decide(
         family, grid, dataset, weighting.WeightScheme.ACCURACY, query
     )
     labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
+    # each route's committee and the scheme's vote are taken before the
+    # statevector exists; the sequential route then holds weights, not acc
+    if rotation == "exact":
+        weights, committee, route_metrics = acc, classical, {}
+    else:
+        # cos^2 t at the M + 1 counts, written apart from the simulator's
+        # angles so that a wrong angle in the rotation shows
+        weights = (np.cos(math.pi / 4.0 - (2.0 * np.arange(m + 1) - m) * delta) ** 2)[counts]
+        committee = weighting.vote(weights, labels)
+        route_metrics = {
+            "delta": delta,
+            "committee": dataclasses.asdict(committee),
+            "rotation_accuracy_deviation": float(np.max(np.abs(weights - acc))),
+        }
+    mean_accuracy = float(np.mean(acc))
+    alt = None if alt_weights is None else weighting.vote(alt_weights, labels)
+    del acc, alt_weights
     state = simulator.prepare_uniform(layout)
     if rotation == "exact":
-        simulator.apply_accuracy_rotation_exact(state, acc)
+        simulator.apply_accuracy_rotation_exact(state, weights)
     else:
         simulator.apply_accuracy_rotation_sequential(state, counts, m, delta)
-        dev_formula, dev_accuracy = _sequential_deviations(state, counts, acc, m, delta)
+        del counts
     state, post = simulator.postselect_accuracy_zero(state)
     simulator.apply_classifier(state, labels)
-    alt = None if alt_weights is None else weighting.vote(alt_weights, labels)
     p_minus, p_plus = simulator.measure_label_distribution(state)
     sigma_z = p_minus - p_plus  # expectation_sigma_z without a second read of the state
     sample = simulator.sample_measurements(p_plus, shots, seed)
-    if rotation == "exact":
-        deviation = state.parameter_distribution()
-        del state  # the model-by-model check needs only the (E,) distribution
-        deviation -= acc / weighting.tree_sum(acc)
-        max_dev = float(np.max(np.abs(deviation)))
+    deviation = state.parameter_distribution()
+    del state  # the model-by-model check needs only the (E,) distribution
+    deviation -= weights / weighting.tree_sum(weights)
+    max_dev = float(np.max(np.abs(deviation)))
+    label_dev = max(abs(p_minus - committee.p_minus), abs(p_plus - committee.p_plus))
 
     metrics: dict = {
         "models": grid.size,
@@ -657,46 +667,26 @@ def run_classify(cfg: dict, out: Path) -> dict:
         "rotation": rotation,
         "acceptance_probability": post.acceptance_probability,
         "expected_repetitions": post.expected_repetitions,
-        "mean_accuracy": float(np.mean(acc)),
+        "mean_accuracy": mean_accuracy,
         "quantum": {"p_minus": p_minus, "p_plus": p_plus, "sigma_z": sigma_z},
-        "classical": {
-            "p_minus": classical.p_minus,
-            "p_plus": classical.p_plus,
-            "raw_score": classical.raw_score,
-            "label": classical.label,
-        },
+        "classical": dataclasses.asdict(classical),
         "sampled_counts": {str(k): v for k, v in sample.items()},
         "shots": shots,
+        "max_model_probability_deviation": max_dev,
+        "label_distribution_deviation": label_dev,
+        **route_metrics,
     }
-    checks = {
-        "labels_agree": (1 if p_plus >= p_minus else -1) == classical.label
-        or math.isclose(p_plus, p_minus, abs_tol=1e-12),
-    }
-    if rotation == "exact":
-        metrics["max_model_probability_deviation"] = max_dev
-        metrics["label_distribution_deviation"] = max(
-            abs(p_minus - classical.p_minus), abs(p_plus - classical.p_plus)
-        )
-        checks["per_model_match"] = max_dev < 1e-10
-        checks["label_distribution_match"] = metrics["label_distribution_deviation"] < 1e-10
-        checks["acceptance_matches_mean_accuracy"] = (
-            abs(post.acceptance_probability - float(np.mean(acc))) < 1e-12
-        )
-    else:
-        metrics["delta"] = delta
-        metrics["rotation_formula_deviation"] = dev_formula
-        metrics["rotation_accuracy_deviation"] = dev_accuracy
-        checks["rotation_matches_formula"] = dev_formula < 1e-12
-
     if alt is not None:
-        metrics["scheme_decision"] = {
-            "scheme": scheme.value,
-            "raw_score": alt.raw_score,
-            "label": alt.label,
-            "p_plus": alt.p_plus,
-            "p_minus": alt.p_minus,
-        }
-
+        metrics["scheme_decision"] = {"scheme": scheme.value, **dataclasses.asdict(alt)}
+    checks = {
+        "labels_agree": (1 if p_plus >= p_minus else -1) == committee.label
+        or math.isclose(p_plus, p_minus, abs_tol=1e-12),
+        "per_model_match": max_dev < 1e-10,
+        "label_distribution_match": label_dev < 1e-10,
+        "acceptance_matches_mean_accuracy": (
+            abs(post.acceptance_probability - float(np.mean(weights))) < 1e-12
+        ),
+    }
     summary = _summary("classify", cfg, ["classify_report.json"], metrics, checks)
     _write_json(out / "classify_report.json", summary)
     return summary

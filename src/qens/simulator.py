@@ -149,10 +149,9 @@ class EnsembleState:
         """Probability of each parameter basis state, shape (E,)."""
         return _model_sums(self.view())
 
-    def accuracy_zero_probabilities(self, models: slice = slice(None)) -> np.ndarray:
-        """P(accuracy qubit = |0> conditioned on each parameter state), for
-        all of them or for the slice `models` of them."""
-        view = self.view()[models]
+    def accuracy_zero_probabilities(self) -> np.ndarray:
+        """P(accuracy qubit = |0> conditioned on each parameter state)."""
+        view = self.view()
         zero_branch = _model_sums(view[:, :, 0])
         per_model = _model_sums(view[:, :, 1])
         per_model += zero_branch

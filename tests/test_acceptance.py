@@ -406,8 +406,8 @@ GOLDEN_SHA256 = {
         "classify_summary.json": "42eb85c34901858dc4b318b82b5c13b81e34291cba3fa1b1f65168783ae491c2",
     },
     "classify_sequential": {
-        "classify_report.json": "8424313965462eff300a56f0c322d4717672b69c3f55bc89d07712ac8e4ed819",
-        "classify_summary.json": "8424313965462eff300a56f0c322d4717672b69c3f55bc89d07712ac8e4ed819",
+        "classify_report.json": "a3e67df3b0f6088ada59a89433e2fef09a0f3f7a21df523ea33daf9f67deac97",
+        "classify_summary.json": "a3e67df3b0f6088ada59a89433e2fef09a0f3f7a21df523ea33daf9f67deac97",
     },
     "grover": {
         "grover_report.json": "f87ad3520fdf2eae52b56d07c1c4f0fc9875c5f0c74b75a5d69fc708b5fcc06a",
@@ -436,8 +436,8 @@ GOLDEN_SHA256 = {
         "classify_summary.json": "106070fdfb228bfbb7c595d2863ff6d321d6d20966551f4f8658180dfbd4d57b",
     },
     "classify_sequential_blocks": {
-        "classify_report.json": "7a5990fc0d2d7174276cc47d2e97ecc77cd66bd859f052e852339b718634cdae",
-        "classify_summary.json": "7a5990fc0d2d7174276cc47d2e97ecc77cd66bd859f052e852339b718634cdae",
+        "classify_report.json": "597b0b36583163b5d17e94d615d6316d49504e0e57a449f779fa63f7fad2148a",
+        "classify_summary.json": "597b0b36583163b5d17e94d615d6316d49504e0e57a449f779fa63f7fad2148a",
     },
 }
 
@@ -703,6 +703,115 @@ def test_grover_within_stated_ulps_of_the_mpmath_oracle_on_draws(param_bits, m, 
     counts = np.random.default_rng(seed).integers(0, m + 1, 1 << param_bits)
     counts[0] = m  # at least one marked model
     assert_within_bounds(grover_ulps(counts, m, iterations))
+
+
+COS_ULPS = 4  # numpy's float64 cos, on any of its SIMD or libm paths, is assumed within 4 ulp
+
+
+def sequential_ulps(counts, labels, m, delta, metrics) -> dict[str, tuple[float, float]]:
+    """Distance of the sequential route's p_plus, quantum and committee, from
+    the mpmath oracle sum_k n(k, +1) cos^2 t_k / sum_k n(k) cos^2 t_k,
+    t_k = pi/4 - (2k - M) delta with delta as given and n the (count, label)
+    histogram, and the bound allowed; both in ulps of the oracle.
+
+    Both routes evaluate t_k as pi/4 - (2k - M) delta in float64: math.pi/4
+    is off by |fl(pi) - pi|/4, the product and the difference round once
+    each, so |dt| <= e_pi + U (|(2k - M) delta| + |t|).  cos adds COS_ULPS
+    ulp, at most 2 COS_ULPS U relative.  The committee squares it (U), so
+    its weight is off by |sin 2t| dt + (4 COS_ULPS + 1) U cos^2 t; the
+    circuit's squared amplitude, beside factors common to every model, also
+    meets the products with 1/sqrt(E) and with the renormalisation (4 U).
+    A weight error e_k moves p = N/D by at most
+    sum_k ((1 - p) n(k, s) + p n(k, -s)) e_k / D for the label s read.  The
+    committee then sums each side in a tree of ceil(log2 E) rounds and
+    divides; the circuit reads p_minus as the exact route does, and p_plus
+    as 1 - p_minus, which keeps p_minus's absolute error and rounds once
+    more.  One U p more covers the second-order terms."""
+    e = counts.size
+    plus = np.bincount(counts[labels == 1], minlength=m + 1).tolist()
+    every = np.bincount(counts, minlength=m + 1).tolist()
+    block = min(4 * e, 2 * 8192)
+    minus_depth = pairwise_depth(block // 2) + 4 * e // block - 1
+    with mpmath.workdps(50):
+        u = mpmath.mpf(2) ** -53
+        pi4 = mpmath.pi / 4
+        e_pi = abs(mpmath.mpf(math.pi) / 4 - pi4)
+        d = mpmath.mpf(delta)
+        t = [pi4 - (2 * k - m) * d for k in range(m + 1)]
+        dt = [e_pi + u * (abs((2 * k - m) * d) + abs(t[k])) for k in range(m + 1)]
+        w = [mpmath.cos(x) ** 2 for x in t]
+        total = mpmath.fsum(n * x for n, x in zip(every, w))
+        p = mpmath.fsum(n * x for n, x in zip(plus, w)) / total
+
+        def moved(p_side, side, extra):
+            # how far weight errors of |sin 2t| dt + extra U cos^2 t move the
+            # probability p_side of the label whose histogram is `side`
+            other = [n - s for n, s in zip(every, side)]
+            errors = [abs(mpmath.sin(2 * x)) * y + extra * u * c for x, y, c in zip(t, dt, w)]
+            return mpmath.fsum(
+                ((1 - p_side) * s + p_side * o) * err for s, o, err in zip(side, other, errors)
+            ) / total
+
+        committee = moved(p, plus, 4 * COS_ULPS + 1) + (2 * math.ceil(math.log2(e)) + 2) * u * p
+        q_minus = 1 - p
+        minus = [n - s for n, s in zip(every, plus)]
+        quantum = (
+            moved(q_minus, minus, 4 * COS_ULPS + 5)
+            + (minus_depth + pairwise_depth(4 * e) + 2) * u * q_minus
+            + mpmath.mpf(math.ulp(float(p)))
+        )
+        unit = mpmath.mpf(math.ulp(float(p)))
+
+        def ulps(got, bound):
+            return float(abs(got - p) / unit), float(bound / unit)
+
+        return {
+            "quantum p_plus": ulps(metrics["quantum"]["p_plus"], quantum),
+            "committee p_plus": ulps(metrics["committee"]["p_plus"], committee),
+        }
+
+
+def run_sequential_oracle(tmp_path, overrides):
+    cfg = merged_config("classify", overrides)
+    family, grid, dataset = figures._ensemble(cfg)
+    counts = grid_correct_counts(family, grid, dataset)
+    query = np.asarray(cfg["query"], dtype=np.float64)
+    labels = predict_many(family, decode_all(grid), query[None, :])[:, 0]
+    metrics = figures.run_classify(cfg, tmp_path)["metrics"]
+    return sequential_ulps(counts, labels, len(dataset), metrics["delta"], metrics)
+
+
+@pytest.mark.parametrize("name", ["classify_sequential", "classify_sequential_blocks"])
+def test_sequential_route_within_stated_ulps_of_the_mpmath_oracle(tmp_path, name):
+    command, overrides = GOLDEN_CASES[name]
+    assert_within_bounds(run_sequential_oracle(tmp_path, overrides))
+
+
+def test_sequential_route_within_stated_ulps_of_the_mpmath_oracle_on_draws(tmp_path):
+    # E <= 2^10 models, M <= 31 points of either label anywhere in [-2, 2]
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["perceptron", "threshold1d"]),
+        bits=st.integers(1, 5),
+        points=st.lists(
+            st.tuples(st.floats(-2.0, 2.0), st.sampled_from([-1, 1])), min_size=1, max_size=31
+        ),
+        query=st.floats(-2.0, 2.0),
+        delta_fraction=st.floats(2.0**-30, 1.0),
+    )
+    def run(kind, bits, points, query, delta_fraction):
+        x, y = zip(*points)
+        overrides = {
+            "family": {"kind": kind, "input_dim": 1},
+            "grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": bits},
+            "dataset": {"points": {"x": [[v] for v in x], "y": list(y)}},
+            "query": [query],
+            "rotation": "sequential",
+            "delta": delta_fraction * math.pi / (4 * len(points)),
+        }
+        assert_within_bounds(run_sequential_oracle(tmp_path, overrides))
+
+    run()
 
 
 # Runs golden cases in a fresh interpreter and prints their sha256 as JSON,

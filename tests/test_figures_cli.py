@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qens
@@ -96,12 +96,84 @@ def test_classify_report(tmp_path):
     assert sum(int(v) for v in m["sampled_counts"].values()) == m["shots"]
 
 
+CLASSIFY_CHECKS = {
+    "labels_agree",
+    "per_model_match",
+    "label_distribution_match",
+    "acceptance_matches_mean_accuracy",
+}
+
+
 def test_classify_sequential_rotation(tmp_path):
-    cfg = write_config(tmp_path, {"rotation": "sequential"})
+    # the circuit is checked against its own cos^2 committee, as the exact
+    # route is against its accuracies; the accuracy vote stays as reference
+    overrides = {"rotation": "sequential"}
+    cfg = write_config(tmp_path, overrides)
     assert run_cli("classify", "--out", str(tmp_path), "--config", str(cfg)) == 0
     report = json.loads((tmp_path / "classify_report.json").read_text())
-    assert report["metrics"]["rotation_formula_deviation"] < 1e-12
-    assert "rotation_accuracy_deviation" in report["metrics"]
+    metrics, checks = report["metrics"], report["checks"]
+    assert set(checks) == CLASSIFY_CHECKS and all(checks.values())
+    assert set(metrics["committee"]) == {"raw_score", "label", "p_plus", "p_minus"}
+    assert metrics["committee"]["p_plus"] != metrics["classical"]["p_plus"]
+    assert "rotation_formula_deviation" not in metrics
+    family, grid, dataset = figures._ensemble(merged_config("classify", overrides))
+    counts, m = model.grid_correct_counts(family, grid, dataset), len(dataset)
+    cos2 = np.cos(math.pi / 4 - (2 * counts - m) * metrics["delta"]) ** 2
+    assert metrics["rotation_accuracy_deviation"] == pytest.approx(np.max(np.abs(cos2 - counts / m)), abs=1e-15)
+
+
+def test_classify_sequential_mirrored_angle_fails_its_own_check(tmp_path, monkeypatch):
+    # rotating by M - c is the sign mutant t = pi/4 + (2c - M) delta: the
+    # circuit then prepares other weights than its committee's, and classify
+    # itself must refuse it, not only a test
+    original = simulator.apply_accuracy_rotation_sequential
+
+    def mirrored(state, counts, m, delta):
+        return original(state, m - np.asarray(counts), m, delta)
+
+    monkeypatch.setattr(simulator, "apply_accuracy_rotation_sequential", mirrored)
+    cfg = write_config(tmp_path, {"rotation": "sequential"})
+    code = run_cli("classify", "--out", str(tmp_path), "--config", str(cfg))
+    assert code == cli.EXIT_CHECK_FAILED
+    assert json.loads((tmp_path / "classify_summary.json").read_text())["checks"]["per_model_match"] is False
+
+
+def test_valid_classify_configs_pass_their_own_checks(tmp_path):
+    # small valid configs on both rotations; the example is a correct
+    # sequential run that once failed labels_agree against the accuracy vote
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.integers(2, 5),
+        sigma_minus=st.floats(0.3, 2.0),
+        sigma_plus=st.floats(0.3, 2.0),
+        seed=st.integers(0, 2**64 - 1),
+        query=st.floats(-1.0, 1.0),
+        rotation=st.sampled_from(["exact", "sequential"]),
+        delta_fraction=st.one_of(st.none(), st.floats(2.0**-30, 1.0)),
+    )
+    @example(
+        bits=3,
+        sigma_minus=0.5,
+        sigma_plus=1.5,
+        seed=5,
+        query=-0.1,
+        rotation="sequential",
+        delta_fraction=None,
+    )
+    def run(bits, sigma_minus, sigma_plus, seed, query, rotation, delta_fraction):
+        pair = {"mu_minus": -1.0, "sigma_minus": sigma_minus, "mu_plus": 1.0, "sigma_plus": sigma_plus}
+        overrides = {
+            "rotation": rotation,
+            "query": [query],
+            "grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": bits},
+            "dataset": {"pair": {**pair, "per_class": 12, "seed": seed}},
+        }
+        if rotation == "sequential" and delta_fraction is not None:
+            overrides["delta"] = delta_fraction * math.pi / (4 * 24)  # within (0, pi/(4M)]
+        summary = figures.run_classify(merged_config("classify", overrides), tmp_path)
+        assert summary["ok"], summary["checks"]
+
+    run()
 
 
 def test_classify_sequential_memory_bound(tmp_path, peak_bytes):
@@ -127,8 +199,9 @@ def test_classify_memory_budget(tmp_path, peak_bytes, rotation):
     # before the statevector exists: the decoded grid's 2 columns, the
     # predictions, the (E,) counts and one float32 count block, beside the
     # run's accuracies and, on the sequential route only, its counts.  The
-    # query labels are taken before the state too, so the state's 4 E
-    # values meet only the accuracies, the counts and the E int8 labels.
+    # query labels and each route's committee are taken before the state
+    # too, so the state's 4 E values meet only the committee's weights (the
+    # accuracies on the exact route), the counts and the E int8 labels.
     # Taking the labels after postselection, or keeping the exact route's
     # counts through the committee's pass, adds an E-sized array and breaks it
     overrides = {"rotation": rotation, "grid": {"intervals": [[-1.0, 1.0], [-1.0, 1.0]], "bits": 9}}

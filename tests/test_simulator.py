@@ -293,17 +293,6 @@ def test_accuracy_zero_probabilities_memory_bound_with_count_register(peak_bytes
 
 
 @MEMORY_LAYOUTS
-def test_accuracy_zero_probabilities_of_slices_are_those_of_all(param_bits, count_bits):
-    # each model's sums are its own, so any slice has the bits of the whole
-    state = rotated_state(param_bits)
-    whole = state.accuracy_zero_probabilities()
-    chunks = simulator.model_chunks(state.layout.model_count)
-    parts = [state.accuracy_zero_probabilities(models) for models in chunks]
-    assert np.concatenate(parts).tobytes() == whole.tobytes()
-    assert state.accuracy_zero_probabilities(slice(5, 9)).tobytes() == whole[5:9].tobytes()
-
-
-@MEMORY_LAYOUTS
 def test_parameter_distribution_memory_bound(param_bits, count_bits, peak_bytes):
     state = rotated_state(param_bits)
     e = state.layout.model_count
